@@ -48,9 +48,7 @@ from .isotropic import (
 )
 from .polycore import (
     ExponentVec,
-    PolyMatrix,
     TPoly,
-    coefficient_of,
     det,
     elementary_symmetric,
     poly_mul,
@@ -66,7 +64,6 @@ __all__ = [
     "CriticalPointReport",
     "ExponentVec",
     "IsotropicResult",
-    "PolyMatrix",
     "RationalSeries",
     "StabilizationReport",
     "SYMMETRIC_PAIR_TABLE",
@@ -77,7 +74,6 @@ __all__ = [
     "build_H",
     "build_H_via_determinant",
     "check_stabilization",
-    "coefficient_of",
     "compare_exact_asymptotic",
     "critical_constants",
     "det",

@@ -13,8 +13,7 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from . import asympt, degrees, genfun, isotropic
 
@@ -28,14 +27,6 @@ def _int_list(text: str) -> list[int]:
 
 def _emit_json(record: dict) -> None:
     print(json.dumps(record, sort_keys=True))
-
-
-def _map_cells(fn: Callable, items: Sequence, jobs: int) -> list:
-    # Cells are independent; order of the output never depends on scheduling.
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def _cmd_degree(args: argparse.Namespace) -> int:
@@ -207,7 +198,7 @@ def _cmd_asympt(args: argparse.Namespace) -> int:
     return 0
 
 
-def _table_rows(args: argparse.Namespace) -> tuple[list[str], Iterable[list]]:
+def _table_rows(args: argparse.Namespace) -> tuple[list[str], list[list]]:
     if args.kind == "matrix-ed":
         cells = [(n1, n2) for n1 in range(1, args.max_n + 1) for n2 in range(1, args.max_n + 1)]
 
@@ -216,7 +207,7 @@ def _table_rows(args: argparse.Namespace) -> tuple[list[str], Iterable[list]]:
             fmt = degrees.TensorFormat((n1, n2), (1, 1))
             return [n1, n2, str(degrees.extract_degree(fmt, degrees.CodimVec((0, 0))))]
 
-        return ["n1", "n2", "degree"], _map_cells(cell, cells, args.jobs)
+        return ["n1", "n2", "degree"], [cell(pair) for pair in cells]
 
     if args.kind == "hypercubical-compare":
         ns = list(range(args.n_min, args.n_max + 1))
@@ -225,7 +216,7 @@ def _table_rows(args: argparse.Namespace) -> tuple[list[str], Iterable[list]]:
             row = asympt.compare_exact_asymptotic(args.k, args.omega, args.delta, [n])[0]
             return [row.n, str(row.exact), repr(row.log10_estimate), repr(row.ratio)]
 
-        return ["n", "exact", "log10_estimate", "ratio"], _map_cells(compare_cell, ns, args.jobs)
+        return ["n", "exact", "log10_estimate", "ratio"], [compare_cell(n) for n in ns]
 
     if args.kind == "isotropic-sym":
         cells = [(n, w) for n in range(2, args.max_n + 1) for w in range(1, args.max_omega + 1)]
@@ -234,7 +225,7 @@ def _table_rows(args: argparse.Namespace) -> tuple[list[str], Iterable[list]]:
             n, w = pair
             return [n, w, str(isotropic.isotropic_degree_symmetric(n, w))]
 
-        return ["n", "omega", "degree"], _map_cells(iso_cell, cells, args.jobs)
+        return ["n", "omega", "degree"], [iso_cell(pair) for pair in cells]
 
     raise ValueError(f"unknown table kind {args.kind!r}")
 
@@ -307,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=int, default=0)
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--jobs", type=int, default=1, help="evaluate table cells on this many threads")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_table)
 
@@ -315,8 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # Exact results can exceed the interpreter's int-to-str digit limit
+    # (4300 by default, where the limit exists); lift it for this command only.
+    old_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if old_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -324,6 +319,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"internal assertion failed: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if old_limit is not None:
+            sys.set_int_max_str_digits(old_limit)
 
 
 if __name__ == "__main__":

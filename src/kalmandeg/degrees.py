@@ -104,11 +104,11 @@ def _geometric_factor(fmt: TensorFormat, i: int, ring: tuple[str, ...], caps: tu
     for j in range(fmt.n[i] - 1, -1, -1):
         if j <= ti_cap:
             if j:
-                total = total + poly_mul(power, TPoly.monomial(ring, {ring[i]: j}, 1, caps), caps)
+                total = total + poly_mul(power, TPoly.monomial(ring, {ring[i]: j}, 1, caps))
             else:
                 total = total + power
         if j > 0:
-            power = poly_mul(power, base, caps)
+            power = poly_mul(power, base)
     return total
 
 
@@ -125,7 +125,7 @@ def extract_degree(fmt: TensorFormat, d: CodimVec) -> int:
     caps = tuple(fmt.n[i] - d.delta[i] - 1 for i in range(k)) + (d.total,)
     acc = TPoly.one(ring, caps)
     for i in range(k):
-        acc = poly_mul(acc, _geometric_factor(fmt, i, ring, caps), caps)
+        acc = poly_mul(acc, _geometric_factor(fmt, i, ring, caps))
     return acc.coefficient(caps)
 
 

@@ -16,18 +16,23 @@ has entries omega_j - [i == j], last column all ones, and last row (1, 0..0),
 with T = diag(x_1..x_k, y).  Both constructions are implemented and must agree
 exactly; series coefficients must agree with direct extraction.
 
-Series expansion works entirely in capped integer arithmetic: 1/D for a
-denominator D with constant term 1 is the geometric series in (1 - D), which
-terminates under caps because (1 - D) has no constant term.
+Series expansion is exact power-series division.  For a denominator D with
+constant term 1, the coefficients of N/D within a cap box satisfy
+
+    s_e = N_e - sum_{d != 0, d <= e} D_d * s_(e - d),
+
+so one pass over the box in lexicographic order yields every coefficient
+from ones already computed, in integer arithmetic only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
+from operator import sub
 from typing import Sequence
 
-from .polycore import ExponentVec, PolyMatrix, TPoly, det, poly_mul
+from .polycore import ExponentVec, TPoly, det, poly_mul
 
 
 def _xy_ring(k: int) -> tuple[str, ...]:
@@ -68,7 +73,7 @@ def build_H(omega: Sequence[int]) -> TPoly:
     return h - tail
 
 
-def _bordered_matrix(omega: tuple[int, ...]) -> PolyMatrix:
+def _bordered_matrix(omega: tuple[int, ...]) -> list[list[TPoly]]:
     """I - T A over (x_1..x_k, y) for the bordered matrix A described above."""
     k = len(omega)
     ring = _xy_ring(k)
@@ -85,7 +90,7 @@ def _bordered_matrix(omega: tuple[int, ...]) -> PolyMatrix:
         rows.append(row)
     last = [-TPoly.variable(ring, "y")] + [TPoly.zero(ring)] * (k - 1) + [TPoly.one(ring)]
     rows.append(last)
-    return PolyMatrix(rows)
+    return rows
 
 
 def build_H_via_determinant(omega: Sequence[int]) -> TPoly:
@@ -93,17 +98,16 @@ def build_H_via_determinant(omega: Sequence[int]) -> TPoly:
     return det(_bordered_matrix(_check_omega(omega)))
 
 
-def last_row_minors(omega: Sequence[int]) -> tuple[PolyMatrix, PolyMatrix]:
+def last_row_minors(omega: Sequence[int]) -> tuple[tuple[tuple[TPoly, ...], ...], tuple[tuple[TPoly, ...], ...]]:
     """The two k x k minors from expanding det(I - TA) along its bottom row.
 
     First: drop the bottom row and first column; second: drop the bottom row
-    and last column.  Their determinants have product-form closed expressions
-    checked in the test suite.
+    and last column, each as a tuple of rows.  Their determinants have
+    product-form closed expressions checked in the test suite.
     """
-    m = _bordered_matrix(_check_omega(omega))
-    top = m.entries[:-1]
-    first = PolyMatrix([row[1:] for row in top])
-    second = PolyMatrix([row[:-1] for row in top])
+    top = _bordered_matrix(_check_omega(omega))[:-1]
+    first = tuple(tuple(row[1:]) for row in top)
+    second = tuple(tuple(row[:-1]) for row in top)
     return first, second
 
 
@@ -125,10 +129,10 @@ def split_H(omega: Sequence[int]) -> tuple[TPoly, TPoly]:
 
 @dataclass(frozen=True)
 class RationalSeries:
-    """numerator/denominator pair expandable as an exact capped power series.
+    """numerator/denominator pair expandable as an exact power series within caps.
 
-    The denominator must have constant term exactly 1, which makes 1/D the
-    terminating geometric series sum_m (1-D)^m under the caps.
+    The denominator must have constant term exactly 1, so the series
+    coefficients follow from the division recurrence in the module docstring.
     """
 
     numerator: TPoly
@@ -145,22 +149,26 @@ class RationalSeries:
             raise ValueError("denominator must have constant term 1")
 
     def expand(self) -> dict[ExponentVec, int]:
-        """All nonzero series coefficients with exponents within the caps."""
-        ring = self.numerator.vars
+        """All nonzero series coefficients with exponents within the caps.
+
+        Keys appear in lexicographic order of their exponent vectors.
+        """
         caps = self.caps
-        one = TPoly.one(ring, caps)
-        u = one - poly_mul(self.denominator, one, caps)  # 1 - D, no constant term
-        inv = one
-        power = u
-        budget = sum(caps) + 1
-        while power:
-            inv = inv + power
-            power = poly_mul(power, u, caps)
-            budget -= 1
-            if budget < 0:
-                raise ArithmeticError("series inversion failed to terminate")
-        series = poly_mul(self.numerator, inv, caps)
-        return dict(series.terms)
+        numerator = self.numerator.terms
+        tail = [
+            (d, c)
+            for d, c in self.denominator.terms.items()
+            if any(d) and all(x <= m for x, m in zip(d, caps))
+        ]
+        series: dict[ExponentVec, int] = {}
+        for e in iter_product(*(range(c + 1) for c in caps)):
+            s = numerator.get(e, 0)
+            for d, c in tail:
+                # e - d has a negative entry unless d <= e; no key has one.
+                s -= c * series.get(tuple(map(sub, e, d)), 0)
+            if s:
+                series[e] = s
+        return series
 
 
 def expand_series(
@@ -182,8 +190,7 @@ def expand_series(
     full_caps = caps + (y_cap,)
     denominator = build_H(omega)
     for i in range(k):
-        one_minus = TPoly.one(ring) - TPoly.variable(ring, ring[i])
-        denominator = poly_mul(denominator, one_minus, full_caps)
+        denominator = denominator * (TPoly.one(ring) - TPoly.variable(ring, ring[i]))
     numerator = TPoly.monomial(ring, {ring[i]: 1 for i in range(k)}, 1, full_caps)
     series = RationalSeries(numerator, denominator, full_caps).expand()
     return {(exps[:k], exps[k]): c for exps, c in series.items()}
@@ -214,7 +221,7 @@ def macmahon_check(a: Sequence[Sequence[int]], cap: Sequence[int] | int) -> bool
                 entry = entry - TPoly.monomial(ring, {ring[i]: 1}, a[i][j])
             row.append(entry)
         rows.append(row)
-    denominator = det(PolyMatrix(rows))
+    denominator = det(rows)
     rhs = RationalSeries(TPoly.one(ring), denominator, caps).expand()
 
     linear_forms = [
@@ -225,7 +232,7 @@ def macmahon_check(a: Sequence[Sequence[int]], cap: Sequence[int] | int) -> bool
         lhs_poly = TPoly.one(ring, p)
         for i in range(m):
             for _ in range(p[i]):
-                lhs_poly = poly_mul(lhs_poly, linear_forms[i], p)
+                lhs_poly = poly_mul(lhs_poly, linear_forms[i])
         if lhs_poly.coefficient(p) != rhs.get(p, 0):
             return False
     return True

@@ -281,21 +281,15 @@ class TPoly:
         return f"TPoly({str(self)!r})"
 
 
-def poly_mul(a: TPoly, b: TPoly, caps: Sequence[int] | None = None) -> TPoly:
-    """Exact product, dropping every monomial that exceeds a cap in any variable.
+def poly_mul(a: TPoly, b: TPoly) -> TPoly:
+    """Exact product under the operands' caps (componentwise minimum).
 
-    With ``caps=None`` the caps carried by the operands (componentwise minimum)
-    apply.  All coefficients within the caps are exact.
+    Every monomial exceeding a cap in any variable is dropped; all
+    coefficients within the caps are exact.  Uncapped operands give the full
+    product.
     """
     a._check_same_ring(b)
-    if caps is None:
-        caps = _merge_caps(a.caps, b.caps)
-    else:
-        caps = tuple(caps)
-        if len(caps) != len(a.vars):
-            raise ValueError("caps length does not match variable count")
-        if any(c < 0 for c in caps):
-            raise ValueError("caps must be nonnegative")
+    caps = _merge_caps(a.caps, b.caps)
     out: dict[ExponentVec, int] = {}
     for e1, c1 in a.terms.items():
         for e2, c2 in b.terms.items():
@@ -304,11 +298,6 @@ def poly_mul(a: TPoly, b: TPoly, caps: Sequence[int] | None = None) -> TPoly:
                 continue
             out[e] = out.get(e, 0) + c1 * c2
     return TPoly._raw(a.vars, {e: c for e, c in out.items() if c}, caps)
-
-
-def coefficient_of(p: TPoly, m: Sequence[int]) -> int:
-    """Exact coefficient of the monomial with exponent vector ``m``; 0 if absent."""
-    return p.coefficient(m)
 
 
 def elementary_symmetric(vars: Sequence[str], subset: Sequence[str], i: int) -> TPoly:
@@ -337,42 +326,23 @@ def elementary_symmetric(vars: Sequence[str], subset: Sequence[str], i: int) -> 
     return TPoly(vars, terms)
 
 
-class PolyMatrix:
-    """A rectangular matrix of polynomials sharing one ring."""
+def det(rows: Sequence[Sequence[TPoly]]) -> TPoly:
+    """Exact determinant of a square matrix given as rows of polynomials over one ring.
 
-    __slots__ = ("entries", "rows", "cols")
-
-    def __init__(self, entries: Sequence[Sequence[TPoly]]):
-        rows = [tuple(r) for r in entries]
-        if not rows or not rows[0]:
-            raise ValueError("matrix must have at least one row and one column")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged matrix")
-        vars = rows[0][0].vars
-        for r in rows:
-            for p in r:
-                if p.vars != vars:
-                    raise ValueError("matrix entries live in different rings")
-        self.entries = tuple(rows)
-        self.rows = len(rows)
-        self.cols = width
-
-    @property
-    def vars(self) -> tuple[str, ...]:
-        return self.entries[0][0].vars
-
-
-def det(m: PolyMatrix) -> TPoly:
-    """Exact determinant by cofactor expansion, memoized on active column sets.
-
-    Intended for the small bordered matrices of this package (dimension on the
-    order of ten); memoization brings the cost down from n! to 2^n subproblems.
+    Cofactor expansion, memoized on active column sets.  Intended for the
+    small bordered matrices of this package (dimension on the order of ten);
+    memoization brings the cost down from n! to 2^n subproblems.
     """
-    if m.rows != m.cols:
+    if not rows or not rows[0]:
+        raise ValueError("matrix must have at least one row and one column")
+    n = len(rows)
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged matrix")
+    if len(rows[0]) != n:
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    vars = m.vars
+    vars = rows[0][0].vars
+    if any(p.vars != vars for r in rows for p in r):
+        raise ValueError("matrix entries live in different rings")
     memo: dict[int, TPoly] = {}
 
     def expand(mask: int) -> TPoly:
@@ -388,7 +358,7 @@ def det(m: PolyMatrix) -> TPoly:
         rest = mask
         while rest:
             if rest & 1:
-                entry = m.entries[row][col]
+                entry = rows[row][col]
                 if entry:
                     prod = poly_mul(entry, expand(mask ^ (1 << col)))
                     acc = acc + prod if sign > 0 else acc - prod

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -85,6 +86,26 @@ def test_isotropic_text(capsys):
     assert out == "degree = 6\ncomponents = 1\n"
 
 
+def test_isotropic_result_beyond_int_str_digit_limit(capsys):
+    from kalmandeg.isotropic import isotropic_degree_symmetric
+
+    omega = "1" + "0" * 100
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "isotropic", "--n", "46", "--omega", omega)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit  # restored after the command
+    code, out_json, err = run(capsys, "isotropic", "--n", "46", "--omega", omega, "--format", "json")
+    assert (code, err) == (0, "")
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(isotropic_degree_symmetric(46, 10**100))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(expected) == 4402
+    assert out == f"degree = {expected}\ncomponents = 1\n"
+    assert json.loads(out_json)["degree"] == expected
+
+
 def test_isotropic_rejects_small_n(capsys):
     code, _, err = run(capsys, "isotropic", "--n", "1,3", "--omega", "1,1")
     assert code == 2 and "n_i" in err
@@ -147,8 +168,8 @@ def test_table_matrix_ed_csv(capsys):
 
 def test_table_deterministic_and_parallel(capsys):
     runs = []
-    for jobs in ("1", "1", "4"):
-        code, out, _ = run(capsys, "table", "--kind", "matrix-ed", "--max-n", "4", "--jobs", jobs)
+    for _ in range(3):
+        code, out, _ = run(capsys, "table", "--kind", "matrix-ed", "--max-n", "4")
         assert code == 0
         runs.append(out)
     assert runs[0] == runs[1] == runs[2]

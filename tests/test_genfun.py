@@ -152,6 +152,22 @@ def test_rational_series_validation_and_geometric():
     assert series.expand() == {(e,): 3**e for e in range(6)}
 
 
+def test_series_times_denominator_is_numerator():
+    # checks the division recurrence by multiplying back, not by dividing again
+    rng = random.Random(31337)
+
+    def random_terms(ring):
+        return {tuple(rng.randint(0, 3) for _ in ring): rng.randint(-4, 4) for _ in range(rng.randint(1, 5))}
+
+    for trial in range(40):
+        ring = _xvars(rng.randint(1, 3))
+        caps = tuple(rng.randint(0, 3) for _ in ring)
+        numerator = TPoly(ring, random_terms(ring))
+        denominator = TPoly(ring, {**random_terms(ring), (0,) * len(ring): 1})
+        series = RationalSeries(numerator, denominator, caps).expand()
+        assert poly_mul(TPoly(ring, series, caps), denominator) == TPoly(ring, numerator.terms, caps), trial
+
+
 def test_macmahon_small_cases():
     assert macmahon_check([[1, 0], [0, 1]], 2)
     assert macmahon_check([[5]], (4,))
@@ -180,10 +196,8 @@ def test_box_summation_identity():
     f_poly = TPoly(ring, dict(f), caps)
     geom = TPoly.one(ring, caps)
     for i in range(k):
-        geom = poly_mul(
-            geom, TPoly(ring, {tuple(e if t == i else 0 for t in range(k)): 1 for e in range(1, cap + 1)}), caps
-        )
-    rhs = poly_mul(geom, f_poly, caps)
+        geom = poly_mul(geom, TPoly(ring, {tuple(e if t == i else 0 for t in range(k)): 1 for e in range(1, cap + 1)}))
+    rhs = poly_mul(geom, f_poly)
     for m in product(range(cap + 1), repeat=k):
         lhs = sum(f.get(j, 0) for j in product(*(range(mi) for mi in m)))
         assert rhs.coefficient(m) == lhs, m
