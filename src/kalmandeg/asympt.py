@@ -44,6 +44,7 @@ from .genfun import split_H
 from .polycore import TPoly, poly_mul
 
 _FLOAT_LOG10_MAX = math.log10(sys.float_info.max)
+_LOG10_2 = math.log10(2)
 
 
 def _check_regime(k: int, omega: int) -> int:
@@ -123,13 +124,10 @@ def verify_critical_point(k: int, omega: int) -> CriticalPointReport:
 class AsymptoticEstimate:
     log10_value: float
     value_if_representable: float | None
-    ratio_to_exact: float | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.log10_value):
             raise ValueError("log10_value must be finite")
-        if self.ratio_to_exact is not None and self.ratio_to_exact <= 0:
-            raise ValueError("ratio_to_exact must be positive when present")
 
 
 def asymptotic_degree(k: int, omega: int, delta: int, n: int) -> AsymptoticEstimate:
@@ -160,9 +158,17 @@ def asymptotic_degree(k: int, omega: int, delta: int, n: int) -> AsymptoticEstim
 def _log10_bigint(v: int) -> float:
     if v <= 0:
         raise ValueError("need a positive integer")
-    s = str(v)
-    head = s[:17]
-    return math.log10(int(head)) + (len(s) - len(head))
+    # Digit count from the bit length, not str(v): the interpreter refuses
+    # str() beyond its int-to-str digit limit.  The float estimate can be off
+    # by one either way; one comparison each way makes it exact.
+    digits = int((v.bit_length() - 1) * _LOG10_2) + 1
+    if v >= 10**digits:
+        digits += 1
+    elif v < 10 ** (digits - 1):
+        digits -= 1
+    # The leading 17 digits, as str(v)[:17] would give them.
+    shift = max(digits - 17, 0)
+    return math.log10(v // 10**shift) + shift
 
 
 def ratio_to_exact(estimate: AsymptoticEstimate, exact: int) -> float:

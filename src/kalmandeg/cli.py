@@ -1,7 +1,9 @@
 """Command-line surface for every computation in the package.
 
 Subcommands: degree, genfun, isotropic, codim, asympt, table.  Results go to
-stdout (text, JSON records, or CSV for tables), diagnostics to stderr.  Exit
+stdout (text, JSON records, or CSV for tables), diagnostics to stderr.  Each
+subcommand builds both its JSON records and its text lines and hands them to
+the single emitter ``_emit``, the one place the output format is decided.  Exit
 codes: 0 success, 2 validation error, 3 internal assertion failure.  All
 potentially large integers are emitted as exact decimal strings in JSON so
 64-bit consumers never truncate them.
@@ -10,7 +12,6 @@ potentially large integers are emitted as exact decimal strings in JSON so
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from typing import Sequence
@@ -25,11 +26,17 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
 
 
-def _emit_json(record: dict) -> None:
-    print(json.dumps(record, sort_keys=True))
+def _emit(args: argparse.Namespace, records: list[dict], lines: list[str]) -> None:
+    """Print ``records`` as sorted-key JSON lines under ``--format json``, else ``lines``."""
+    if args.format == "json":
+        for record in records:
+            print(json.dumps(record, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
 
 
-def _cmd_degree(args: argparse.Namespace) -> int:
+def _cmd_degree(args: argparse.Namespace) -> None:
     fmt = degrees.TensorFormat(args.n, args.omega)
     cv = degrees.CodimVec(args.delta)
     factor = degrees.extract_degree(fmt, cv)
@@ -40,59 +47,46 @@ def _cmd_degree(args: argparse.Namespace) -> int:
         "result": str(factor),
         "provenance": "coefficient extraction from the capped geometric-factor product",
     }
+    lines = [f"degree_factor = {factor}"]
     if args.deg_z is not None:
         total = degrees.kalman_degree(fmt, cv, args.deg_z)
         record["inputs"]["deg_z"] = list(args.deg_z)
         record["kalman_degree"] = str(total)
         record["result"] = str(total)
-    if args.format == "json":
-        _emit_json(record)
-    else:
-        print(f"degree_factor = {factor}")
-        if args.deg_z is not None:
-            print(f"kalman_degree = {record['kalman_degree']}")
-    return 0
+        lines.append(f"kalman_degree = {total}")
+    _emit(args, [record], lines)
 
 
-def _cmd_genfun(args: argparse.Namespace) -> int:
+def _cmd_genfun(args: argparse.Namespace) -> None:
     if args.show_h:
         h = genfun.build_H(args.omega)
         h_det = genfun.build_H_via_determinant(args.omega)
-        if args.format == "json":
-            _emit_json(
-                {
-                    "command": "genfun",
-                    "inputs": {"omega": list(args.omega)},
-                    "result": str(h),
-                    "h_via_determinant": str(h_det),
-                    "provenance": "closed-form generating polynomial and its bordered-determinant twin",
-                }
-            )
-        else:
-            print(f"H = {h}")
-            print(f"H_via_det = {h_det}")
-        return 0
+        record = {
+            "command": "genfun",
+            "inputs": {"omega": list(args.omega)},
+            "result": str(h),
+            "h_via_determinant": str(h_det),
+            "provenance": "closed-form generating polynomial and its bordered-determinant twin",
+        }
+        _emit(args, [record], [f"H = {h}", f"H_via_det = {h_det}"])
+        return
     if args.caps is None:
         raise ValueError("--caps is required unless --show-h is given")
     coeffs = genfun.expand_series(args.omega, args.caps, args.y_cap)
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "genfun",
-                "inputs": {"omega": list(args.omega), "caps": list(args.caps), "y_cap": args.y_cap},
-                "provenance": "capped series expansion of the reciprocal generating polynomial",
-            }
-        )
-    for (n_vec, delta) in sorted(coeffs):
-        value = coeffs[(n_vec, delta)]
-        if args.format == "json":
-            print(json.dumps({"n": list(n_vec), "delta": delta, "coefficient": str(value)}, sort_keys=True))
-        else:
-            print(f"n={','.join(map(str, n_vec))} delta={delta} d={value}")
-    return 0
+    keys = sorted(coeffs)
+    header = {
+        "command": "genfun",
+        "inputs": {"omega": list(args.omega), "caps": list(args.caps), "y_cap": args.y_cap},
+        "provenance": "capped series expansion of the reciprocal generating polynomial",
+    }
+    records = [header] + [
+        {"n": list(n_vec), "delta": delta, "coefficient": str(coeffs[n_vec, delta])} for n_vec, delta in keys
+    ]
+    lines = [f"n={','.join(map(str, n_vec))} delta={delta} d={coeffs[n_vec, delta]}" for n_vec, delta in keys]
+    _emit(args, records, lines)
 
 
-def _cmd_isotropic(args: argparse.Namespace) -> int:
+def _cmd_isotropic(args: argparse.Namespace) -> None:
     fmt = degrees.TensorFormat(args.n, args.omega)
     res = isotropic.isotropic_degree(fmt)
     record = {
@@ -104,15 +98,10 @@ def _cmd_isotropic(args: argparse.Namespace) -> int:
         "ambient_dim": res.ambient_dim,
         "provenance": "alternating polar-class sum over bounded compositions, exact rationals",
     }
-    if args.format == "json":
-        _emit_json(record)
-    else:
-        print(f"degree = {res.degree}")
-        print(f"components = {res.components}")
-    return 0
+    _emit(args, [record], [f"degree = {record['degree']}", f"components = {res.components}"])
 
 
-def _cmd_codim(args: argparse.Namespace) -> int:
+def _cmd_codim(args: argparse.Namespace) -> None:
     if args.parts is None:
         value = isotropic.symmetric_tuple_codim(args.n, args.k)
         provenance = "fully repeated singular tuple: (k-1)(n-1)"
@@ -125,14 +114,10 @@ def _cmd_codim(args: argparse.Namespace) -> int:
         "result": str(value),
         "provenance": provenance,
     }
-    if args.format == "json":
-        _emit_json(record)
-    else:
-        print(f"codim = {value}")
-    return 0
+    _emit(args, [record], [f"codim = {value}"])
 
 
-def _cmd_asympt(args: argparse.Namespace) -> int:
+def _cmd_asympt(args: argparse.Namespace) -> None:
     if args.verify:
         report = asympt.verify_critical_point(args.k, args.omega)
         record = {
@@ -144,15 +129,16 @@ def _cmd_asympt(args: argparse.Namespace) -> int:
             "result": "ok" if report.ok else "mismatch",
             "provenance": "exact rational evaluation of the reduced denominator at the critical point",
         }
-        if args.format == "json":
-            _emit_json(record)
-        else:
-            print(f"F_D(c) = {report.f_d_at_c}")
-            print(f"-c_k*dF_D(c) = {report.slope_product} (expected {report.expected_slope_product})")
-            print(f"verify = {record['result']}")
+        lines = [
+            f"F_D(c) = {report.f_d_at_c}",
+            f"-c_k*dF_D(c) = {report.slope_product} (expected {report.expected_slope_product})",
+            f"verify = {record['result']}",
+        ]
+        # The report prints even on a mismatch, before the failure exit.
+        _emit(args, [record], lines)
         if not report.ok:
             raise ArithmeticError("critical-point identities failed")
-        return 0
+        return
     if args.constants:
         cc = asympt.critical_constants(args.k, args.omega, args.delta)
         record = {
@@ -165,12 +151,8 @@ def _cmd_asympt(args: argparse.Namespace) -> int:
             "result": str(cc.l0),
             "provenance": "closed-form critical-point constants, exact rationals",
         }
-        if args.format == "json":
-            _emit_json(record)
-        else:
-            for key in ("c", "det_hessian", "l0", "minus_ck_dk"):
-                print(f"{key} = {record[key]}")
-        return 0
+        _emit(args, [record], [f"{key} = {record[key]}" for key in ("c", "det_hessian", "l0", "minus_ck_dk")])
+        return
     if args.n is None:
         raise ValueError("--n is required unless --verify or --constants is given")
     est = asympt.asymptotic_degree(args.k, args.omega, args.delta, args.n)
@@ -182,64 +164,43 @@ def _cmd_asympt(args: argparse.Namespace) -> int:
         "result": repr(est.log10_value),
         "provenance": "leading-order estimate evaluated in log10 space",
     }
+    lines = [f"log10_estimate = {est.log10_value!r}"]
+    if est.value_if_representable is not None:
+        lines.append(f"estimate = {est.value_if_representable!r}")
     if args.compare:
-        row = asympt.compare_exact_asymptotic(args.k, args.omega, args.delta, [args.n])[0]
+        [row] = asympt.compare_exact_asymptotic(args.k, args.omega, args.delta, [args.n])
         record["exact"] = str(row.exact)
         record["ratio"] = row.ratio
-    if args.format == "json":
-        _emit_json(record)
-    else:
-        print(f"log10_estimate = {est.log10_value!r}")
-        if est.value_if_representable is not None:
-            print(f"estimate = {est.value_if_representable!r}")
-        if args.compare:
-            print(f"exact = {record['exact']}")
-            print(f"ratio = {record['ratio']!r}")
-    return 0
+        lines += [f"exact = {record['exact']}", f"ratio = {row.ratio!r}"]
+    _emit(args, [record], lines)
 
 
 def _table_rows(args: argparse.Namespace) -> tuple[list[str], list[list]]:
     if args.kind == "matrix-ed":
-        cells = [(n1, n2) for n1 in range(1, args.max_n + 1) for n2 in range(1, args.max_n + 1)]
-
-        def cell(pair: tuple[int, int]) -> list:
-            n1, n2 = pair
-            fmt = degrees.TensorFormat((n1, n2), (1, 1))
-            return [n1, n2, str(degrees.extract_degree(fmt, degrees.CodimVec((0, 0))))]
-
-        return ["n1", "n2", "degree"], [cell(pair) for pair in cells]
-
+        return ["n1", "n2", "degree"], [
+            [n1, n2, str(degrees.extract_degree(degrees.TensorFormat((n1, n2), (1, 1)), degrees.CodimVec((0, 0))))]
+            for n1 in range(1, args.max_n + 1)
+            for n2 in range(1, args.max_n + 1)
+        ]
     if args.kind == "hypercubical-compare":
-        ns = list(range(args.n_min, args.n_max + 1))
-
-        def compare_cell(n: int) -> list:
-            row = asympt.compare_exact_asymptotic(args.k, args.omega, args.delta, [n])[0]
-            return [row.n, str(row.exact), repr(row.log10_estimate), repr(row.ratio)]
-
-        return ["n", "exact", "log10_estimate", "ratio"], [compare_cell(n) for n in ns]
-
+        rows = asympt.compare_exact_asymptotic(args.k, args.omega, args.delta, range(args.n_min, args.n_max + 1))
+        return ["n", "exact", "log10_estimate", "ratio"], [
+            [row.n, str(row.exact), repr(row.log10_estimate), repr(row.ratio)] for row in rows
+        ]
     if args.kind == "isotropic-sym":
-        cells = [(n, w) for n in range(2, args.max_n + 1) for w in range(1, args.max_omega + 1)]
-
-        def iso_cell(pair: tuple[int, int]) -> list:
-            n, w = pair
-            return [n, w, str(isotropic.isotropic_degree_symmetric(n, w))]
-
-        return ["n", "omega", "degree"], [iso_cell(pair) for pair in cells]
-
+        return ["n", "omega", "degree"], [
+            [n, w, str(isotropic.isotropic_degree_symmetric(n, w))]
+            for n in range(2, args.max_n + 1)
+            for w in range(1, args.max_omega + 1)
+        ]
     raise ValueError(f"unknown table kind {args.kind!r}")
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace) -> None:
     header, rows = _table_rows(args)
-    if args.format == "json":
-        for row in rows:
-            print(json.dumps(dict(zip(header, row)), sort_keys=True))
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    return 0
+    # Cells are integers, digit strings and float reprs: none holds a comma,
+    # quote or newline, so plain joining is valid CSV.
+    _emit(args, [dict(zip(header, row)) for row in rows], [",".join(map(str, row)) for row in [header, *rows]])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,7 +273,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        args.func(args)
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

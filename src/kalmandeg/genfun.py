@@ -73,24 +73,26 @@ def build_H(omega: Sequence[int]) -> TPoly:
     return h - tail
 
 
+def _identity_minus_ta(a: Sequence[Sequence[int]], ring: tuple[str, ...]) -> list[list[TPoly]]:
+    """Rows of I - T A over ``ring`` for an integer matrix A, T = diag(ring)."""
+    rows = []
+    for i, a_row in enumerate(a):
+        row = []
+        for j, a_ij in enumerate(a_row):
+            entry = TPoly.one(ring) if i == j else TPoly.zero(ring)
+            if a_ij:
+                entry = entry - TPoly.monomial(ring, {ring[i]: 1}, a_ij)
+            row.append(entry)
+        rows.append(row)
+    return rows
+
+
 def _bordered_matrix(omega: tuple[int, ...]) -> list[list[TPoly]]:
     """I - T A over (x_1..x_k, y) for the bordered matrix A described above."""
     k = len(omega)
-    ring = _xy_ring(k)
-    rows: list[list[TPoly]] = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            a = omega[j] - (1 if i == j else 0)
-            entry = TPoly.constant(ring, 1) if i == j else TPoly.zero(ring)
-            if a:
-                entry = entry - TPoly.monomial(ring, {ring[i]: 1}, a)
-            row.append(entry)
-        row.append(-TPoly.variable(ring, ring[i]))
-        rows.append(row)
-    last = [-TPoly.variable(ring, "y")] + [TPoly.zero(ring)] * (k - 1) + [TPoly.one(ring)]
-    rows.append(last)
-    return rows
+    a = [[w - (i == j) for j, w in enumerate(omega)] + [1] for i in range(k)]
+    a.append([1] + [0] * k)
+    return _identity_minus_ta(a, _xy_ring(k))
 
 
 def build_H_via_determinant(omega: Sequence[int]) -> TPoly:
@@ -211,17 +213,7 @@ def macmahon_check(a: Sequence[Sequence[int]], cap: Sequence[int] | int) -> bool
     if len(caps) != m:
         raise ValueError("cap length does not match matrix size")
     ring = tuple(f"z{i + 1}" for i in range(m))
-
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            entry = TPoly.constant(ring, 1) if i == j else TPoly.zero(ring)
-            if a[i][j]:
-                entry = entry - TPoly.monomial(ring, {ring[i]: 1}, a[i][j])
-            row.append(entry)
-        rows.append(row)
-    denominator = det(rows)
+    denominator = det(_identity_minus_ta(a, ring))
     rhs = RationalSeries(TPoly.one(ring), denominator, caps).expand()
 
     linear_forms = [

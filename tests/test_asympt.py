@@ -1,10 +1,13 @@
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from kalmandeg.asympt import (
     AsymptoticEstimate,
+    _log10_bigint,
     asymptotic_degree,
     compare_exact_asymptotic,
     critical_constants,
@@ -98,6 +101,35 @@ def test_huge_estimates_drop_float_payload():
 def test_ratio_handles_huge_exact_values():
     est = AsymptoticEstimate(log10_value=400.0, value_if_representable=None)
     assert ratio_to_exact(est, 10**400) == pytest.approx(1.0, rel=1e-9)
+
+
+def test_ratio_beyond_int_str_digit_limit():
+    # Under the interpreter's default int-to-str limit (4300 digits, where the
+    # limit exists) the ratio must still come out for exact values far past it.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(4300)
+    try:
+        [row] = compare_exact_asymptotic(2, 10**50, 0, [50])
+        assert row.exact.bit_length() > 16000  # 4929 digits
+        assert row.ratio == 0.9924780549816193
+        est = AsymptoticEstimate(log10_value=5000.0, value_if_representable=None)
+        assert ratio_to_exact(est, 10**5000) == 1.0
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_log10_bigint_matches_leading_digits():
+    # Reference: log10 of the leading 17 decimal digits plus the count of the
+    # rest, read off str(v).  The digit-count route must agree bit for bit.
+    rng = random.Random(5)
+    values = [v for d in range(1, 400) for v in (10 ** (d - 1), 10**d - 1, rng.randrange(10 ** (d - 1), 10**d))]
+    # The bit length suggests 17 digits here; an 18-digit head rounds differently.
+    values.append(114182759323492347)
+    for v in values:
+        s = str(v)
+        assert _log10_bigint(v) == math.log10(int(s[:17])) + max(len(s) - 17, 0), v
 
 
 def test_ratio_trend_primary_regime():

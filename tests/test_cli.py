@@ -152,9 +152,10 @@ def test_internal_assertion_exit_code(capsys, monkeypatch):
         return CriticalPointReport(k, omega, Fraction(1), Fraction(0), Fraction(1), False)
 
     monkeypatch.setattr(cli.asympt, "verify_critical_point", broken)
-    code, _, err = run(capsys, "asympt", "--k", "3", "--omega", "1", "--verify")
+    code, out, err = run(capsys, "asympt", "--k", "3", "--omega", "1", "--verify")
     assert code == 3
     assert "internal assertion" in err
+    assert "verify = mismatch" in out  # the report prints before the failure exit
 
 
 def test_table_matrix_ed_csv(capsys):
@@ -198,3 +199,62 @@ def test_bad_flags_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["degree", "--n", "x,y", "--delta", "0,0", "--omega", "1,1"])
     assert exc.value.code == 2
+
+
+GOLDEN = [
+    (("degree", "--n", "4,4", "--delta", "2,1", "--omega", "1,1", "--format", "json"),
+     '{"command": "degree", "degree_factor": "20", "inputs": {"delta": [2, 1], "n": [4, 4], "omega": [1, 1]}, '
+     '"provenance": "coefficient extraction from the capped geometric-factor product", "result": "20"}\n'),
+    (("genfun", "--omega", "2,1", "--show-h", "--format", "json"),
+     '{"command": "genfun", "h_via_determinant": "1 - x1 - x1*y - 2*x1*x2 - x1*x2*y", "inputs": {"omega": [2, 1]}, '
+     '"provenance": "closed-form generating polynomial and its bordered-determinant twin", '
+     '"result": "1 - x1 - x1*y - 2*x1*x2 - x1*x2*y"}\n'),
+    (("genfun", "--omega", "1,1", "--caps", "2,1", "--y-cap", "1", "--format", "json"),
+     '{"command": "genfun", "inputs": {"caps": [2, 1], "omega": [1, 1], "y_cap": 1}, '
+     '"provenance": "capped series expansion of the reciprocal generating polynomial"}\n'
+     '{"coefficient": "1", "delta": 0, "n": [1, 1]}\n'
+     '{"coefficient": "1", "delta": 0, "n": [2, 1]}\n'
+     '{"coefficient": "1", "delta": 1, "n": [2, 1]}\n'),
+    (("isotropic", "--n", "3,3", "--omega", "1,2", "--format", "json"),
+     '{"ambient_dim": 2, "command": "isotropic", "components": 1, "degree": "28", '
+     '"inputs": {"n": [3, 3], "omega": [1, 2]}, '
+     '"provenance": "alternating polar-class sum over bounded compositions, exact rationals", "result": "28"}\n'),
+    (("codim", "--n", "3", "--k", "2", "--format", "json"),
+     '{"command": "codim", "inputs": {"k": 2, "n": 3, "parts": null}, '
+     '"provenance": "fully repeated singular tuple: (k-1)(n-1)", "result": "2"}\n'),
+    (("codim", "--n", "2", "--k", "3", "--parts", "2", "--format", "json"),
+     '{"command": "codim", "inputs": {"k": 3, "n": 2, "parts": 2}, '
+     '"provenance": "tuple repeated along a t-part partition: (k-t)(n-1)", "result": "1"}\n'),
+    (("asympt", "--k", "3", "--omega", "1", "--verify", "--format", "json"),
+     '{"command": "asympt", "expected_slope_product": "3/32", "f_d_at_c": "0", '
+     '"inputs": {"k": 3, "omega": 1, "verify": true}, '
+     '"provenance": "exact rational evaluation of the reduced denominator at the critical point", '
+     '"result": "ok", "slope_product": "3/32"}\n'),
+    (("asympt", "--k", "3", "--omega", "1", "--delta", "1", "--constants", "--format", "json"),
+     '{"c": "1/2", "command": "asympt", "det_hessian": "1/3", '
+     '"inputs": {"constants": true, "delta": 1, "k": 3, "omega": 1}, "l0": "2", "minus_ck_dk": "3/32", '
+     '"provenance": "closed-form critical-point constants, exact rationals", "result": "2"}\n'),
+    (("asympt", "--k", "3", "--omega", "1", "--n", "10"),
+     "log10_estimate = 7.596219365529452\nestimate = 39465659.58627332\n"),
+    (("asympt", "--k", "3", "--omega", "1", "--n", "10", "--compare"),
+     "log10_estimate = 7.596219365529452\nestimate = 39465659.58627332\n"
+     "exact = 30553116\nratio = 1.291706534491387\n"),
+    (("table", "--kind", "hypercubical-compare", "--k", "3", "--omega", "1", "--n-min", "2", "--n-max", "4"),
+     "n,exact,log10_estimate,ratio\n"
+     "2,6,1.070469473929922,1.9602805170552606\n"
+     "3,37,1.7974682018661847,1.6953777444802265\n"
+     "4,240,2.575619452249828,1.5682244136442083\n"),
+    (("table", "--kind", "matrix-ed", "--max-n", "2", "--format", "json"),
+     '{"degree": "1", "n1": 1, "n2": 1}\n{"degree": "1", "n1": 1, "n2": 2}\n'
+     '{"degree": "1", "n1": 2, "n2": 1}\n{"degree": "2", "n1": 2, "n2": 2}\n'),
+    (("table", "--kind", "isotropic-sym", "--max-n", "3", "--max-omega", "2", "--format", "json"),
+     '{"degree": "2", "n": 2, "omega": 1}\n{"degree": "2", "n": 2, "omega": 2}\n'
+     '{"degree": "2", "n": 3, "omega": 1}\n{"degree": "6", "n": 3, "omega": 2}\n'),
+]
+
+
+@pytest.mark.parametrize("argv,expected", GOLDEN, ids=[" ".join(argv) for argv, _ in GOLDEN])
+def test_golden_stdout(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == expected
