@@ -119,14 +119,14 @@ def split_H(omega: Sequence[int]) -> tuple[TPoly, TPoly]:
     H is multilinear in y, so the split is exact; H1 carries no weight
     dependence while H2 is the y = 0 restriction.
     """
-    omega = _check_omega(omega)
     h = build_H(omega)
-    h2 = h.coefficient_in("y", 0).without_vars(["y"])
-    h1 = (-h.coefficient_in("y", 1)).without_vars(["y"])
-    for power in range(2, max((e[-1] for e in h.terms), default=0) + 1):
-        if h.coefficient_in("y", power):
+    by_y_power: tuple[dict[ExponentVec, int], dict[ExponentVec, int]] = ({}, {})
+    for e, c in h.terms.items():
+        if e[-1] > 1:
             raise ArithmeticError("generating polynomial is not multilinear in y")
-    return h1, h2
+        by_y_power[e[-1]][e[:-1]] = c
+    x_ring = h.vars[:-1]
+    return -TPoly(x_ring, by_y_power[1]), TPoly(x_ring, by_y_power[0])
 
 
 @dataclass(frozen=True)
@@ -147,6 +147,8 @@ class RationalSeries:
             raise ValueError("numerator and denominator live in different rings")
         if len(self.caps) != len(self.numerator.vars):
             raise ValueError("caps length does not match variable count")
+        if any(c < 0 for c in self.caps):
+            raise ValueError("caps must be nonnegative")
         if self.denominator.constant_term != 1:
             raise ValueError("denominator must have constant term 1")
 

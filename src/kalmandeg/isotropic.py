@@ -14,16 +14,19 @@ term (so alpha ranges over compositions bounded by n_l - 2).  The hypersurface
 is irreducible unless some n_l = 2, in which case it splits into 2^|J|
 components, J = {l : n_l = 2}.
 
-Intermediate arithmetic is exact rational; the result is asserted integral,
-never rounded.
+The summand factorizes over l, so the inner alpha-sum is the z^j coefficient
+of a product of k univariate polynomials.  Scaling factor l by (n_l - 2)!
+makes its coefficients integers; the sum is then taken in integer arithmetic
+and divided by prod_l (n_l - 2)! once, exactly.  The division is asserted to
+leave no remainder, so the result is never rounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial
-from typing import Iterator
+from operator import mul
 
 from .degrees import TensorFormat
 
@@ -35,17 +38,29 @@ class IsotropicResult:
     ambient_dim: int  # dimension N of the embedded product of quadrics
 
 
-def _bounded_compositions(total: int, bounds: list[int]) -> Iterator[tuple[int, ...]]:
-    """All nonnegative integer vectors with given sum, bounded componentwise."""
-    if not bounds:
-        if total == 0:
-            yield ()
-        return
-    head_max = min(total, bounds[0])
-    tail_room = sum(bounds[1:])
-    for a in range(max(0, total - tail_room), head_max + 1):
-        for rest in _bounded_compositions(total - a, bounds[1:]):
-            yield (a,) + rest
+def _factor_poly(ni: int, wi: int) -> list[int]:
+    """Coefficients m!/(m-a)! * wi^(m-a) * s(a), a = 0..m, with m = ni - 2.
+
+    s(a) = sum_{b<=a} C(ni, b) (-2)^(a-b) is the factor's beta sum, taken by
+    the recurrence s(a) = -2 s(a-1) + C(ni, a).
+    """
+    m = ni - 2
+    powers = list(accumulate([wi] * m, mul, initial=1))
+    coeffs = []
+    falling, s = 1, 0
+    for a in range(m + 1):
+        s = -2 * s + comb(ni, a)
+        coeffs.append(falling * powers[m - a] * s)
+        falling *= m - a
+    return coeffs
+
+
+def _convolve(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
 
 
 def isotropic_degree(fmt: TensorFormat) -> IsotropicResult:
@@ -54,31 +69,22 @@ def isotropic_degree(fmt: TensorFormat) -> IsotropicResult:
         raise ValueError("all dimensions n_i must be >= 2 (each factor needs a smooth quadric)")
     k = fmt.k
     n_dim = sum(fmt.n) - 2 * k
-    bounds = [ni - 2 for ni in fmt.n]
 
-    # Per-factor inner sums s_l(a) = sum_{b<=a} C(n_l, b) (-2)^(a-b); the full
-    # beta sum over the box beta <= alpha factorizes into their product.
-    inner = [
-        [sum(comb(ni, b) * (-2) ** (a - b) for b in range(a + 1)) for a in range(bound + 1)]
-        for ni, bound in zip(fmt.n, bounds)
-    ]
-
-    total = Fraction(0)
-    for j in range(n_dim + 1):
-        layer = Fraction(0)
-        for alpha in _bounded_compositions(j, bounds):
-            term = Fraction(1)
-            for l, a in enumerate(alpha):
-                e = fmt.n[l] - 2 - a
-                term *= Fraction(fmt.omega[l] ** e, factorial(e))
-                term *= inner[l][a]
-            layer += term
-        total += (-1) ** j * factorial(n_dim + 1 - j) * layer
+    # coeffs[j] is the alpha-sum of layer j times prod_l (n_l - 2)!.
+    coeffs = [1]
+    scale = 1
+    for ni, wi in zip(fmt.n, fmt.omega):
+        coeffs = _convolve(coeffs, _factor_poly(ni, wi))
+        scale *= factorial(ni - 2)
+    # sum_j (-1)^j (N+1-j)! coeffs[j] by Horner's rule, one small factor per step.
+    total = 0
+    for j, c in enumerate(coeffs):
+        total = (total + (-1) ** j * c) * (n_dim + 1 - j)
     total *= 2**k
 
-    if total.denominator != 1:
-        raise ArithmeticError(f"polar-class sum is not integral: {total}")
-    degree = int(total)
+    degree, rest = divmod(total, scale)
+    if rest:
+        raise ArithmeticError(f"polar-class sum is not integral: {total}/{scale}")
     if degree <= 0:
         raise ArithmeticError(f"polar-class sum is not positive: {degree}")
     components = 2 ** sum(1 for ni in fmt.n if ni == 2)

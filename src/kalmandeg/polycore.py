@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 # One exponent per ring variable, all >= 0.
 ExponentVec = tuple[int, ...]
@@ -219,37 +219,6 @@ class TPoly:
                     val *= values[name] ** exp
             total += val
         return total
-
-    def without_vars(self, names: Iterable[str]) -> TPoly:
-        """Project onto the subring omitting ``names``.
-
-        Fails if a dropped variable occurs with positive exponent anywhere.
-        """
-        drop = set(names)
-        unknown = drop - set(self.vars)
-        if unknown:
-            raise ValueError(f"unknown variables {sorted(unknown)}")
-        keep = [i for i, v in enumerate(self.vars) if v not in drop]
-        for e in self.terms:
-            for i, v in enumerate(self.vars):
-                if v in drop and e[i]:
-                    raise ValueError(f"variable {v!r} occurs with positive exponent")
-        new_vars = tuple(self.vars[i] for i in keep)
-        new_caps = None if self.caps is None else tuple(self.caps[i] for i in keep)
-        new_terms = {tuple(e[i] for i in keep): c for e, c in self.terms.items()}
-        return TPoly._raw(new_vars, new_terms, new_caps)
-
-    def coefficient_in(self, name: str, power: int) -> TPoly:
-        """The coefficient of ``name**power``, as a polynomial with that variable zeroed."""
-        try:
-            idx = self.vars.index(name)
-        except ValueError:
-            raise ValueError(f"unknown variable {name!r}") from None
-        out: dict[ExponentVec, int] = {}
-        for e, c in self.terms.items():
-            if e[idx] == power:
-                out[e[:idx] + (0,) + e[idx + 1 :]] = c
-        return TPoly._raw(self.vars, out, self.caps)
 
     # -- serialization ----------------------------------------------------
 

@@ -152,6 +152,18 @@ def test_rational_series_validation_and_geometric():
     assert series.expand() == {(e,): 3**e for e in range(6)}
 
 
+def test_negative_caps_rejected():
+    # an empty cap box would make macmahon_check true without comparing anything
+    ring = ("z1",)
+    denominator = TPoly.one(ring) - TPoly.variable(ring, "z1")
+    with pytest.raises(ValueError, match="caps must be nonnegative"):
+        RationalSeries(TPoly.one(ring), denominator, (-2,))
+    with pytest.raises(ValueError, match="caps must be nonnegative"):
+        macmahon_check([[1]], -1)
+    with pytest.raises(ValueError, match="caps must be nonnegative"):
+        macmahon_check([[1, 0], [0, 1]], (2, -1))
+
+
 def test_series_times_denominator_is_numerator():
     # checks the division recurrence by multiplying back, not by dividing again
     rng = random.Random(31337)
