@@ -50,7 +50,6 @@ from .polycore import (
     ExponentVec,
     TPoly,
     det,
-    elementary_symmetric,
     poly_mul,
 )
 
@@ -77,7 +76,6 @@ __all__ = [
     "compare_exact_asymptotic",
     "critical_constants",
     "det",
-    "elementary_symmetric",
     "expand_series",
     "extract_degree",
     "isotropic_degree",

@@ -144,13 +144,17 @@ def asymptotic_degree(k: int, omega: int, delta: int, n: int) -> AsymptoticEstim
         - (k - 2) / 2 * math.log10(wk)
         - (3 * k - 1) / 2 * math.log10(wk - 2)
     )
-    log10_value = (
-        log10_c
-        + delta * (math.log10(k) - math.log10(wk - 1))
-        - math.log10(math.factorial(delta))
-        + k * n * math.log10(wk - 1)
-        - ((k - 1) / 2 - delta) * math.log10(n)
-    )
+    try:
+        log10_value = (
+            log10_c
+            + delta * (math.log10(k) - math.log10(wk - 1))
+            - math.log10(math.factorial(delta))
+            + k * n * math.log10(wk - 1)
+            - ((k - 1) / 2 - delta) * math.log10(n)
+        )
+    except OverflowError:
+        # int * float and factorial() raise it for ints beyond their range.
+        raise ValueError("n or delta is too large for the estimate (beyond float range)") from None
     value = 10.0**log10_value if abs(log10_value) < _FLOAT_LOG10_MAX else None
     return AsymptoticEstimate(log10_value=log10_value, value_if_representable=value)
 

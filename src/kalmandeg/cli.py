@@ -177,17 +177,23 @@ def _cmd_asympt(args: argparse.Namespace) -> None:
 
 def _table_rows(args: argparse.Namespace) -> tuple[list[str], list[list]]:
     if args.kind == "matrix-ed":
+        if args.max_n < 1:
+            raise ValueError("--max-n must be >= 1 for matrix-ed")
         return ["n1", "n2", "degree"], [
             [n1, n2, str(degrees.extract_degree(degrees.TensorFormat((n1, n2), (1, 1)), degrees.CodimVec((0, 0))))]
             for n1 in range(1, args.max_n + 1)
             for n2 in range(1, args.max_n + 1)
         ]
     if args.kind == "hypercubical-compare":
+        if not 1 <= args.n_min <= args.n_max:
+            raise ValueError("need 1 <= --n-min <= --n-max for hypercubical-compare")
         rows = asympt.compare_exact_asymptotic(args.k, args.omega, args.delta, range(args.n_min, args.n_max + 1))
         return ["n", "exact", "log10_estimate", "ratio"], [
             [row.n, str(row.exact), repr(row.log10_estimate), repr(row.ratio)] for row in rows
         ]
     if args.kind == "isotropic-sym":
+        if args.max_n < 2 or args.max_omega < 1:
+            raise ValueError("need --max-n >= 2 and --max-omega >= 1 for isotropic-sym")
         return ["n", "omega", "degree"], [
             [n, w, str(isotropic.isotropic_degree_symmetric(n, w))]
             for n in range(2, args.max_n + 1)

@@ -11,10 +11,13 @@ where the generating polynomial is
               + prod_i (1 + x_i)
               - sum_j omega_j x_j prod_{i != j} (1 + x_i).
 
-H is also det(I - T A) for the bordered matrix A whose top-left k x k block
-has entries omega_j - [i == j], last column all ones, and last row (1, 0..0),
-with T = diag(x_1..x_k, y).  Both constructions are implemented and must agree
-exactly; series coefficients must agree with direct extraction.
+Expanding each product over the subsets S of {1..k} gives H term by term:
+x^S has coefficient 1 - sum_{j in S} omega_j, and y x^S has coefficient -1
+when 1 is in S.  H is also det(I - T A) for the bordered matrix A whose
+top-left k x k block has entries omega_j - [i == j], last column all ones,
+and last row (1, 0..0), with T = diag(x_1..x_k, y).  Both constructions (the
+subset expansion and the determinant) are implemented and must agree exactly;
+series coefficients must agree with direct extraction.
 
 Series expansion is exact power-series division.  For a denominator D with
 constant term 1, the coefficients of N/D within a cap box satisfy
@@ -28,7 +31,7 @@ from ones already computed, in integer arithmetic only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
+from itertools import compress, product as iter_product
 from operator import sub
 from typing import Sequence
 
@@ -48,43 +51,30 @@ def _check_omega(omega: Sequence[int]) -> tuple[int, ...]:
     return omega
 
 
-def _one_plus(ring: tuple[str, ...], name: str) -> TPoly:
-    return TPoly.one(ring) + TPoly.variable(ring, name)
-
-
 def build_H(omega: Sequence[int]) -> TPoly:
-    """The generating polynomial H in the ring (x_1..x_k, y); constant term 1."""
+    """The generating polynomial H in the ring (x_1..x_k, y); constant term 1.
+
+    H is multilinear, so its terms are read off the subset expansion of the
+    closed form: x^S has coefficient 1 - sum_{j in S} omega_j, and y x^S has
+    coefficient -1 when S contains 1.
+    """
     omega = _check_omega(omega)
-    k = len(omega)
-    ring = _xy_ring(k)
-    prod_all = TPoly.one(ring)
-    for i in range(k):
-        prod_all = prod_all * _one_plus(ring, ring[i])
-    h = prod_all
-    for j in range(k):
-        prod_others = TPoly.one(ring)
-        for i in range(k):
-            if i != j:
-                prod_others = prod_others * _one_plus(ring, ring[i])
-        h = h - omega[j] * (TPoly.variable(ring, ring[j]) * prod_others)
-    tail = TPoly.monomial(ring, {ring[0]: 1, "y": 1})
-    for i in range(1, k):
-        tail = tail * _one_plus(ring, ring[i])
-    return h - tail
+    terms: dict[ExponentVec, int] = {}
+    for s in iter_product((0, 1), repeat=len(omega)):
+        terms[s + (0,)] = 1 - sum(compress(omega, s))
+        if s[0]:
+            terms[s + (1,)] = -1
+    return TPoly(_xy_ring(len(omega)), terms)
 
 
 def _identity_minus_ta(a: Sequence[Sequence[int]], ring: tuple[str, ...]) -> list[list[TPoly]]:
     """Rows of I - T A over ``ring`` for an integer matrix A, T = diag(ring)."""
-    rows = []
-    for i, a_row in enumerate(a):
-        row = []
-        for j, a_ij in enumerate(a_row):
-            entry = TPoly.one(ring) if i == j else TPoly.zero(ring)
-            if a_ij:
-                entry = entry - TPoly.monomial(ring, {ring[i]: 1}, a_ij)
-            row.append(entry)
-        rows.append(row)
-    return rows
+    units = [tuple(int(t == i) for t in range(len(ring))) for i in range(len(ring))]
+    zero = (0,) * len(ring)
+    return [
+        [TPoly(ring, {zero: int(i == j), units[i]: -a_ij}) for j, a_ij in enumerate(a_row)]
+        for i, a_row in enumerate(a)
+    ]
 
 
 def _bordered_matrix(omega: tuple[int, ...]) -> list[list[TPoly]]:

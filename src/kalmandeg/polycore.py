@@ -18,7 +18,6 @@ coefficient of the exact, untruncated product, regardless of signs.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from typing import Mapping, Sequence
 
 # One exponent per ring variable, all >= 0.
@@ -87,12 +86,8 @@ class TPoly:
         return cls(vars, {}, caps)
 
     @classmethod
-    def constant(cls, vars: Sequence[str], value: int, caps: Sequence[int] | None = None) -> TPoly:
-        return cls(vars, {(0,) * len(tuple(vars)): value}, caps)
-
-    @classmethod
     def one(cls, vars: Sequence[str], caps: Sequence[int] | None = None) -> TPoly:
-        return cls.constant(vars, 1, caps)
+        return cls(vars, {(0,) * len(tuple(vars)): 1}, caps)
 
     @classmethod
     def variable(cls, vars: Sequence[str], name: str, caps: Sequence[int] | None = None) -> TPoly:
@@ -177,19 +172,6 @@ class TPoly:
             return TPoly._raw(self.vars, {}, self.caps)
         return TPoly._raw(self.vars, {e: factor * c for e, c in self.terms.items()}, self.caps)
 
-    def __pow__(self, n: int) -> TPoly:
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = TPoly.one(self.vars, self.caps)
-        base = self
-        while n:
-            if n & 1:
-                result = poly_mul(result, base)
-            n >>= 1
-            if n:
-                base = poly_mul(base, base)
-        return result
-
     def partial(self, name: str) -> TPoly:
         """Partial derivative with respect to one ring variable."""
         try:
@@ -267,32 +249,6 @@ def poly_mul(a: TPoly, b: TPoly) -> TPoly:
                 continue
             out[e] = out.get(e, 0) + c1 * c2
     return TPoly._raw(a.vars, {e: c for e, c in out.items() if c}, caps)
-
-
-def elementary_symmetric(vars: Sequence[str], subset: Sequence[str], i: int) -> TPoly:
-    """The elementary symmetric polynomial e_i over a subset of the ring variables.
-
-    e_0 is the constant 1; e_i for i > len(subset) is rejected.
-    """
-    vars = tuple(vars)
-    subset = tuple(subset)
-    if len(set(subset)) != len(subset):
-        raise ValueError("subset contains repeated variables")
-    missing = set(subset) - set(vars)
-    if missing:
-        raise ValueError(f"subset variables {sorted(missing)} not in ring")
-    if i < 0 or i > len(subset):
-        raise ValueError(f"index {i} out of range for {len(subset)} variables")
-    if i == 0:
-        return TPoly.one(vars)
-    idx = [vars.index(v) for v in subset]
-    terms: dict[ExponentVec, int] = {}
-    for combo in combinations(idx, i):
-        exps = [0] * len(vars)
-        for j in combo:
-            exps[j] = 1
-        terms[tuple(exps)] = 1
-    return TPoly(vars, terms)
 
 
 def det(rows: Sequence[Sequence[TPoly]]) -> TPoly:

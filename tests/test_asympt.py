@@ -98,6 +98,15 @@ def test_huge_estimates_drop_float_payload():
     assert est.log10_value > 400  # ~ 1500 log10(2), far beyond float range
 
 
+def test_estimate_inputs_beyond_float_range():
+    # log10 of the estimate is still a float at n = 10^300; past float range
+    # the inputs are refused as invalid rather than failing in arithmetic.
+    assert asymptotic_degree(3, 1, 0, 10**300).log10_value == pytest.approx(3 * 10**300 * math.log10(2))
+    for delta, n in ((0, 10**400), (10**400, 5), (2**64, 5)):
+        with pytest.raises(ValueError, match="beyond float range"):
+            asymptotic_degree(3, 1, delta, n)
+
+
 def test_ratio_handles_huge_exact_values():
     est = AsymptoticEstimate(log10_value=400.0, value_if_representable=None)
     assert ratio_to_exact(est, 10**400) == pytest.approx(1.0, rel=1e-9)

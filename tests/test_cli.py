@@ -192,6 +192,39 @@ def test_table_isotropic_sym(capsys):
     assert out.splitlines() == ["n,omega,degree", "2,1,2", "2,2,2", "3,1,2", "3,2,6"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("--kind", "matrix-ed", "--max-n", "-1"),
+    ("--kind", "matrix-ed", "--max-n", "0"),
+    ("--kind", "isotropic-sym", "--max-n", "1", "--max-omega", "0"),
+    ("--kind", "isotropic-sym", "--max-n", "1"),
+    ("--kind", "isotropic-sym", "--max-omega", "0"),
+    ("--kind", "hypercubical-compare", "--n-min", "5", "--n-max", "2"),
+], ids=" ".join)
+def test_table_rejects_empty_ranges(capsys, argv):
+    # each range would leave only the CSV header
+    code, out, err = run(capsys, "table", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_table_smallest_ranges(capsys):
+    for argv, body in (
+        (("--kind", "matrix-ed", "--max-n", "1"), ["1,1,1"]),
+        (("--kind", "isotropic-sym", "--max-n", "2", "--max-omega", "1"), ["2,1,2"]),
+        (("--kind", "hypercubical-compare", "--n-min", "2", "--n-max", "2"), ["2,6,1.070469473929922,1.9602805170552606"]),
+    ):
+        code, out, _ = run(capsys, "table", *argv)
+        assert code == 0
+        assert out.splitlines()[1:] == body, argv
+
+
+@pytest.mark.parametrize("argv", [("--n", "1" + "0" * 400), ("--delta", "1" + "0" * 400, "--n", "5")], ids=("n", "delta"))
+def test_asympt_estimate_beyond_float_range_exits_two(capsys, argv):
+    code, out, err = run(capsys, "asympt", "--k", "3", "--omega", "1", *argv)
+    assert code == 2 and out == ""
+    assert "beyond float range" in err
+
+
 def test_bad_flags_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["table", "--kind", "nope"])

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -13,11 +13,38 @@ from kalmandeg.genfun import (
     macmahon_check,
     split_H,
 )
-from kalmandeg.polycore import TPoly, det, elementary_symmetric, poly_mul
+from kalmandeg.polycore import TPoly, det, poly_mul
 
 
 def _xvars(k):
     return tuple(f"x{i + 1}" for i in range(k))
+
+
+def elementary_symmetric(vars, subset, i):
+    """e_i over a subset of the ring variables, built from its definition.
+
+    e_0 is the constant 1; e_i for i > len(subset) is rejected.
+    """
+    vars = tuple(vars)
+    subset = tuple(subset)
+    if len(set(subset)) != len(subset):
+        raise ValueError("subset contains repeated variables")
+    missing = set(subset) - set(vars)
+    if missing:
+        raise ValueError(f"subset variables {sorted(missing)} not in ring")
+    if i < 0 or i > len(subset):
+        raise ValueError(f"index {i} out of range for {len(subset)} variables")
+    idx = [vars.index(v) for v in subset]
+    return TPoly(vars, {tuple(int(t in combo) for t in range(len(vars))): 1 for combo in combinations(idx, i)})
+
+
+def test_elementary_symmetric():
+    ring = ("x1", "x2", "x3")
+    assert elementary_symmetric(ring, ring, 0) == TPoly.one(ring)
+    e2 = elementary_symmetric(ring, ring, 2)
+    assert e2.terms == {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}
+    with pytest.raises(ValueError):
+        elementary_symmetric(ring, ("x1", "x2"), 3)
 
 
 def test_build_H_two_factor_example():
@@ -43,8 +70,8 @@ def test_single_factor_determinant_by_hand():
 
 def test_H_equals_determinant_route():
     rng = random.Random(1618)
-    for k in range(1, 6):
-        for _ in range(20):
+    for k in range(1, 9):
+        for _ in range(20 if k <= 5 else 4):
             omega = tuple(rng.randint(1, 4) for _ in range(k))
             assert build_H(omega) == build_H_via_determinant(omega), omega
 

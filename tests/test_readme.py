@@ -1,7 +1,8 @@
 """Every ``kalmandeg ...`` example in README.md runs and prints what it shows.
 
 A command line may carry a trailing ``# comment``; the output it documents
-follows on lines ``# -> first line`` and ``#    next line``.
+follows on lines ``# -> first line`` and ``#    next line``.  The README's
+Python block runs too, so every public name it imports must still exist.
 """
 
 import shlex
@@ -39,3 +40,13 @@ def test_readme_example_runs(capsys, command, shown):
     assert code == 0, command
     if shown:
         assert out.splitlines() == shown, command
+
+
+def test_readme_library_surface_block():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Library surface", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["extract_degree"](namespace["fmt"], namespace["CodimVec"]((2, 1))) == 20
+    series = namespace["expand_series"]((1, 1), caps=(3, 3), y_cap=2)
+    assert series[((2, 2), 1)] == 2
