@@ -15,8 +15,14 @@ Expanding each product over the subsets S of {1..k} gives H term by term:
 x^S has coefficient 1 - sum_{j in S} omega_j, and y x^S has coefficient -1
 when 1 is in S.  H is also det(I - T A) for the bordered matrix A whose
 top-left k x k block has entries omega_j - [i == j], last column all ones,
-and last row (1, 0..0), with T = diag(x_1..x_k, y).  Both constructions (the
-subset expansion and the determinant) are implemented and must agree exactly;
+and last row (1, 0..0), with T = diag(x_1..x_k, y).  That determinant is
+taken from the entries of A alone, by principal minors:
+
+    det(I - T A) = sum_S (-1)^|S| t^S det(A[S, S]),
+
+one integer determinant per subset S of the k + 1 variables, each by
+fraction-free (Bareiss) elimination.  Both constructions (the subset
+expansion and the determinant) are implemented and must agree exactly;
 series coefficients must agree with direct extraction.
 
 Series expansion is exact power-series division.  For a denominator D with
@@ -25,17 +31,26 @@ constant term 1, the coefficients of N/D within a cap box satisfy
     s_e = N_e - sum_{d != 0, d <= e} D_d * s_(e - d),
 
 so one pass over the box in lexicographic order yields every coefficient
-from ones already computed, in integer arithmetic only.
+from ones already computed, in integer arithmetic only.  The pass runs on a
+flat list indexed in mixed radix, so e - d is one int subtraction.  The
+degree-factor series is N/H with N = x_1...x_k, which needs only H's at most
+2^(k+1) terms; dividing that by each 1 - x_i is a running sum along axis i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, product as iter_product
-from operator import sub
+from operator import mul
 from typing import Sequence
 
-from .polycore import ExponentVec, TPoly, det, poly_mul
+from .polycore import ExponentVec, TPoly, poly_mul
+
+# Work budgets, checked before anything is allocated.  Each keeps the slowest
+# accepted call, CLI output included, to about 2 s on one core for weights up
+# to 3; larger weights make larger integers.
+MAX_SUBSETS = 1 << 15  # 2^(k+1) subsets of H's variables, 2^m of an m x m MacMahon matrix
+MAX_SERIES_WORK = 1_000_000  # padded series cells times denominator terms within the caps
 
 
 def _xy_ring(k: int) -> tuple[str, ...]:
@@ -59,6 +74,7 @@ def build_H(omega: Sequence[int]) -> TPoly:
     coefficient -1 when S contains 1.
     """
     omega = _check_omega(omega)
+    _check_subsets(len(omega) + 1)
     terms: dict[ExponentVec, int] = {}
     for s in iter_product((0, 1), repeat=len(omega)):
         terms[s + (0,)] = 1 - sum(compress(omega, s))
@@ -77,17 +93,68 @@ def _identity_minus_ta(a: Sequence[Sequence[int]], ring: tuple[str, ...]) -> lis
     ]
 
 
-def _bordered_matrix(omega: tuple[int, ...]) -> list[list[TPoly]]:
-    """I - T A over (x_1..x_k, y) for the bordered matrix A described above."""
+def _bordered_a(omega: tuple[int, ...]) -> list[list[int]]:
+    """The bordered integer matrix A described above."""
     k = len(omega)
     a = [[w - (i == j) for j, w in enumerate(omega)] + [1] for i in range(k)]
     a.append([1] + [0] * k)
-    return _identity_minus_ta(a, _xy_ring(k))
+    return a
+
+
+def _check_subsets(n: int) -> None:
+    if 1 << n > MAX_SUBSETS:
+        raise ValueError(f"{n} variables give 2^{n} subsets, over the limit of {MAX_SUBSETS}; use fewer variables")
+
+
+def _bareiss_det(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination.
+
+    Bareiss: after step i every entry below and right of the pivot is a
+    minor of the input, so each division by the previous pivot is exact.  A
+    zero pivot is swapped with the first lower row that has a nonzero entry
+    in its column; there is none only when the determinant is 0.  ``m`` is
+    overwritten.
+    """
+    n = len(m)
+    sign, prev = 1, 1
+    for i in range(n - 1):
+        if not m[i][i]:
+            for r in range(i + 1, n):
+                if m[r][i]:
+                    m[i], m[r] = m[r], m[i]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot_row = m[i]
+        p = pivot_row[i]
+        for row in m[i + 1 :]:
+            f = row[i]
+            for c in range(i + 1, n):
+                row[c] = (p * row[c] - f * pivot_row[c]) // prev
+        prev = p
+    return sign * m[-1][-1] if n else 1
+
+
+def _det_identity_minus_ta(a: Sequence[Sequence[int]], ring: tuple[str, ...]) -> TPoly:
+    """det(I - T A) for an integer matrix A, T = diag(ring), by principal minors.
+
+    det(I - T A) = sum over subsets S of (-1)^|S| t^S det(A[S, S]), so the
+    monomial t^S carries one integer determinant.
+    """
+    _check_subsets(len(a))
+    terms: dict[ExponentVec, int] = {}
+    for s in iter_product((0, 1), repeat=len(a)):
+        rows = list(compress(a, s))
+        minor = _bareiss_det([list(compress(row, s)) for row in rows])
+        terms[s] = -minor if len(rows) % 2 else minor
+    return TPoly(ring, terms)
 
 
 def build_H_via_determinant(omega: Sequence[int]) -> TPoly:
-    """H computed as det(I - TA); must equal build_H exactly."""
-    return det(_bordered_matrix(_check_omega(omega)))
+    """H computed as det(I - TA) from the entries of A; must equal build_H exactly."""
+    omega = _check_omega(omega)
+    return _det_identity_minus_ta(_bordered_a(omega), _xy_ring(len(omega)))
 
 
 def last_row_minors(omega: Sequence[int]) -> tuple[tuple[tuple[TPoly, ...], ...], tuple[tuple[TPoly, ...], ...]]:
@@ -97,7 +164,8 @@ def last_row_minors(omega: Sequence[int]) -> tuple[tuple[tuple[TPoly, ...], ...]
     and last column, each as a tuple of rows.  Their determinants have
     product-form closed expressions checked in the test suite.
     """
-    top = _bordered_matrix(_check_omega(omega))[:-1]
+    omega = _check_omega(omega)
+    top = _identity_minus_ta(_bordered_a(omega), _xy_ring(len(omega)))[:-1]
     first = tuple(tuple(row[1:]) for row in top)
     second = tuple(tuple(row[:-1]) for row in top)
     return first, second
@@ -147,22 +215,54 @@ class RationalSeries:
 
         Keys appear in lexicographic order of their exponent vectors.
         """
-        caps = self.caps
-        numerator = self.numerator.terms
-        tail = [
-            (d, c)
-            for d, c in self.denominator.terms.items()
-            if any(d) and all(x <= m for x, m in zip(d, caps))
-        ]
-        series: dict[ExponentVec, int] = {}
-        for e in iter_product(*(range(c + 1) for c in caps)):
-            s = numerator.get(e, 0)
-            for d, c in tail:
-                # e - d has a negative entry unless d <= e; no key has one.
-                s -= c * series.get(tuple(map(sub, e, d)), 0)
-            if s:
-                series[e] = s
-        return series
+        coeffs, cells, _ = _divide(self.numerator.terms, self.denominator.terms, self.caps)
+        return {e: coeffs[i] for e, i in zip(_box(self.caps), cells) if coeffs[i]}
+
+
+def _box(caps: tuple[int, ...]):
+    """Every exponent vector within ``caps``, in lexicographic order."""
+    return iter_product(*(range(m + 1) for m in caps))
+
+
+def _divide(
+    numerator: dict[ExponentVec, int], denominator: dict[ExponentVec, int], caps: tuple[int, ...]
+) -> tuple[list[int], list[int], list[int]]:
+    """The series of N/D within ``caps`` on a padded flat array; D has constant term 1.
+
+    Returns the array, the flat index of each cell of the cap box in
+    lexicographic order, and the stride of each axis.  Axis i has a leading
+    pad of zeros as wide as the largest exponent on it among D's other terms,
+    and at least 1.  So e - d is one int subtraction that lands on a zero pad
+    cell whenever it has a negative entry, and so does the cell before e on
+    any axis where e is 0.
+    """
+    tail = [(d, c) for d, c in denominator.items() if any(d) and all(x <= m for x, m in zip(d, caps))]
+    pads = [max([1] + [d[i] for d, _ in tail]) for i in range(len(caps))]
+    strides = []
+    size = 1
+    for p, m in zip(reversed(pads), reversed(caps)):  # the last axis varies fastest
+        strides.append(size)
+        size *= p + m + 1
+    strides.reverse()
+    if size * (len(tail) + 1) > MAX_SERIES_WORK:
+        raise ValueError(
+            f"the series box has {size} cells with padding and the denominator {len(tail) + 1} terms "
+            f"within the caps; their product is over the limit of {MAX_SERIES_WORK}, so lower the caps"
+        )
+    cells = [sum(map(mul, pads, strides))]
+    for m, stride in zip(caps, strides):
+        cells = [i + j * stride for i in cells for j in range(m + 1)]
+    coeffs = [0] * size
+    for e, c in numerator.items():
+        if all(x <= m for x, m in zip(e, caps)):
+            coeffs[cells[0] + sum(map(mul, e, strides))] = c
+    offsets = [(sum(map(mul, d, strides)), c) for d, c in tail]
+    for i in cells:
+        s = coeffs[i]
+        for o, c in offsets:
+            s -= c * coeffs[i - o]
+        coeffs[i] = s
+    return coeffs, cells, strides
 
 
 def expand_series(
@@ -180,14 +280,12 @@ def expand_series(
         raise ValueError("caps length does not match the number of factors")
     if any(c < 0 for c in caps) or y_cap < 0:
         raise ValueError("caps must be nonnegative")
-    ring = _xy_ring(k)
     full_caps = caps + (y_cap,)
-    denominator = build_H(omega)
-    for i in range(k):
-        denominator = denominator * (TPoly.one(ring) - TPoly.variable(ring, ring[i]))
-    numerator = TPoly.monomial(ring, {ring[i]: 1 for i in range(k)}, 1, full_caps)
-    series = RationalSeries(numerator, denominator, full_caps).expand()
-    return {(exps[:k], exps[k]): c for exps, c in series.items()}
+    coeffs, cells, strides = _divide({(1,) * k + (0,): 1}, build_H(omega).terms, full_caps)
+    for stride in strides[:k]:  # dividing by 1 - x_i is a running sum along axis i
+        for i in cells:
+            coeffs[i] += coeffs[i - stride]
+    return {(e[:k], e[k]): coeffs[i] for e, i in zip(_box(full_caps), cells) if coeffs[i]}
 
 
 def macmahon_check(a: Sequence[Sequence[int]], cap: Sequence[int] | int) -> bool:
@@ -205,14 +303,13 @@ def macmahon_check(a: Sequence[Sequence[int]], cap: Sequence[int] | int) -> bool
     if len(caps) != m:
         raise ValueError("cap length does not match matrix size")
     ring = tuple(f"z{i + 1}" for i in range(m))
-    denominator = det(_identity_minus_ta(a, ring))
-    rhs = RationalSeries(TPoly.one(ring), denominator, caps).expand()
+    rhs = RationalSeries(TPoly.one(ring), _det_identity_minus_ta(a, ring), caps).expand()
 
     linear_forms = [
         TPoly(ring, {tuple(1 if t == j else 0 for t in range(m)): a[i][j] for j in range(m) if a[i][j]})
         for i in range(m)
     ]
-    for p in iter_product(*(range(c + 1) for c in caps)):
+    for p in _box(caps):
         lhs_poly = TPoly.one(ring, p)
         for i in range(m):
             for _ in range(p[i]):

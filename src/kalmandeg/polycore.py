@@ -1,11 +1,11 @@
 """Exact sparse multivariate polynomial arithmetic with per-variable degree caps.
 
-Every computation downstream (degree extraction, generating functions,
-determinant identities, critical-point checks) reduces to sums, products and
-coefficient lookups of polynomials with arbitrary-precision integer
-coefficients.  A polynomial is a term map from exponent tuples to nonzero
-ints over a fixed, ordered tuple of variable names; coefficients never touch
-floating point.
+Degree extraction and the product side of the MacMahon check reduce to
+sums, products and coefficient lookups of polynomials with arbitrary-precision
+integer coefficients; the generating function and the critical-point check
+read the term maps directly.  A polynomial is a term map from exponent tuples
+to nonzero ints over a fixed, ordered tuple of variable names; coefficients
+never touch floating point.
 
 Optional per-variable exponent caps truncate arithmetic as it happens: any
 monomial exceeding a cap in a single variable is dropped.  Exponents are
@@ -172,20 +172,6 @@ class TPoly:
             return TPoly._raw(self.vars, {}, self.caps)
         return TPoly._raw(self.vars, {e: factor * c for e, c in self.terms.items()}, self.caps)
 
-    def partial(self, name: str) -> TPoly:
-        """Partial derivative with respect to one ring variable."""
-        try:
-            idx = self.vars.index(name)
-        except ValueError:
-            raise ValueError(f"unknown variable {name!r}") from None
-        out: dict[ExponentVec, int] = {}
-        for e, c in self.terms.items():
-            if e[idx] == 0:
-                continue
-            lowered = e[:idx] + (e[idx] - 1,) + e[idx + 1 :]
-            out[lowered] = out.get(lowered, 0) + c * e[idx]
-        return TPoly._raw(self.vars, {e: c for e, c in out.items() if c}, self.caps)
-
     def evaluate(self, values: Mapping[str, int | Fraction]) -> int | Fraction:
         """Evaluate at a point with exact integer/rational coordinates.
 
@@ -254,9 +240,10 @@ def poly_mul(a: TPoly, b: TPoly) -> TPoly:
 def det(rows: Sequence[Sequence[TPoly]]) -> TPoly:
     """Exact determinant of a square matrix given as rows of polynomials over one ring.
 
-    Cofactor expansion, memoized on active column sets.  Intended for the
-    small bordered matrices of this package (dimension on the order of ten);
-    memoization brings the cost down from n! to 2^n subproblems.
+    Cofactor expansion, memoized on active column sets; memoization brings
+    the cost down from n! to 2^n subproblems.  No package path calls it: the
+    package takes det(I - TA) by integer principal minors, and the tests use
+    this as the independent route to the same polynomial.
     """
     if not rows or not rows[0]:
         raise ValueError("matrix must have at least one row and one column")

@@ -16,6 +16,7 @@ from kalmandeg.asympt import (
 )
 from kalmandeg.genfun import split_H
 from kalmandeg.polycore import TPoly, poly_mul
+from test_polycore import partial
 
 VALID_GRID = [(k, w) for k in range(2, 6) for w in range(1, 4) if w * k >= 3]
 
@@ -67,6 +68,8 @@ def test_verify_rejects_degenerate_regime():
 
 
 def test_f_d_vanishes_at_critical_point():
+    # F_D built as a product of polynomials and differentiated term by term:
+    # the report, read off H2's term map, must give the same exact values.
     for k, w in VALID_GRID:
         _, h2 = split_H((w,) * k)
         ring = h2.vars
@@ -74,7 +77,27 @@ def test_f_d_vanishes_at_critical_point():
         for name in ring:
             f_d = poly_mul(f_d, TPoly.one(ring) - TPoly.variable(ring, name))
         c = Fraction(1, w * k - 1)
-        assert f_d.evaluate({name: c for name in ring}) == 0
+        point = {name: c for name in ring}
+        assert f_d.evaluate(point) == 0
+        report = verify_critical_point(k, w)
+        assert report.f_d_at_c == Fraction(f_d.evaluate(point)), (k, w)
+        assert report.slope_product == -c * Fraction(partial(f_d, ring[-1]).evaluate(point)), (k, w)
+
+
+def test_verify_critical_point_beyond_product_reach():
+    # The product route took seconds here; the closed-form slope is
+    # omega (omega k)^(k-2) (omega k - 2)^k / (omega k - 1)^(2k-1).
+    for k, w in ((10, 2), (12, 1)):
+        report = verify_critical_point(k, w)
+        wk = w * k
+        assert report.ok
+        assert report.f_d_at_c == 0
+        assert report.slope_product == Fraction(w * wk ** (k - 2) * (wk - 2) ** k, (wk - 1) ** (2 * k - 1))
+
+
+def test_verify_critical_point_refuses_too_many_subsets():
+    with pytest.raises(ValueError, match="subsets, over the limit"):
+        verify_critical_point(15, 1)
 
 
 def test_estimate_matches_closed_constants():

@@ -80,6 +80,18 @@ def test_genfun_show_h(capsys):
     assert out == "H = 1 - x1*y - x1*x2 - x1*x2*y\nH_via_det = 1 - x1*y - x1*x2 - x1*x2*y\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("genfun", "--omega", "1,1", "--caps", "100000,100000"), "lower the caps"),
+    (("genfun", "--omega", ",".join(["1"] * 15), "--show-h"), "subsets, over the limit"),
+    (("asympt", "--k", "15", "--omega", "1", "--verify"), "subsets, over the limit"),
+])
+def test_work_budgets_exit_two(capsys, argv, message):
+    # refused before the work starts; the first series box would be ~10^10 cells
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_isotropic_text(capsys):
     code, out, _ = run(capsys, "isotropic", "--n", "3", "--omega", "2")
     assert code == 0

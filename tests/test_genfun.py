@@ -3,6 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
+import kalmandeg.genfun as genfun
 from kalmandeg.degrees import CodimVec, TensorFormat, extract_degree
 from kalmandeg.genfun import (
     RationalSeries,
@@ -12,6 +13,8 @@ from kalmandeg.genfun import (
     last_row_minors,
     macmahon_check,
     split_H,
+    _det_identity_minus_ta,
+    _identity_minus_ta,
 )
 from kalmandeg.polycore import TPoly, det, poly_mul
 
@@ -74,6 +77,56 @@ def test_H_equals_determinant_route():
         for _ in range(20 if k <= 5 else 4):
             omega = tuple(rng.randint(1, 4) for _ in range(k))
             assert build_H(omega) == build_H_via_determinant(omega), omega
+
+
+def test_principal_minors_against_cofactor_det():
+    # det(I - TA) summed over integer principal minors against the cofactor
+    # expansion of the polynomial matrix.  Every third matrix has a zero
+    # leading entry and every fifth a zero first column, so Bareiss searches
+    # for a pivot and also finds none.
+    rng = random.Random(5150)
+    for trial in range(60):
+        m = rng.randint(1, 5)
+        a = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
+        if trial % 3 == 0:
+            a[0][0] = 0
+        if trial % 5 == 0:
+            for row in a:
+                row[0] = 0
+        ring = tuple(f"z{i + 1}" for i in range(m))
+        assert _det_identity_minus_ta(a, ring) == det(_identity_minus_ta(a, ring)), (trial, a)
+
+
+def test_subset_budget_refuses_before_work():
+    with pytest.raises(ValueError, match="2\\^16 subsets, over the limit of 32768"):
+        build_H((1,) * 15)
+    with pytest.raises(ValueError, match="subsets, over the limit"):
+        build_H_via_determinant((1,) * 15)
+    with pytest.raises(ValueError, match="subsets, over the limit"):
+        expand_series((1,) * 15, (0,) * 15, 0)
+    with pytest.raises(ValueError, match="2\\^16 subsets"):
+        macmahon_check([[int(i == j) for j in range(16)] for i in range(16)], 0)
+    assert build_H((1,) * 14).constant_term == 1  # 2^15 subsets: at the limit, accepted
+
+
+def test_series_budget_counts_padded_cells_times_terms(monkeypatch):
+    # H = 1 - x1*y for omega = (1,); each axis gets one pad cell, so the box
+    # (3 + 2) * (1 + 2) = 15 cells times 2 terms is 30 units of work.
+    monkeypatch.setattr(genfun, "MAX_SERIES_WORK", 30)
+    assert expand_series((1,), (3,), 1) == {((1,), 0): 1, ((2,), 0): 1, ((2,), 1): 1, ((3,), 0): 1, ((3,), 1): 1}
+    monkeypatch.setattr(genfun, "MAX_SERIES_WORK", 29)
+    with pytest.raises(ValueError, match="15 cells with padding and the denominator 2 terms"):
+        expand_series((1,), (3,), 1)
+
+
+def test_series_budget_refuses_huge_boxes():
+    # These would allocate ~10^10 cells; the refusal comes before any allocation.
+    with pytest.raises(ValueError, match="lower the caps"):
+        expand_series((1, 1), (100000, 100000), 0)
+    ring = ("z1", "z2")
+    denominator = TPoly.one(ring) - TPoly.variable(ring, "z1")
+    with pytest.raises(ValueError, match="over the limit of 1000000"):
+        RationalSeries(TPoly.one(ring), denominator, (10**5, 10**5)).expand()
 
 
 def _claim_products(k, ring):
@@ -162,12 +215,15 @@ def test_single_factor_series_matches_closed_form():
     # third route for k = 1: series vs the binomial closed form
     from kalmandeg.degrees import symmetric_degree
 
+    # for w = 1, cap 1 with y-cap 0 leaves no term of H but 1 within the
+    # caps, so the running sum alone must keep n = 0 empty
     for w in (1, 2, 3):
-        coeffs = expand_series((w,), (6,), 5)
-        for n in range(1, 7):
-            for d in range(6):
-                expected = symmetric_degree(n, d, w) if d <= n - 1 else 0
-                assert coeffs.get(((n,), d), 0) == expected, (w, n, d)
+        for cap, y_cap in ((6, 5), (1, 0)):
+            coeffs = expand_series((w,), (cap,), y_cap)
+            for n in range(cap + 1):
+                for d in range(y_cap + 1):
+                    expected = symmetric_degree(n, d, w) if d <= n - 1 else 0
+                    assert coeffs.get(((n,), d), 0) == expected, (w, n, d)
 
 
 def test_rational_series_validation_and_geometric():
