@@ -47,10 +47,9 @@ from typing import Sequence
 from .polycore import ExponentVec, TPoly, poly_mul
 
 # Work budgets, checked before anything is allocated.  Each keeps the slowest
-# accepted call, CLI output included, to about 2 s on one core for weights up
-# to 3; larger weights make larger integers.
+# accepted call, CLI output included, to about 2 s on one core.
 MAX_SUBSETS = 1 << 15  # 2^(k+1) subsets of H's variables, 2^m of an m x m MacMahon matrix
-MAX_SERIES_WORK = 1_000_000  # padded series cells times denominator terms within the caps
+MAX_SERIES_WORK = 400_000  # padded series cells times (denominator terms + coefficient words)
 
 
 def _xy_ring(k: int) -> tuple[str, ...]:
@@ -244,10 +243,16 @@ def _divide(
         strides.append(size)
         size *= p + m + 1
     strides.reverse()
-    if size * (len(tail) + 1) > MAX_SERIES_WORK:
+    # Each cell costs one step per denominator term and one per 64 bits of its
+    # coefficient, which has at most about the numerator's bits plus, per unit
+    # of degree, the bits of the sum of the tail's absolute coefficients.
+    growth = (max(1, sum(abs(c) for _, c in tail)) - 1).bit_length()
+    bits = max([0] + [abs(c).bit_length() for c in numerator.values()]) + sum(caps) * growth
+    if size * (len(tail) + 1 + bits // 64) > MAX_SERIES_WORK:
         raise ValueError(
-            f"the series box has {size} cells with padding and the denominator {len(tail) + 1} terms "
-            f"within the caps; their product is over the limit of {MAX_SERIES_WORK}, so lower the caps"
+            f"the series box has {size} cells with padding, the denominator {len(tail) + 1} terms within "
+            f"the caps and the coefficients up to about {bits} bits; {size} x ({len(tail) + 1} + {bits // 64}) "
+            f"is over the limit of {MAX_SERIES_WORK}, so lower the caps"
         )
     cells = [sum(map(mul, pads, strides))]
     for m, stride in zip(caps, strides):

@@ -115,8 +115,24 @@ def test_series_budget_counts_padded_cells_times_terms(monkeypatch):
     monkeypatch.setattr(genfun, "MAX_SERIES_WORK", 30)
     assert expand_series((1,), (3,), 1) == {((1,), 0): 1, ((2,), 0): 1, ((2,), 1): 1, ((3,), 0): 1, ((3,), 1): 1}
     monkeypatch.setattr(genfun, "MAX_SERIES_WORK", 29)
-    with pytest.raises(ValueError, match="15 cells with padding and the denominator 2 terms"):
+    with pytest.raises(ValueError, match="15 cells with padding, the denominator 2 terms"):
         expand_series((1,), (3,), 1)
+
+
+def test_series_budget_counts_coefficient_bits(monkeypatch):
+    # omega = 10^30: the tail of H = 1 + (1 - omega) x1 - x1*y sums to omega in
+    # absolute value, 100 bits per unit of degree; degree 3 + 1 bounds the
+    # coefficients by 1 + 400 bits, 6 words, so 15 cells cost 15 * (3 + 6).
+    omega = 10**30
+    monkeypatch.setattr(genfun, "MAX_SERIES_WORK", 135)
+    series = expand_series((omega,), (3,), 1)
+    assert max(abs(c).bit_length() for c in series.values()) <= 401
+    monkeypatch.setattr(genfun, "MAX_SERIES_WORK", 134)
+    with pytest.raises(ValueError, match="about 401 bits; 15 x \\(3 \\+ 6\\)"):
+        expand_series((omega,), (3,), 1)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="lower the caps"):  # accepted by cells and terms alone
+        expand_series((10**100,), (850,), 350)
 
 
 def test_series_budget_refuses_huge_boxes():
@@ -125,7 +141,7 @@ def test_series_budget_refuses_huge_boxes():
         expand_series((1, 1), (100000, 100000), 0)
     ring = ("z1", "z2")
     denominator = TPoly.one(ring) - TPoly.variable(ring, "z1")
-    with pytest.raises(ValueError, match="over the limit of 1000000"):
+    with pytest.raises(ValueError, match="over the limit of 400000"):
         RationalSeries(TPoly.one(ring), denominator, (10**5, 10**5)).expand()
 
 

@@ -1,10 +1,11 @@
 """Run every benchmark workload over several seeds and write BENCH_<n>.json.
 
-    python3 tools/bench_trajectory.py --n 6 --seeds 1,2,3,4,5 [--seconds 15]
+    python3 tools/bench_trajectory.py --n 6 --seeds 1,2,3,4,5
 
 Run from anywhere; the file lands at the repository root.  Each (seed,
-workload) pair is one ``perfbench/run.py --trace 0`` process, run one after
-another, seed by seed.  The file holds, per workload, the median of every
+workload) pair is one ``perfbench/run.py --trace 0 --seconds 15`` process, run
+one after another, seed by seed; every file uses the same run length, so files
+stay comparable.  The file holds, per workload, the median of every
 end-to-end metric over the seeds, the number of runs and whether every run was
 correct, and ``meta``: Python version, nproc, commit and ``src/`` line count,
 taken from the runs' own metadata lines, which must all agree.  Successive
@@ -22,6 +23,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 META_KEYS = ("python", "nproc", "commit", "src_lines")
+SECONDS = 15  # query seconds per run
 
 
 def parse_run(stdout: str) -> tuple[dict, dict]:
@@ -54,8 +56,8 @@ def assemble(runs: dict[str, list[tuple[dict, dict]]]) -> dict:
     return {"meta": dict(zip(META_KEYS, metas.pop())), "workloads": workloads}
 
 
-def run_one(workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+def run_one(workload: str, seed: int) -> tuple[dict, dict]:
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(SECONDS)]
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(argv[1:])} exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
@@ -66,14 +68,13 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--n", type=int, required=True, help="number in the file name BENCH_<n>.json")
     p.add_argument("--seeds", required=True, help="comma-separated seeds, e.g. 1,2,3")
-    p.add_argument("--seconds", type=float, default=15.0, help="query seconds per run (default 15)")
     args = p.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
     names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     runs: dict[str, list[tuple[dict, dict]]] = {name: [] for name in names}
     for seed in seeds:
         for name in names:
-            runs[name].append(run_one(name, seed, args.seconds))
+            runs[name].append(run_one(name, seed))
             print(f"{name} seed {seed} done", file=sys.stderr)
     out = ROOT / f"BENCH_{args.n}.json"
     out.write_text(json.dumps(assemble(runs), indent=2, sort_keys=True) + "\n")
