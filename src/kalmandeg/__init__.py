@@ -34,7 +34,6 @@ from .genfun import (
     build_H,
     build_H_via_determinant,
     expand_series,
-    last_row_minors,
     macmahon_check,
     split_H,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "isotropic_degree",
     "isotropic_degree_symmetric",
     "kalman_degree",
-    "last_row_minors",
     "macmahon_check",
     "partition_tuple_codim",
     "poly_mul",

@@ -2,8 +2,9 @@
 
 Subcommands: degree, genfun, isotropic, codim, asympt, table.  Results go to
 stdout (text, JSON records, or CSV for tables), diagnostics to stderr.  Each
-subcommand builds both its JSON records and its text lines and hands them to
-the single emitter ``_emit``, the one place the output format is decided.  Exit
+subcommand converts every exact value to decimal once, builds both its JSON
+records and its text lines from those strings and hands them to the single
+emitter ``_emit``, the one place the output format is decided.  Exit
 codes: 0 success, 2 validation error, 3 internal assertion failure.  All
 potentially large integers are emitted as exact decimal strings in JSON so
 64-bit consumers never truncate them.
@@ -12,6 +13,7 @@ potentially large integers are emitted as exact decimal strings in JSON so
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -40,32 +42,34 @@ def _cmd_degree(args: argparse.Namespace) -> None:
     fmt = degrees.TensorFormat(args.n, args.omega)
     cv = degrees.CodimVec(args.delta)
     factor = degrees.extract_degree(fmt, cv)
+    digits = str(factor)
     record = {
         "command": "degree",
         "inputs": {"n": list(fmt.n), "delta": list(cv.delta), "omega": list(fmt.omega)},
-        "degree_factor": str(factor),
-        "result": str(factor),
+        "degree_factor": digits,
+        "result": digits,
         "provenance": "coefficient extraction from the capped geometric-factor product",
     }
-    lines = [f"degree_factor = {factor}"]
+    lines = [f"degree_factor = {digits}"]
     if args.deg_z is not None:
-        total = degrees.kalman_degree(fmt, cv, args.deg_z)
+        # kalman_degree would extract again; scale the factor already found.
+        total = str(factor * degrees._deg_z_product(fmt, args.deg_z))
         record["inputs"]["deg_z"] = list(args.deg_z)
-        record["kalman_degree"] = str(total)
-        record["result"] = str(total)
+        record["kalman_degree"] = total
+        record["result"] = total
         lines.append(f"kalman_degree = {total}")
     _emit(args, [record], lines)
 
 
 def _cmd_genfun(args: argparse.Namespace) -> None:
     if args.show_h:
-        h = genfun.build_H(args.omega)
-        h_det = genfun.build_H_via_determinant(args.omega)
+        h = str(genfun.build_H(args.omega))
+        h_det = str(genfun.build_H_via_determinant(args.omega))
         record = {
             "command": "genfun",
             "inputs": {"omega": list(args.omega)},
-            "result": str(h),
-            "h_via_determinant": str(h_det),
+            "result": h,
+            "h_via_determinant": h_det,
             "provenance": "closed-form generating polynomial and its bordered-determinant twin",
         }
         _emit(args, [record], [f"H = {h}", f"H_via_det = {h_det}"])
@@ -74,31 +78,33 @@ def _cmd_genfun(args: argparse.Namespace) -> None:
         raise ValueError("--caps is required unless --show-h is given")
     coeffs = genfun.expand_series(args.omega, args.caps, args.y_cap)
     keys = sorted(coeffs)
+    digits = [str(coeffs[key]) for key in keys]
     header = {
         "command": "genfun",
         "inputs": {"omega": list(args.omega), "caps": list(args.caps), "y_cap": args.y_cap},
         "provenance": "capped series expansion of the reciprocal generating polynomial",
     }
     records = [header] + [
-        {"n": list(n_vec), "delta": delta, "coefficient": str(coeffs[n_vec, delta])} for n_vec, delta in keys
+        {"n": list(n_vec), "delta": delta, "coefficient": d} for (n_vec, delta), d in zip(keys, digits)
     ]
-    lines = [f"n={','.join(map(str, n_vec))} delta={delta} d={coeffs[n_vec, delta]}" for n_vec, delta in keys]
+    lines = [f"n={','.join(map(str, n_vec))} delta={delta} d={d}" for (n_vec, delta), d in zip(keys, digits)]
     _emit(args, records, lines)
 
 
 def _cmd_isotropic(args: argparse.Namespace) -> None:
     fmt = degrees.TensorFormat(args.n, args.omega)
     res = isotropic.isotropic_degree(fmt)
+    degree = str(res.degree)
     record = {
         "command": "isotropic",
         "inputs": {"n": list(fmt.n), "omega": list(fmt.omega)},
-        "result": str(res.degree),
-        "degree": str(res.degree),
+        "result": degree,
+        "degree": degree,
         "components": res.components,
         "ambient_dim": res.ambient_dim,
         "provenance": "alternating polar-class sum over bounded compositions, exact rationals",
     }
-    _emit(args, [record], [f"degree = {record['degree']}", f"components = {res.components}"])
+    _emit(args, [record], [f"degree = {degree}", f"components = {res.components}"])
 
 
 def _cmd_codim(args: argparse.Namespace) -> None:
@@ -114,7 +120,7 @@ def _cmd_codim(args: argparse.Namespace) -> None:
         "result": str(value),
         "provenance": provenance,
     }
-    _emit(args, [record], [f"codim = {value}"])
+    _emit(args, [record], [f"codim = {record['result']}"])
 
 
 def _cmd_asympt(args: argparse.Namespace) -> None:
@@ -130,8 +136,8 @@ def _cmd_asympt(args: argparse.Namespace) -> None:
             "provenance": "exact rational evaluation of the reduced denominator at the critical point",
         }
         lines = [
-            f"F_D(c) = {report.f_d_at_c}",
-            f"-c_k*dF_D(c) = {report.slope_product} (expected {report.expected_slope_product})",
+            f"F_D(c) = {record['f_d_at_c']}",
+            f"-c_k*dF_D(c) = {record['slope_product']} (expected {record['expected_slope_product']})",
             f"verify = {record['result']}",
         ]
         # The report prints even on a mismatch, before the failure exit.
@@ -209,7 +215,9 @@ def _cmd_table(args: argparse.Namespace) -> None:
     _emit(args, [dict(zip(header, row)) for row in rows], [",".join(map(str, row)) for row in [header, *rows]])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call; do not modify it."""
     parser = argparse.ArgumentParser(
         prog="kalmandeg",
         description="Exact degrees, generating functions and asymptotics for Kalman varieties of partially symmetric tensors.",

@@ -14,10 +14,11 @@ in the polynomial
     that_i = (sum_j omega_j t_j) - t_i.
 
 Each quotient is the finite geometric sum
-sum_{j<n_i} (that_i + h)^(n_i-1-j) * t_i^j, so everything here is capped
-integer polynomial arithmetic; no division ever happens.  All factor
-coefficients are nonnegative, hence truncating at the target exponents from
-the start is exact.
+sum_{j<n_i} (that_i + h)^(n_i-1-j) * t_i^j, built by Horner's rule: one
+capped product by (that_i + h) and one added power of t_i per degree.
+Everything here is capped integer polynomial arithmetic; no division ever
+happens.  Exponents only add under multiplication, hence truncating at the
+target exponents from the start, and after every Horner step, is exact.
 """
 
 from __future__ import annotations
@@ -84,31 +85,18 @@ def _ring(k: int) -> tuple[str, ...]:
 
 
 def _geometric_factor(fmt: TensorFormat, i: int, ring: tuple[str, ...], caps: tuple[int, ...]) -> TPoly:
-    """The i-th factor sum_{j<n_i} (that_i + h)^(n_i-1-j) * t_i^j, capped."""
-    k = fmt.k
-    base_terms = {}
-    for j in range(k):
-        c = fmt.omega[j] - (1 if j == i else 0)
-        if c:
-            exps = [0] * (k + 1)
-            exps[j] = 1
-            base_terms[tuple(exps)] = c
-    h_exp = [0] * (k + 1)
-    h_exp[k] = 1
-    base_terms[tuple(h_exp)] = 1
-    base = TPoly(ring, base_terms, caps)
+    """The i-th factor sum_{j<n_i} (that_i + h)^(n_i-1-j) * t_i^j, capped.
 
-    total = TPoly.zero(ring, caps)
-    power = TPoly.one(ring, caps)
-    ti_cap = caps[i]
-    for j in range(fmt.n[i] - 1, -1, -1):
-        if j <= ti_cap:
-            if j:
-                total = total + poly_mul(power, TPoly.monomial(ring, {ring[i]: j}, 1, caps))
-            else:
-                total = total + power
-        if j > 0:
-            power = poly_mul(power, base)
+    By Horner's rule: total = total * (that_i + h) + t_i^j for j = 1..n_i-1,
+    starting from 1.  The constructor drops t_i^j above its cap.
+    """
+    k = fmt.k
+    # Coefficients of t_1..t_k and h in that_i + h; the constructor drops zeros.
+    coeffs = [w - (j == i) for j, w in enumerate(fmt.omega)] + [1]
+    base = TPoly(ring, {(0,) * j + (1,) + (0,) * (k - j): c for j, c in enumerate(coeffs)}, caps)
+    total = TPoly.one(ring, caps)
+    for j in range(1, fmt.n[i]):
+        total = poly_mul(total, base) + TPoly(ring, {(0,) * i + (j,) + (0,) * (k - i): 1}, caps)
     return total
 
 
@@ -134,12 +122,18 @@ def kalman_degree(fmt: TensorFormat, d: CodimVec, deg_z: Sequence[int]) -> int:
 
     The degrees of the constraint varieties are caller-supplied.
     """
+    scale = _deg_z_product(fmt, deg_z)
+    return extract_degree(fmt, d) * scale
+
+
+def _deg_z_product(fmt: TensorFormat, deg_z: Sequence[int]) -> int:
+    """prod_i deg(Z_i), after checking one degree >= 1 per factor."""
     deg_z = tuple(deg_z)
     if len(deg_z) != fmt.k:
         raise ValueError("deg_z length does not match the number of factors")
     if any(z < 1 for z in deg_z):
         raise ValueError("all deg_z entries must be >= 1")
-    return extract_degree(fmt, d) * prod(deg_z)
+    return prod(deg_z)
 
 
 def symmetric_degree(n: int, delta: int, omega: int) -> int:

@@ -82,16 +82,6 @@ def build_H(omega: Sequence[int]) -> TPoly:
     return TPoly(_xy_ring(len(omega)), terms)
 
 
-def _identity_minus_ta(a: Sequence[Sequence[int]], ring: tuple[str, ...]) -> list[list[TPoly]]:
-    """Rows of I - T A over ``ring`` for an integer matrix A, T = diag(ring)."""
-    units = [tuple(int(t == i) for t in range(len(ring))) for i in range(len(ring))]
-    zero = (0,) * len(ring)
-    return [
-        [TPoly(ring, {zero: int(i == j), units[i]: -a_ij}) for j, a_ij in enumerate(a_row)]
-        for i, a_row in enumerate(a)
-    ]
-
-
 def _bordered_a(omega: tuple[int, ...]) -> list[list[int]]:
     """The bordered integer matrix A described above."""
     k = len(omega)
@@ -154,20 +144,6 @@ def build_H_via_determinant(omega: Sequence[int]) -> TPoly:
     """H computed as det(I - TA) from the entries of A; must equal build_H exactly."""
     omega = _check_omega(omega)
     return _det_identity_minus_ta(_bordered_a(omega), _xy_ring(len(omega)))
-
-
-def last_row_minors(omega: Sequence[int]) -> tuple[tuple[tuple[TPoly, ...], ...], tuple[tuple[TPoly, ...], ...]]:
-    """The two k x k minors from expanding det(I - TA) along its bottom row.
-
-    First: drop the bottom row and first column; second: drop the bottom row
-    and last column, each as a tuple of rows.  Their determinants have
-    product-form closed expressions checked in the test suite.
-    """
-    omega = _check_omega(omega)
-    top = _identity_minus_ta(_bordered_a(omega), _xy_ring(len(omega)))[:-1]
-    first = tuple(tuple(row[1:]) for row in top)
-    second = tuple(tuple(row[:-1]) for row in top)
-    return first, second
 
 
 def split_H(omega: Sequence[int]) -> tuple[TPoly, TPoly]:

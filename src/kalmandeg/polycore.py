@@ -17,7 +17,6 @@ coefficient of the exact, untruncated product, regardless of signs.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 # One exponent per ring variable, all >= 0.
@@ -91,24 +90,10 @@ class TPoly:
 
     @classmethod
     def variable(cls, vars: Sequence[str], name: str, caps: Sequence[int] | None = None) -> TPoly:
-        return cls.monomial(vars, {name: 1}, 1, caps)
-
-    @classmethod
-    def monomial(
-        cls,
-        vars: Sequence[str],
-        powers: Mapping[str, int],
-        coeff: int = 1,
-        caps: Sequence[int] | None = None,
-    ) -> TPoly:
         vars = tuple(vars)
-        exps = [0] * len(vars)
-        for name, e in powers.items():
-            try:
-                exps[vars.index(name)] = e
-            except ValueError:
-                raise ValueError(f"unknown variable {name!r}") from None
-        return cls(vars, {tuple(exps): coeff}, caps)
+        if name not in vars:
+            raise ValueError(f"unknown variable {name!r}")
+        return cls(vars, {tuple(int(v == name) for v in vars): 1}, caps)
 
     # -- queries ----------------------------------------------------------
 
@@ -171,22 +156,6 @@ class TPoly:
         if factor == 0:
             return TPoly._raw(self.vars, {}, self.caps)
         return TPoly._raw(self.vars, {e: factor * c for e, c in self.terms.items()}, self.caps)
-
-    def evaluate(self, values: Mapping[str, int | Fraction]) -> int | Fraction:
-        """Evaluate at a point with exact integer/rational coordinates.
-
-        Only variables that actually occur with positive exponent need a value.
-        """
-        total: int | Fraction = 0
-        for e, c in self.terms.items():
-            val: int | Fraction = c
-            for name, exp in zip(self.vars, e):
-                if exp:
-                    if name not in values:
-                        raise ValueError(f"no value supplied for variable {name!r}")
-                    val *= values[name] ** exp
-            total += val
-        return total
 
     # -- serialization ----------------------------------------------------
 

@@ -246,6 +246,29 @@ def test_bad_flags_exit_two(capsys):
     assert exc.value.code == 2
 
 
+
+def test_parser_survives_an_argparse_error(capsys):
+    # The parser is built once per process; a failed parse must not change it.
+    argv = ("degree", "--n", "4,4", "--delta", "2,1", "--omega", "1,1", "--deg-z", "3,2", "--format", "json")
+    first = run(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["degree", "--n", "4,4", "--delta", "2,1", "--omega", "1,1", "--format", "yaml"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *argv) == first
+
+
+def test_degree_extracts_once(capsys, monkeypatch):
+    calls = []
+    real = cli.degrees.extract_degree
+    monkeypatch.setattr(cli.degrees, "extract_degree", lambda fmt, d: calls.append(fmt) or real(fmt, d))
+    code, out, _ = run(capsys, "degree", "--n", "4,4", "--delta", "2,1", "--omega", "1,1", "--deg-z", "3,2")
+    assert (code, out, len(calls)) == (0, "degree_factor = 20\nkalman_degree = 120\n", 1)
+    # A bad delta is still reported before a bad deg_z.
+    code, out, err = run(capsys, "degree", "--n", "2,2", "--delta", "2,0", "--omega", "1,1", "--deg-z", "0")
+    assert (code, out, err) == (2, "", "error: delta_1 = 2 exceeds n_1 - 1 = 1\n")
+
+
 GOLDEN = [
     (("degree", "--n", "4,4", "--delta", "2,1", "--omega", "1,1", "--format", "json"),
      '{"command": "degree", "degree_factor": "20", "inputs": {"delta": [2, 1], "n": [4, 4], "omega": [1, 1]}, '

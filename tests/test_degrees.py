@@ -7,12 +7,15 @@ import pytest
 from kalmandeg.degrees import (
     CodimVec,
     TensorFormat,
+    _geometric_factor,
+    _ring,
     binary_degree,
     check_stabilization,
     extract_degree,
     kalman_degree,
     symmetric_degree,
 )
+from kalmandeg.polycore import TPoly
 from oracles import oracle_binary, oracle_extract
 
 
@@ -30,6 +33,22 @@ def test_neutral_deg_z():
     cv = CodimVec((1, 1))
     assert kalman_degree(fmt, cv, (1, 1)) == extract_degree(fmt, cv)
     assert kalman_degree(TensorFormat((2, 2), (1, 1)), CodimVec((0, 0)), (1, 1)) == 2
+
+
+def test_geometric_factor_by_definition():
+    # The Horner loop against the capped sum_{j<n_i} (that_i + h)^(n_i-1-j) t_i^j.
+    # extract_degree reads only the degree sum(n_i - 1) part, so a stray term of
+    # another degree, such as an extra Horner step, shows only here.
+    fmt, ring, caps = TensorFormat((3, 2), (2, 1)), _ring(2), (1, 1, 2)
+    t1, t2, h = (TPoly.variable(ring, v) for v in ring)
+    for i, base in ((0, t1 + t2 + h), (1, 2 * t1 + h)):
+        expected = TPoly.zero(ring)
+        for j in range(fmt.n[i]):
+            term = TPoly.one(ring)
+            for factor in [base] * (fmt.n[i] - 1 - j) + [(t1, t2)[i]] * j:
+                term = term * factor
+            expected = expected + term
+        assert _geometric_factor(fmt, i, ring, caps) == TPoly(ring, expected.terms, caps), i
 
 
 def test_extraction_matches_sympy_oracle_on_grid():

@@ -10,17 +10,40 @@ from kalmandeg.genfun import (
     build_H,
     build_H_via_determinant,
     expand_series,
-    last_row_minors,
     macmahon_check,
     split_H,
+    _bordered_a,
     _det_identity_minus_ta,
-    _identity_minus_ta,
+    _xy_ring,
 )
 from kalmandeg.polycore import TPoly, det, poly_mul
 
 
 def _xvars(k):
     return tuple(f"x{i + 1}" for i in range(k))
+
+
+def _identity_minus_ta(a, ring):
+    """Rows of I - T A over ``ring`` for an integer matrix A, T = diag(ring)."""
+    units = [tuple(int(t == i) for t in range(len(ring))) for i in range(len(ring))]
+    zero = (0,) * len(ring)
+    return [
+        [TPoly(ring, {zero: int(i == j), units[i]: -a_ij}) for j, a_ij in enumerate(a_row)]
+        for i, a_row in enumerate(a)
+    ]
+
+
+def last_row_minors(omega):
+    """The two k x k minors from expanding det(I - TA) along its bottom row.
+
+    First: drop the bottom row and first column; second: drop the bottom row
+    and last column, each as a tuple of rows.
+    """
+    omega = tuple(omega)
+    top = _identity_minus_ta(_bordered_a(omega), _xy_ring(len(omega)))[:-1]
+    first = tuple(tuple(row[1:]) for row in top)
+    second = tuple(tuple(row[:-1]) for row in top)
+    return first, second
 
 
 def elementary_symmetric(vars, subset, i):
