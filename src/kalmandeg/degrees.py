@@ -122,8 +122,7 @@ def kalman_degree(fmt: TensorFormat, d: CodimVec, deg_z: Sequence[int]) -> int:
 
     The degrees of the constraint varieties are caller-supplied.
     """
-    scale = _deg_z_product(fmt, deg_z)
-    return extract_degree(fmt, d) * scale
+    return _deg_z_product(fmt, deg_z) * extract_degree(fmt, d)
 
 
 def _deg_z_product(fmt: TensorFormat, deg_z: Sequence[int]) -> int:

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 from itertools import permutations, product
 from math import comb
 
@@ -15,7 +16,7 @@ from kalmandeg.degrees import (
     kalman_degree,
     symmetric_degree,
 )
-from kalmandeg.polycore import TPoly
+from kalmandeg.polycore import TPoly, poly_mul
 from oracles import oracle_binary, oracle_extract
 
 
@@ -41,14 +42,10 @@ def test_geometric_factor_by_definition():
     # another degree, such as an extra Horner step, shows only here.
     fmt, ring, caps = TensorFormat((3, 2), (2, 1)), _ring(2), (1, 1, 2)
     t1, t2, h = (TPoly.variable(ring, v) for v in ring)
-    for i, base in ((0, t1 + t2 + h), (1, 2 * t1 + h)):
-        expected = TPoly.zero(ring)
-        for j in range(fmt.n[i]):
-            term = TPoly.one(ring)
-            for factor in [base] * (fmt.n[i] - 1 - j) + [(t1, t2)[i]] * j:
-                term = term * factor
-            expected = expected + term
-        assert _geometric_factor(fmt, i, ring, caps) == TPoly(ring, expected.terms, caps), i
+    for i, base, ti in ((0, t1 + t2 + h, t1), (1, 2 * t1 + h, t2)):
+        n = fmt.n[i]
+        terms = [reduce(poly_mul, [base] * (n - 1 - j) + [ti] * j, TPoly.one(ring)) for j in range(n)]
+        assert _geometric_factor(fmt, i, ring, caps) == TPoly(ring, sum(terms, TPoly.zero(ring)).terms, caps), i
 
 
 def test_extraction_matches_sympy_oracle_on_grid():

@@ -25,25 +25,14 @@ def _xvars(k):
 
 def _identity_minus_ta(a, ring):
     """Rows of I - T A over ``ring`` for an integer matrix A, T = diag(ring)."""
-    units = [tuple(int(t == i) for t in range(len(ring))) for i in range(len(ring))]
-    zero = (0,) * len(ring)
-    return [
-        [TPoly(ring, {zero: int(i == j), units[i]: -a_ij}) for j, a_ij in enumerate(a_row)]
-        for i, a_row in enumerate(a)
-    ]
+    one, t = TPoly.one(ring), [TPoly.variable(ring, v) for v in ring]
+    return [[one.scaled(int(i == j)) - t[i].scaled(a_ij) for j, a_ij in enumerate(row)] for i, row in enumerate(a)]
 
 
 def last_row_minors(omega):
-    """The two k x k minors from expanding det(I - TA) along its bottom row.
-
-    First: drop the bottom row and first column; second: drop the bottom row
-    and last column, each as a tuple of rows.
-    """
-    omega = tuple(omega)
-    top = _identity_minus_ta(_bordered_a(omega), _xy_ring(len(omega)))[:-1]
-    first = tuple(tuple(row[1:]) for row in top)
-    second = tuple(tuple(row[:-1]) for row in top)
-    return first, second
+    """The two k x k minors of det(I - TA) along its bottom row: without the first, then the last column."""
+    top = _identity_minus_ta(_bordered_a(tuple(omega)), _xy_ring(len(omega)))[:-1]
+    return [row[1:] for row in top], [row[:-1] for row in top]
 
 
 def elementary_symmetric(vars, subset, i):

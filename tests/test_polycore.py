@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 import sympy
@@ -20,13 +21,7 @@ def partial(p, name):
 
 def evaluate(p, point):
     """Exact value of ``p`` at ``point``, a map from variable names to ints or Fractions."""
-    total = 0
-    for e, c in p.terms.items():
-        for name, exp in zip(p.vars, e):
-            if exp:
-                c *= point[name] ** exp
-        total += c
-    return total
+    return sum(c * prod(point[v] ** x for v, x in zip(p.vars, e) if x) for e, c in p.terms.items())
 
 
 def _random_poly(rng, vars, max_terms=4, max_exp=2, max_coeff=5):
