@@ -17,6 +17,7 @@ coefficient of the exact, untruncated product, regardless of signs.
 
 from __future__ import annotations
 
+from operator import add, le
 from typing import Mapping, Sequence
 
 # One exponent per ring variable, all >= 0.
@@ -135,7 +136,7 @@ class TPoly:
             else:
                 out.pop(e, None)
         if caps is not None:
-            out = {e: c for e, c in out.items() if all(x <= m for x, m in zip(e, caps))}
+            out = {e: c for e, c in out.items() if all(map(le, e, caps))}
         return TPoly._raw(self.vars, out, caps)
 
     def __neg__(self) -> TPoly:
@@ -199,10 +200,9 @@ def poly_mul(a: TPoly, b: TPoly) -> TPoly:
     out: dict[ExponentVec, int] = {}
     for e1, c1 in a.terms.items():
         for e2, c2 in b.terms.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            if caps is not None and any(x > m for x, m in zip(e, caps)):
-                continue
-            out[e] = out.get(e, 0) + c1 * c2
+            e = tuple(map(add, e1, e2))
+            if caps is None or all(map(le, e, caps)):
+                out[e] = out.get(e, 0) + c1 * c2
     return TPoly._raw(a.vars, {e: c for e, c in out.items() if c}, caps)
 
 
