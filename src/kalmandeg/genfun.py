@@ -20,10 +20,13 @@ taken from the entries of A alone, by principal minors:
 
     det(I - T A) = sum_S (-1)^|S| t^S det(A[S, S]),
 
-one integer determinant per subset S of the k + 1 variables, each by
-fraction-free (Bareiss) elimination.  Both constructions (the subset
-expansion and the determinant) are implemented and must agree exactly;
-series coefficients must agree with direct extraction.
+one integer minor per subset S of the k + 1 variables.  All of them come
+from one fraction-free elimination shared along index prefixes (Sylvester's
+identity): A is first shifted by a multiple c of I so that every leading
+pivot is nonzero, and one inverse pass over the 2^(k+1) minors removes the
+shift again.  Both constructions (the subset expansion and the determinant)
+are implemented and must agree exactly; series coefficients must agree with
+direct extraction.
 
 Series expansion is exact power-series division.  For a denominator D with
 constant term 1, the coefficients of N/D within a cap box satisfy
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, product as iter_product
+from math import prod
 from operator import mul
 from typing import Sequence
 
@@ -49,7 +53,7 @@ from .polycore import ExponentVec, TPoly, poly_mul
 # Work budgets, checked before anything is allocated.  Each keeps the slowest
 # accepted call, CLI output included, to about 2 s on one core.
 MAX_SUBSETS = 1 << 15  # 2^(k+1) subsets of H's variables, 2^m of an m x m MacMahon matrix
-MAX_SERIES_WORK = 400_000  # padded series cells times (denominator terms + coefficient words)
+MAX_SERIES_WORK = 400_000  # padded series cells times (denominator terms + coefficient words); MacMahon term pairs
 
 
 def _xy_ring(k: int) -> tuple[str, ...]:
@@ -76,10 +80,12 @@ def build_H(omega: Sequence[int]) -> TPoly:
     _check_subsets(len(omega) + 1)
     terms: dict[ExponentVec, int] = {}
     for s in iter_product((0, 1), repeat=len(omega)):
-        terms[s + (0,)] = 1 - sum(compress(omega, s))
+        c = 1 - sum(compress(omega, s))
+        if c:
+            terms[s + (0,)] = c
         if s[0]:
             terms[s + (1,)] = -1
-    return TPoly(_xy_ring(len(omega)), terms)
+    return TPoly._raw(_xy_ring(len(omega)), terms, None)
 
 
 def _bordered_a(omega: tuple[int, ...]) -> list[list[int]]:
@@ -95,49 +101,52 @@ def _check_subsets(n: int) -> None:
         raise ValueError(f"{n} variables give 2^{n} subsets, over the limit of {MAX_SUBSETS}; use fewer variables")
 
 
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination.
+def _principal_minors(a: Sequence[Sequence[int]]) -> list[int]:
+    """det(A[S, S]) for every subset S of A's indices, in ``product((0, 1), ...)`` order.
 
-    Bareiss: after step i every entry below and right of the pivot is a
-    minor of the input, so each division by the previous pivot is exact.  A
-    zero pivot is swapped with the first lower row that has a nonzero entry
-    in its column; there is none only when the determinant is 0.  ``m`` is
-    overwritten.
+    B = A + cI with c = max_i sum_j |a_ij| + 1 is strictly diagonally dominant,
+    so every principal minor of B is nonzero.  A depth-first walk over index
+    prefixes P keeps the fraction-free reduced block whose (i, l) entry is
+    det(B[P + i, P + l]) for i, l after P (Sylvester's identity): its diagonal
+    gives det(B[P + j]), and extending P by j is one exact update
+    (p x - r y) // det(B[P]) of the block after j.  Then
+    det(A[S]) = sum over R within S of (-c)^|S - R| det(B[R]), one pass per index.
     """
-    n = len(m)
-    sign, prev = 1, 1
-    for i in range(n - 1):
-        if not m[i][i]:
-            for r in range(i + 1, n):
-                if m[r][i]:
-                    m[i], m[r] = m[r], m[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot_row = m[i]
-        p = pivot_row[i]
-        for row in m[i + 1 :]:
-            f = row[i]
-            for c in range(i + 1, n):
-                row[c] = (p * row[c] - f * pivot_row[c]) // prev
-        prev = p
-    return sign * m[-1][-1] if n else 1
+    m = len(a)
+    c = max(sum(map(abs, row)) for row in a) + 1
+    dets = [0] * (1 << m)
+    dets[0] = 1
+
+    def walk(block: list[list[int]], first: int, mask: int, prev: int) -> None:
+        # block[i][l] = det(B[P + (first + i), P + (first + l)]); mask encodes P.
+        for j, pivot_row in enumerate(block):
+            p = pivot_row[j]
+            child = mask | 1 << (m - 1 - first - j)
+            dets[child] = p
+            tail = pivot_row[j + 1 :]
+            if tail:
+                rest = [[(p * x - row[j] * y) // prev for x, y in zip(row[j + 1 :], tail)] for row in block[j + 1 :]]
+                walk(rest, first + j + 1, child, p)
+
+    walk([[x + c * (i == l) for l, x in enumerate(row)] for i, row in enumerate(a)], 0, 0, 1)
+    half = len(dets) // 2
+    for _ in range(m):  # fold the -c of the leading index in, then rotate the last index to the front
+        dets[half:] = [x - c * y for x, y in zip(dets[half:], dets[:half])]
+        dets = dets[::2] + dets[1::2]
+    return dets
 
 
 def _det_identity_minus_ta(a: Sequence[Sequence[int]], ring: tuple[str, ...]) -> TPoly:
     """det(I - T A) for an integer matrix A, T = diag(ring), by principal minors.
 
-    det(I - T A) = sum over subsets S of (-1)^|S| t^S det(A[S, S]), so the
-    monomial t^S carries one integer determinant.
+    det(I - T A) = sum over subsets S of t^S det(-A[S, S]), so the monomial
+    t^S carries one principal minor of -A.  All of them come from one
+    shared-prefix elimination of -A shifted to be diagonally dominant,
+    followed by a pass that undoes the shift (``_principal_minors``).
     """
     _check_subsets(len(a))
-    terms: dict[ExponentVec, int] = {}
-    for s in iter_product((0, 1), repeat=len(a)):
-        rows = list(compress(a, s))
-        minor = _bareiss_det([list(compress(row, s)) for row in rows])
-        terms[s] = -minor if len(rows) % 2 else minor
-    return TPoly(ring, terms)
+    minors = _principal_minors([[-x for x in row] for row in a])
+    return TPoly._raw(ring, {s: d for s, d in zip(iter_product((0, 1), repeat=len(a)), minors) if d}, None)
 
 
 def build_H_via_determinant(omega: Sequence[int]) -> TPoly:
@@ -159,7 +168,7 @@ def split_H(omega: Sequence[int]) -> tuple[TPoly, TPoly]:
             raise ArithmeticError("generating polynomial is not multilinear in y")
         by_y_power[e[-1]][e[:-1]] = c
     x_ring = h.vars[:-1]
-    return -TPoly(x_ring, by_y_power[1]), TPoly(x_ring, by_y_power[0])
+    return -TPoly._raw(x_ring, by_y_power[1], None), TPoly._raw(x_ring, by_y_power[0], None)
 
 
 @dataclass(frozen=True)
@@ -284,7 +293,19 @@ def macmahon_check(a: Sequence[Sequence[int]], cap: Sequence[int] | int) -> bool
     if len(caps) != m:
         raise ValueError("cap length does not match matrix size")
     ring = tuple(f"z{i + 1}" for i in range(m))
-    rhs = RationalSeries(TPoly.one(ring), _det_identity_minus_ta(a, ring), caps).expand()
+    series = RationalSeries(TPoly.one(ring), _det_identity_minus_ta(a, ring), caps)
+    # Each p multiplies sum(p) forms of at most m terms into a product capped
+    # at p, so the left side visits at most sum_p sum(p) * m * prod(p_i + 1)
+    # term pairs; per axis, sum_{p<=C} p (p + 1) = C (C + 1) (C + 2) / 3 and
+    # sum_{p<=C} (p + 1) = (C + 1) (C + 2) / 2.
+    boxes = [(c + 1) * (c + 2) // 2 for c in caps]
+    pairs = m * sum(c * (c + 1) * (c + 2) // 3 * prod(boxes[:i] + boxes[i + 1 :]) for i, c in enumerate(caps))
+    if pairs > MAX_SERIES_WORK:
+        raise ValueError(
+            f"the MacMahon product side visits up to {pairs} term pairs, "
+            f"over the limit of {MAX_SERIES_WORK}, so lower the cap"
+        )
+    rhs = series.expand()
 
     linear_forms = [
         TPoly(ring, {tuple(1 if t == j else 0 for t in range(m)): a[i][j] for j in range(m) if a[i][j]})

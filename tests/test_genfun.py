@@ -1,5 +1,6 @@
 import random
-from itertools import combinations, product
+import time
+from itertools import combinations, compress, product
 
 import pytest
 
@@ -14,6 +15,7 @@ from kalmandeg.genfun import (
     split_H,
     _bordered_a,
     _det_identity_minus_ta,
+    _principal_minors,
     _xy_ring,
 )
 from kalmandeg.polycore import TPoly, det, poly_mul
@@ -89,13 +91,45 @@ def test_H_equals_determinant_route():
         for _ in range(20 if k <= 5 else 4):
             omega = tuple(rng.randint(1, 4) for _ in range(k))
             assert build_H(omega) == build_H_via_determinant(omega), omega
+    omega = tuple(rng.randint(1, 4) for _ in range(14))  # 2^15 subsets: the largest accepted
+    assert build_H(omega) == build_H_via_determinant(omega), omega
+
+
+def _cofactor_minors(a):
+    """det(A[S, S]) for every subset S in product((0, 1), ...) order, by cofactor expansion."""
+    ring = ("z",)
+    minors = []
+    for s in product((0, 1), repeat=len(a)):
+        rows = [[TPoly(ring, {(0,): x}) for x in compress(row, s)] for row in compress(a, s)]
+        minors.append(det(rows).constant_term if rows else 1)
+    return minors
+
+
+def test_principal_minors_structured_matrices():
+    rng = random.Random(4242)
+    cases = [[[7]], [[0]], [[-10**40]]]  # m = 1
+    cases += [[[int(i != j) for j in range(m)] for i in range(m)] for m in range(1, 7)]  # J - I: zero diagonal
+    for m in range(2, 6):
+        a = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
+        a[0][0] = -sum(map(abs, a[0][1:])) - 1
+        cases.append(a)
+        # |a_00| is the largest row sum, so b_00 = 0 if the shift drops its + 1
+        cases.append([[-3 * m] + [0] * (m - 1)] + [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m - 1)])
+        b = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)]
+        b[1] = [2 * x for x in b[0]]
+        b[0][0] = b[1][0] = 0  # b_00 = 0 and row 1 = 2 * row 0: every leading block is singular
+        cases.append(b)
+        cases.append([[rng.choice((-1, 1)) * rng.randint(10**39, 10**40) for _ in range(m)] for _ in range(m)])
+    for a in cases:
+        assert _principal_minors(a) == _cofactor_minors(a), a
 
 
 def test_principal_minors_against_cofactor_det():
     # det(I - TA) summed over integer principal minors against the cofactor
     # expansion of the polynomial matrix.  Every third matrix has a zero
-    # leading entry and every fifth a zero first column, so Bareiss searches
-    # for a pivot and also finds none.
+    # leading entry and every fifth a zero first column, so leading blocks of
+    # A are singular; the elimination runs on A shifted to be diagonally
+    # dominant and must still recover their minors exactly.
     rng = random.Random(5150)
     for trial in range(60):
         m = rng.randint(1, 5)
@@ -298,6 +332,24 @@ def test_macmahon_small_cases():
     assert macmahon_check([[1, 2], [3, 4]], (3, 3))
     with pytest.raises(ValueError):
         macmahon_check([[1, 2]], 2)
+
+
+def test_macmahon_product_budget(monkeypatch):
+    # The bound on the product side's term pairs, sum_p sum(p) * m * prod(p_i + 1),
+    # summed over the box one point at a time.
+    caps = (3, 2)
+    pairs = sum(sum(p) * 2 * (p[0] + 1) * (p[1] + 1) for p in product(range(4), range(3)))
+    monkeypatch.setattr(genfun, "MAX_SERIES_WORK", pairs)
+    assert macmahon_check([[1, 2], [3, 4]], caps)
+    monkeypatch.setattr(genfun, "MAX_SERIES_WORK", pairs - 1)
+    with pytest.raises(ValueError, match=f"up to {pairs} term pairs, over the limit of {pairs - 1}, so lower the cap"):
+        macmahon_check([[1, 2], [3, 4]], caps)
+    monkeypatch.undo()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="lower the cap"):
+        macmahon_check([[1, 1], [1, 1]], 40)
+    assert time.perf_counter() - start < 0.1
+    assert macmahon_check([[1, 1], [1, 1]], 4) and macmahon_check([[1, 1, 1]] * 3, 2)  # the benchmark's sizes
 
 
 def test_macmahon_random_matrices():
