@@ -133,6 +133,15 @@ class AsymptoticEstimate:
             raise ValueError("log10_value must be finite")
 
 
+def _log10_factorial(delta: int) -> float:
+    # The exact factorial while delta! is a float (delta <= 170), so those
+    # estimates stay bit-identical; past that its cost grows with delta
+    # (seconds at 10^6), and lgamma gives the same log to float precision.
+    if delta <= 170:
+        return math.log10(math.factorial(delta))
+    return math.lgamma(delta + 1) / math.log(10)
+
+
 def asymptotic_degree(k: int, omega: int, delta: int, n: int) -> AsymptoticEstimate:
     """Leading-order estimate of the hypercubical degree factor, in log10 space."""
     wk = _check_regime(k, omega)
@@ -140,6 +149,8 @@ def asymptotic_degree(k: int, omega: int, delta: int, n: int) -> AsymptoticEstim
         raise ValueError("delta must be >= 0")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if delta > n - 1:  # outside the hypercubical format's codimension range, as extract_degree says
+        raise ValueError(f"delta_1 = {delta} exceeds n_1 - 1 = {n - 1}")
     log10_c = (
         (k - 1) * math.log10(wk - 1)
         - (k - 1) / 2 * math.log10(2 * math.pi)
@@ -151,12 +162,12 @@ def asymptotic_degree(k: int, omega: int, delta: int, n: int) -> AsymptoticEstim
         log10_value = (
             log10_c
             + delta * (math.log10(k) - math.log10(wk - 1))
-            - math.log10(math.factorial(delta))
+            - _log10_factorial(delta)
             + k * n * math.log10(wk - 1)
             - ((k - 1) / 2 - delta) * math.log10(n)
         )
     except OverflowError:
-        # int * float and factorial() raise it for ints beyond their range.
+        # int * float and lgamma() raise it for values beyond float range.
         raise ValueError("n or delta is too large for the estimate (beyond float range)") from None
     value = 10.0**log10_value if abs(log10_value) < _FLOAT_LOG10_MAX else None
     return AsymptoticEstimate(log10_value=log10_value, value_if_representable=value)

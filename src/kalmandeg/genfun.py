@@ -34,8 +34,11 @@ constant term 1, the coefficients of N/D within a cap box satisfy
     s_e = N_e - sum_{d != 0, d <= e} D_d * s_(e - d),
 
 so one pass over the box in lexicographic order yields every coefficient
-from ones already computed, in integer arithmetic only.  The pass runs on a
-flat list indexed in mixed radix, so e - d is one int subtraction.  The
+from ones already computed, in integer arithmetic only.  The pass runs in
+scatter form: once s_e is final, it adds -D_d s_e to cell e + d for each
+tail term d, so a zero cell, which is most of the box when the weights are
+1, costs one truth test.  The cells sit on a flat list indexed in mixed
+radix, with zero pads after each axis, so e + d is one int addition.  The
 degree-factor series is N/H with N = x_1...x_k, which needs only H's at most
 2^(k+1) terms; dividing that by each 1 - x_i is a running sum along axis i.
 """
@@ -214,11 +217,13 @@ def _divide(
     """The series of N/D within ``caps`` on a padded flat array; D has constant term 1.
 
     Returns the array, the flat index of each cell of the cap box in
-    lexicographic order, and the stride of each axis.  Axis i has a leading
-    pad of zeros as wide as the largest exponent on it among D's other terms,
-    and at least 1.  So e - d is one int subtraction that lands on a zero pad
-    cell whenever it has a negative entry, and so does the cell before e on
-    any axis where e is 0.
+    lexicographic order, and the stride of each axis.  The division runs in
+    scatter form: once cell e is final, a nonzero s_e adds -D_d s_e to cell
+    e + d for every tail term d, so a zero cell costs one truth test.  Axis i
+    has a trailing pad of zeros as wide as the largest exponent on it among
+    D's other terms, and at least 1.  So e + d is one int addition that stays
+    on its own axes, landing on a pad cell whenever it leaves the box, and so
+    does the cell after e on any axis where e is at its cap.
     """
     tail = [(d, c) for d, c in denominator.items() if any(d) and all(x <= m for x, m in zip(d, caps))]
     pads = [max([1] + [d[i] for d, _ in tail]) for i in range(len(caps))]
@@ -239,19 +244,19 @@ def _divide(
             f"the caps and the coefficients up to about {bits} bits; {size} x ({len(tail) + 1} + {bits // 64}) "
             f"is over the limit of {MAX_SERIES_WORK}, so lower the caps"
         )
-    cells = [sum(map(mul, pads, strides))]
+    cells = [0]
     for m, stride in zip(caps, strides):
         cells = [i + j * stride for i in cells for j in range(m + 1)]
     coeffs = [0] * size
     for e, c in numerator.items():
         if all(x <= m for x, m in zip(e, caps)):
-            coeffs[cells[0] + sum(map(mul, e, strides))] = c
-    offsets = [(sum(map(mul, d, strides)), c) for d, c in tail]
+            coeffs[sum(map(mul, e, strides))] = c
+    offsets = [(sum(map(mul, d, strides)), -c) for d, c in tail]
     for i in cells:
         s = coeffs[i]
-        for o, c in offsets:
-            s -= c * coeffs[i - o]
-        coeffs[i] = s
+        if s:
+            for o, c in offsets:
+                coeffs[i + o] += c * s
     return coeffs, cells, strides
 
 
@@ -270,12 +275,11 @@ def expand_series(
         raise ValueError("caps length does not match the number of factors")
     if any(c < 0 for c in caps) or y_cap < 0:
         raise ValueError("caps must be nonnegative")
-    full_caps = caps + (y_cap,)
-    coeffs, cells, strides = _divide({(1,) * k + (0,): 1}, build_H(omega).terms, full_caps)
+    coeffs, cells, strides = _divide({(1,) * k + (0,): 1}, build_H(omega).terms, caps + (y_cap,))
     for stride in strides[:k]:  # dividing by 1 - x_i is a running sum along axis i
         for i in cells:
-            coeffs[i] += coeffs[i - stride]
-    return {(e[:k], e[k]): coeffs[i] for e, i in zip(_box(full_caps), cells) if coeffs[i]}
+            coeffs[i + stride] += coeffs[i]
+    return {key: coeffs[i] for key, i in zip(iter_product(_box(caps), range(y_cap + 1)), cells) if coeffs[i]}
 
 
 def macmahon_check(a: Sequence[Sequence[int]], cap: Sequence[int] | int) -> bool:
@@ -294,10 +298,12 @@ def macmahon_check(a: Sequence[Sequence[int]], cap: Sequence[int] | int) -> bool
         raise ValueError("cap length does not match matrix size")
     ring = tuple(f"z{i + 1}" for i in range(m))
     series = RationalSeries(TPoly.one(ring), _det_identity_minus_ta(a, ring), caps)
-    # Each p multiplies sum(p) forms of at most m terms into a product capped
-    # at p, so the left side visits at most sum_p sum(p) * m * prod(p_i + 1)
-    # term pairs; per axis, sum_{p<=C} p (p + 1) = C (C + 1) (C + 2) / 3 and
-    # sum_{p<=C} (p + 1) = (C + 1) (C + 2) / 2.
+    # Walked one p at a time, each p would multiply sum(p) forms of at most m
+    # terms into a product capped at p, visiting at most
+    # sum_p sum(p) * m * prod(p_i + 1) term pairs; per axis,
+    # sum_{p<=C} p (p + 1) = C (C + 1) (C + 2) / 3 and
+    # sum_{p<=C} (p + 1) = (C + 1) (C + 2) / 2.  The walk below shares its
+    # products along prefixes of p and stays within that bound.
     boxes = [(c + 1) * (c + 2) // 2 for c in caps]
     pairs = m * sum(c * (c + 1) * (c + 2) // 3 * prod(boxes[:i] + boxes[i + 1 :]) for i, c in enumerate(caps))
     if pairs > MAX_SERIES_WORK:
@@ -311,11 +317,16 @@ def macmahon_check(a: Sequence[Sequence[int]], cap: Sequence[int] | int) -> bool
         TPoly(ring, {tuple(1 if t == j else 0 for t in range(m)): a[i][j] for j in range(m) if a[i][j]})
         for i in range(m)
     ]
+    # prods[i] = prod_{l < i} (form l)^(p_l) for the current p.  The next p in
+    # lexicographic order raises its last nonzero p_j by one and zeroes the
+    # rest, so one product by form j updates prods[j + 1:].  prods[j + 1] may
+    # still take form j up to caps[j] times, so it is capped at p[:j] + caps[j:].
+    prods = [TPoly.one(ring)] * (m + 1)
     for p in _box(caps):
-        lhs_poly = TPoly.one(ring, p)
-        for i in range(m):
-            for _ in range(p[i]):
-                lhs_poly = poly_mul(lhs_poly, linear_forms[i])
-        if lhs_poly.coefficient(p) != rhs.get(p, 0):
+        if any(p):
+            j = max(i for i, x in enumerate(p) if x)
+            shared = TPoly._raw(ring, prods[j + 1].terms, p[:j] + caps[j:])
+            prods[j + 1 :] = [poly_mul(shared, linear_forms[j])] * (m - j)
+        if prods[m].terms.get(p, 0) != rhs.get(p, 0):
             return False
     return True

@@ -30,6 +30,10 @@ from operator import mul
 
 from .degrees import TensorFormat
 
+# Work budget, checked before any arithmetic; like genfun's budgets it keeps
+# the slowest accepted call, CLI output included, to about 2 s on one core.
+MAX_ISOTROPIC_WORK = 10**9  # 64-bit word products: factor lists, convolution, Horner's rule, decimal result
+
 
 @dataclass(frozen=True)
 class IsotropicResult:
@@ -63,10 +67,40 @@ def _convolve(p: list[int], q: list[int]) -> list[int]:
     return out
 
 
+def _check_work(n: tuple[int, ...], omega: tuple[int, ...]) -> None:
+    """Refuse a format whose polar-class sum would multiply too many 64-bit words.
+
+    Factor l's list holds m + 1 integers, m = n_l - 2, of at most
+    m (bitlen(m) + bitlen(omega_l)) + 2 n_l bits (the falling factorial, the
+    power of omega_l and the beta sum), W_l words each.  Building it costs at
+    most (m + 1) W_l^2 word products and convolving it into the running list
+    of L integers of W words L (m + 1) W W_l.  Horner's rule then takes one
+    small factor per entry into a sum that also carries (N + 1)!, and writing
+    that sum in decimal is quadratic in its words, at about the cost of four
+    word products per pair of words.
+    """
+    work, length, words = 0, 1, 1
+    for ni, wi in zip(n, omega):
+        m = ni - 2
+        w_l = 1 + (m * (m.bit_length() + wi.bit_length()) + 2 * ni) // 64
+        work += (m + 1) * w_l * (w_l + length * words)
+        length += m
+        words += w_l + 1  # a word more covers the carries of summing the products
+    n_dim = sum(n) - 2 * len(n)
+    words += (n_dim + 1) * (n_dim + 1).bit_length() // 64
+    work += length * words + 4 * words * words  # Horner's rule, then the result's decimal digits
+    if work > MAX_ISOTROPIC_WORK:
+        raise ValueError(
+            f"the polar-class sum needs about {work} products of 64-bit words, "
+            f"over the limit of {MAX_ISOTROPIC_WORK}; use smaller n or omega"
+        )
+
+
 def isotropic_degree(fmt: TensorFormat) -> IsotropicResult:
     """Degree and component count of the totally isotropic variety for ``fmt``."""
     if any(ni < 2 for ni in fmt.n):
         raise ValueError("all dimensions n_i must be >= 2 (each factor needs a smooth quadric)")
+    _check_work(fmt.n, fmt.omega)
     k = fmt.k
     n_dim = sum(fmt.n) - 2 * k
 

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -125,9 +126,35 @@ def test_estimate_inputs_beyond_float_range():
     # log10 of the estimate is still a float at n = 10^300; past float range
     # the inputs are refused as invalid rather than failing in arithmetic.
     assert asymptotic_degree(3, 1, 0, 10**300).log10_value == pytest.approx(3 * 10**300 * math.log10(2))
-    for delta, n in ((0, 10**400), (10**400, 5), (2**64, 5)):
+    # delta = 10^306 is a float, but log(delta!) is not.
+    for delta, n in ((0, 10**400), (10**400, 10**400 + 1), (10**306, 10**306 + 1)):
         with pytest.raises(ValueError, match="beyond float range"):
             asymptotic_degree(3, 1, delta, n)
+
+
+def test_estimate_refuses_delta_beyond_codim_range():
+    start = time.perf_counter()
+    for delta, n in ((1, 1), (5, 5), (10**6, 5), (10**400, 5)):
+        with pytest.raises(ValueError, match=f"delta_1 = {delta} exceeds n_1 - 1 = {n - 1}"):
+            asymptotic_degree(3, 1, delta, n)
+    assert time.perf_counter() - start < 0.1
+    assert math.isfinite(asymptotic_degree(3, 1, 4, 5).log10_value)  # delta = n - 1 is in range
+
+
+def test_estimate_large_delta_takes_lgamma():
+    # delta! leaves float range past 170; the estimate then takes log(delta!)
+    # from lgamma, which must agree with the exact factorial.
+    for delta in (170, 171, 1000):
+        n = delta + 1
+        exact = (
+            asymptotic_degree(3, 1, 0, n).log10_value
+            + delta * (math.log10(3) - math.log10(2) + math.log10(n))
+            - math.log10(math.factorial(delta))
+        )
+        assert asymptotic_degree(3, 1, delta, n).log10_value == pytest.approx(exact, rel=1e-13), delta
+    start = time.perf_counter()
+    assert math.isfinite(asymptotic_degree(3, 1, 10**6, 10**7).log10_value)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_ratio_handles_huge_exact_values():

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 
 import pytest
 
@@ -118,6 +119,13 @@ def test_isotropic_result_beyond_int_str_digit_limit(capsys):
     assert json.loads(out_json)["degree"] == expected
 
 
+def test_isotropic_over_budget_exits_two_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "isotropic", "--n", "20000", "--omega", "3")
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (2, "") and "over the limit of 1000000000" in err
+
+
 def test_isotropic_rejects_small_n(capsys):
     code, _, err = run(capsys, "isotropic", "--n", "1,3", "--omega", "1,1")
     assert code == 2 and "n_i" in err
@@ -230,11 +238,20 @@ def test_table_smallest_ranges(capsys):
         assert out.splitlines()[1:] == body, argv
 
 
-@pytest.mark.parametrize("argv", [("--n", "1" + "0" * 400), ("--delta", "1" + "0" * 400, "--n", "5")], ids=("n", "delta"))
+@pytest.mark.parametrize(
+    "argv", [("--n", "1" + "0" * 400), ("--delta", "1" + "0" * 400, "--n", "1" + "0" * 399 + "1")], ids=("n", "delta")
+)
 def test_asympt_estimate_beyond_float_range_exits_two(capsys, argv):
     code, out, err = run(capsys, "asympt", "--k", "3", "--omega", "1", *argv)
     assert code == 2 and out == ""
     assert "beyond float range" in err
+
+
+def test_asympt_delta_beyond_n_exits_two_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "asympt", "--k", "3", "--omega", "1", "--delta", "1000000", "--n", "5")
+    assert time.perf_counter() - start < 0.1
+    assert (code, out, err) == (2, "", "error: delta_1 = 1000000 exceeds n_1 - 1 = 4\n")
 
 
 def test_bad_flags_exit_two(capsys):

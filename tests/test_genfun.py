@@ -1,8 +1,10 @@
 import random
 import time
 from itertools import combinations, compress, product
+from operator import le, mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kalmandeg.genfun as genfun
 from kalmandeg.degrees import CodimVec, TensorFormat, extract_degree
@@ -325,6 +327,90 @@ def test_series_times_denominator_is_numerator():
         assert poly_mul(TPoly(ring, series, caps), denominator) == TPoly(ring, numerator.terms, caps), trial
 
 
+def _leading_pad_division(numerator, denominator, caps):
+    """N/D within ``caps`` by the gather recurrence on leading pads: the oracle for ``genfun._divide``.
+
+    s_e = N_e - sum_d D_d s_(e - d) with every axis padded in front as wide as
+    the largest tail exponent on it, and at least 1, so e - d and the cell
+    before e on any axis land on a zero pad cell when they leave the box.
+    Returns the flat array, the box cells in lexicographic order and the strides.
+    """
+    tail = [(d, c) for d, c in denominator.items() if any(d) and all(map(le, d, caps))]
+    pads = [max([1] + [d[i] for d, _ in tail]) for i in range(len(caps))]
+    strides = []
+    size = 1
+    for pad, m in zip(reversed(pads), reversed(caps)):
+        strides.append(size)
+        size *= pad + m + 1
+    strides.reverse()
+    cells = [sum(map(mul, pads, strides))]
+    for m, stride in zip(caps, strides):
+        cells = [i + j * stride for i in cells for j in range(m + 1)]
+    coeffs = [0] * size
+    for e, c in numerator.items():
+        if all(map(le, e, caps)):
+            coeffs[cells[0] + sum(map(mul, e, strides))] = c
+    offsets = [(sum(map(mul, d, strides)), c) for d, c in tail]
+    for i in cells:
+        coeffs[i] -= sum(c * coeffs[i - o] for o, c in offsets)
+    return coeffs, cells, strides
+
+
+def _leading_pad_series(omega, caps, y_cap):
+    """``expand_series`` by the oracle division, then running sums read backwards."""
+    k, full_caps = len(omega), tuple(caps) + (y_cap,)
+    coeffs, cells, strides = _leading_pad_division({(1,) * k + (0,): 1}, build_H(omega).terms, full_caps)
+    for stride in strides[:k]:
+        for i in cells:
+            coeffs[i] += coeffs[i - stride]
+    return {(e[:k], e[k]): coeffs[i] for e, i in zip(product(*(range(m + 1) for m in full_caps)), cells) if coeffs[i]}
+
+
+def test_scatter_division_matches_leading_pad_oracle():
+    # Every denominator has a tail term whose exponent equals the cap on one
+    # axis, so that axis needs its full pad width: a pad one cell too narrow
+    # sends the scatter from the cap cell into the next row.
+    rng = random.Random(8128)
+    for trial in range(150):
+        ring = _xvars(rng.randint(1, 3))
+        caps = tuple(rng.randint(1, 5) for _ in ring)
+        axis = rng.randrange(len(ring))
+        at_cap = tuple(caps[i] if i == axis else rng.randint(0, caps[i]) for i in range(len(ring)))
+        tail = {tuple(rng.randint(0, 3) for _ in ring): rng.randint(-4, 4) for _ in range(rng.randint(0, 4))}
+        denominator = TPoly(ring, {**tail, at_cap: rng.choice((-2, -1, 1, 3)), (0,) * len(ring): 1})
+        numerator = TPoly(ring, {tuple(rng.randint(0, 3) for _ in ring): rng.randint(-4, 4) for _ in range(3)})
+        coeffs, cells, _ = _leading_pad_division(numerator.terms, denominator.terms, caps)
+        expected = {e: coeffs[i] for e, i in zip(product(*(range(m + 1) for m in caps)), cells) if coeffs[i]}
+        got = RationalSeries(numerator, denominator, caps).expand()
+        assert list(got.items()) == list(expected.items()), (trial, numerator, denominator, caps)
+
+
+def test_expand_series_matches_leading_pad_oracle():
+    # Weights of 1 leave most of the box zero; weights of 2 or more fill it.
+    rng = random.Random(6174)
+    for trial in range(60):
+        k = rng.randint(1, 3)
+        omega = (1,) * k if trial % 2 else tuple(rng.randint(2, 5) for _ in range(k))
+        caps = tuple(rng.randint(0, 12 // k) for _ in range(k))
+        y_cap = rng.randint(0, 4)
+        got = expand_series(omega, caps, y_cap)
+        assert list(got.items()) == list(_leading_pad_series(omega, caps, y_cap).items()), (omega, caps, y_cap)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(st.data())
+def test_series_times_denominator_property(data):
+    m = data.draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 4)] * m)
+    ring = _xvars(m)
+    caps = data.draw(exponents)
+    numerator = TPoly(ring, data.draw(st.dictionaries(exponents, st.integers(-5, 5), max_size=5)))
+    tail = data.draw(st.dictionaries(exponents.filter(any), st.integers(-5, 5), max_size=5))
+    denominator = TPoly(ring, {**tail, (0,) * m: 1})
+    series = RationalSeries(numerator, denominator, caps).expand()
+    assert poly_mul(TPoly(ring, series, caps), denominator) == TPoly(ring, numerator.terms, caps)
+
+
 def test_macmahon_small_cases():
     assert macmahon_check([[1, 0], [0, 1]], 2)
     assert macmahon_check([[5]], (4,))
@@ -350,6 +436,23 @@ def test_macmahon_product_budget(monkeypatch):
         macmahon_check([[1, 1], [1, 1]], 40)
     assert time.perf_counter() - start < 0.1
     assert macmahon_check([[1, 1], [1, 1]], 4) and macmahon_check([[1, 1, 1]] * 3, 2)  # the benchmark's sizes
+
+
+def test_macmahon_walk_compares_every_p(monkeypatch):
+    # The product side is shared along prefixes of p; a wrong right-hand
+    # coefficient at any one p must still be caught.
+    a, caps = [[1, 2, 0], [3, 1, 1], [0, 2, 3]], (2, 1, 2)
+    assert macmahon_check(a, caps)
+    expand = RationalSeries.expand
+    for p in product(*(range(c + 1) for c in caps)):
+
+        def off_by_one(self, p=p):
+            rhs = expand(self)
+            rhs[p] = rhs.get(p, 0) + 1
+            return rhs
+
+        monkeypatch.setattr(RationalSeries, "expand", off_by_one)
+        assert not macmahon_check(a, caps), p
 
 
 def test_macmahon_random_matrices():

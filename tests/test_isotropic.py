@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import permutations, product
 
 import pytest
@@ -87,6 +88,30 @@ def test_integrality_and_positivity_guards(monkeypatch):
     monkeypatch.setattr(isotropic, "_factor_poly", lambda ni, wi: [0, 0, 0])
     with pytest.raises(ArithmeticError, match="not positive"):
         isotropic_degree(TensorFormat((4,), (1,)))
+
+
+def test_work_budget_counts_word_products(monkeypatch):
+    # n = 4, omega = 3: the list of m + 1 = 3 integers fits one word each, so
+    # building and convolving it into [1] costs 3 * 1 * (1 + 1); the summed
+    # list then has 3 words, and Horner's 3 steps plus 4 * 3^2 for the digits
+    # bring the work to 6 + 9 + 36 = 51.
+    monkeypatch.setattr(isotropic, "MAX_ISOTROPIC_WORK", 51)
+    assert isotropic_degree(TensorFormat((4,), (3,))).degree == FROZEN_ISO[((4,), (3,))]
+    monkeypatch.setattr(isotropic, "MAX_ISOTROPIC_WORK", 50)
+    with pytest.raises(ValueError, match="about 51 products of 64-bit words, over the limit of 50; use smaller n"):
+        isotropic_degree(TensorFormat((4,), (3,)))
+
+
+def test_work_budget_refuses_before_work():
+    huge = 10**400000
+    start = time.perf_counter()
+    for n, omega in (((20000,), (3,)), ((5000,), (3,)), ((300, 300, 300), (3, 3, 3)), ((3,), (huge,))):
+        with pytest.raises(ValueError, match="over the limit of 1000000000"):
+            isotropic_degree(TensorFormat(n, omega))
+    assert time.perf_counter() - start < 0.1
+    # the largest inputs of the README, the tests and the benchmark stay accepted
+    for n, omega in (((450,), (10**10,)), ((46,), (10**100,)), ((200,), (1000,)), ((20, 18), (2, 3))):
+        assert isotropic_degree(TensorFormat(n, omega)).degree > 0
 
 
 def test_symmetric_closed_form():
