@@ -37,9 +37,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .degrees import CodimVec, TensorFormat, extract_degree
 from .genfun import split_H
@@ -56,14 +55,15 @@ def _check_regime(k: int, omega: int) -> int:
     return omega * k
 
 
-@dataclass(frozen=True)
-class CriticalConstants:
-    """Exact rational constants attached to the critical point."""
+class CriticalConstants(namedtuple("CriticalConstants", "c det_hessian l0 minus_ck_dk")):
+    """Exact rational constants attached to the critical point, all ``Fraction``s.
 
-    c: Fraction              # common coordinate of the critical point
-    det_hessian: Fraction    # determinant of the rescaled phase Hessian at the origin
-    l0: Fraction             # leading amplitude
-    minus_ck_dk: Fraction    # -c_k * dF_D/dx_k at the critical point
+    c is the common coordinate of the critical point, det_hessian the
+    determinant of the rescaled phase Hessian at the origin, l0 the leading
+    amplitude and minus_ck_dk -c_k * dF_D/dx_k at the critical point.
+    """
+
+    __slots__ = ()
 
 
 def critical_constants(k: int, omega: int, delta: int) -> CriticalConstants:
@@ -73,6 +73,8 @@ def critical_constants(k: int, omega: int, delta: int) -> CriticalConstants:
     F_N the reduced series numerator; the test suite checks that relation
     symbolically.
     """
+    from fractions import Fraction  # here, not at import: most callers never need it
+
     wk = _check_regime(k, omega)
     if delta < 0:
         raise ValueError("delta must be >= 0")
@@ -85,20 +87,22 @@ def critical_constants(k: int, omega: int, delta: int) -> CriticalConstants:
     )
 
 
-@dataclass(frozen=True)
-class CriticalPointReport:
-    """Exact check that the symbolic denominator matches the closed-form constants."""
+class CriticalPointReport(
+    namedtuple("CriticalPointReport", "k omega f_d_at_c slope_product expected_slope_product ok")
+):
+    """Exact check that the symbolic denominator matches the closed-form constants.
 
-    k: int
-    omega: int
-    f_d_at_c: Fraction
-    slope_product: Fraction           # -c_k * dF_D/dx_k evaluated symbolically at c
-    expected_slope_product: Fraction  # the closed form
-    ok: bool
+    slope_product is -c_k * dF_D/dx_k evaluated symbolically at c and
+    expected_slope_product its closed form; both and f_d_at_c are ``Fraction``s.
+    """
+
+    __slots__ = ()
 
 
 def verify_critical_point(k: int, omega: int) -> CriticalPointReport:
     """Evaluate F_D and its x_k-slope at c from H2's term map; confirm both identities."""
+    from fractions import Fraction
+
     wk = _check_regime(k, omega)
     _, h2 = split_H((omega,) * k)
     # At the diagonal point c = 1/q a monomial x^e is q^-|e|, and its x_k
@@ -123,14 +127,15 @@ def verify_critical_point(k: int, omega: int) -> CriticalPointReport:
     )
 
 
-@dataclass(frozen=True)
-class AsymptoticEstimate:
-    log10_value: float
-    value_if_representable: float | None
+class AsymptoticEstimate(namedtuple("AsymptoticEstimate", "log10_value value_if_representable")):
+    """log10 of the estimate, and the estimate itself as a float when it is one, else None."""
 
-    def __post_init__(self):
-        if not math.isfinite(self.log10_value):
+    __slots__ = ()
+
+    def __new__(cls, log10_value: float, value_if_representable: float | None):
+        if not math.isfinite(log10_value):
             raise ValueError("log10_value must be finite")
+        return super().__new__(cls, log10_value, value_if_representable)
 
 
 def _log10_factorial(delta: int) -> float:
@@ -194,12 +199,10 @@ def ratio_to_exact(estimate: AsymptoticEstimate, exact: int) -> float:
     return 10.0 ** (estimate.log10_value - _log10_bigint(exact))
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    n: int
-    exact: int
-    log10_estimate: float
-    ratio: float
+class ComparisonRow(namedtuple("ComparisonRow", "n exact log10_estimate ratio")):
+    """One n: the exact degree factor, log10 of the estimate and estimate / exact."""
+
+    __slots__ = ()
 
 
 def compare_exact_asymptotic(

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import asympt, degrees, genfun, isotropic
 
@@ -31,6 +30,8 @@ def _int_list(text: str) -> list[int]:
 def _emit(args: argparse.Namespace, records: list[dict], lines: list[str]) -> None:
     """Print ``records`` as sorted-key JSON lines under ``--format json``, else ``lines``."""
     if args.format == "json":
+        import json  # here, not at import: text output never needs it
+
         for record in records:
             print(json.dumps(record, sort_keys=True))
     else:

@@ -23,49 +23,47 @@ target exponents from the start, and after every Horner step, is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from math import comb, prod
-from typing import Sequence
 
 from .polycore import TPoly, poly_mul
 
 
-@dataclass(frozen=True)
-class TensorFormat:
+class TensorFormat(namedtuple("TensorFormat", "n omega")):
     """The shape (n_1..n_k; omega_1..omega_k) of a partially symmetric tensor space."""
 
-    n: tuple[int, ...]
-    omega: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", tuple(self.n))
-        object.__setattr__(self, "omega", tuple(self.omega))
-        if len(self.n) != len(self.omega):
+    def __new__(cls, n: Sequence[int], omega: Sequence[int]):
+        n, omega = tuple(n), tuple(omega)
+        if len(n) != len(omega):
             raise ValueError("n and omega must have the same length")
-        if len(self.n) < 1:
+        if len(n) < 1:
             raise ValueError("at least one factor is required")
-        if any(x < 1 for x in self.n):
+        if any(x < 1 for x in n):
             raise ValueError("all dimensions n_i must be >= 1")
-        if any(w < 1 for w in self.omega):
+        if any(w < 1 for w in omega):
             raise ValueError("all weights omega_i must be >= 1")
+        return super().__new__(cls, n, omega)
 
     @property
     def k(self) -> int:
         return len(self.n)
 
 
-@dataclass(frozen=True)
-class CodimVec:
+class CodimVec(namedtuple("CodimVec", "delta")):
     """Per-factor codimensions delta_1..delta_k of the constraint varieties."""
 
-    delta: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "delta", tuple(self.delta))
-        if len(self.delta) < 1:
+    def __new__(cls, delta: Sequence[int]):
+        delta = tuple(delta)
+        if len(delta) < 1:
             raise ValueError("at least one entry is required")
-        if any(d < 0 for d in self.delta):
+        if any(d < 0 for d in delta):
             raise ValueError("codimensions must be nonnegative")
+        return super().__new__(cls, delta)
 
     @property
     def total(self) -> int:
@@ -163,15 +161,10 @@ def binary_degree(k: int, d: CodimVec, omega: Sequence[int]) -> int:
     return extract_degree(TensorFormat((2,) * k, tuple(omega)), d)
 
 
-@dataclass(frozen=True)
-class StabilizationReport:
+class StabilizationReport(namedtuple("StabilizationReport", "factor threshold checked_n values stable")):
     """Outcome of probing a degree factor for constancy in one growing dimension."""
 
-    factor: int
-    threshold: int
-    checked_n: tuple[int, ...]
-    values: tuple[int, ...]
-    stable: bool
+    __slots__ = ()
 
     @property
     def value(self) -> int | None:

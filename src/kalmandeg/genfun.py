@@ -45,11 +45,11 @@ degree-factor series is N/H with N = x_1...x_k, which needs only H's at most
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from itertools import compress, product as iter_product
 from math import prod
 from operator import mul
-from typing import Sequence
 
 from .polycore import ExponentVec, TPoly, poly_mul
 
@@ -57,6 +57,11 @@ from .polycore import ExponentVec, TPoly, poly_mul
 # accepted call, CLI output included, to about 2 s on one core.
 MAX_SUBSETS = 1 << 15  # 2^(k+1) subsets of H's variables, 2^m of an m x m MacMahon matrix
 MAX_SERIES_WORK = 400_000  # padded series cells times (denominator terms + coefficient words); MacMahon term pairs
+# Box cells times the square of a coefficient's 64-bit words: the cost of
+# writing the series in decimal, which CPython does in quadratic time.  Every
+# cell is charged the largest coefficient, about three times the true cost
+# along one axis, so the limit lets about 2 s of conversion through.
+MAX_SERIES_DECIMAL_WORK = 10**9
 
 
 def _xy_ring(k: int) -> tuple[str, ...]:
@@ -174,28 +179,26 @@ def split_H(omega: Sequence[int]) -> tuple[TPoly, TPoly]:
     return -TPoly._raw(x_ring, by_y_power[1], None), TPoly._raw(x_ring, by_y_power[0], None)
 
 
-@dataclass(frozen=True)
-class RationalSeries:
+class RationalSeries(namedtuple("RationalSeries", "numerator denominator caps")):
     """numerator/denominator pair expandable as an exact power series within caps.
 
     The denominator must have constant term exactly 1, so the series
     coefficients follow from the division recurrence in the module docstring.
     """
 
-    numerator: TPoly
-    denominator: TPoly
-    caps: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "caps", tuple(self.caps))
-        if self.numerator.vars != self.denominator.vars:
+    def __new__(cls, numerator: TPoly, denominator: TPoly, caps: Sequence[int]):
+        caps = tuple(caps)
+        if numerator.vars != denominator.vars:
             raise ValueError("numerator and denominator live in different rings")
-        if len(self.caps) != len(self.numerator.vars):
+        if len(caps) != len(numerator.vars):
             raise ValueError("caps length does not match variable count")
-        if any(c < 0 for c in self.caps):
+        if any(c < 0 for c in caps):
             raise ValueError("caps must be nonnegative")
-        if self.denominator.constant_term != 1:
+        if denominator.constant_term != 1:
             raise ValueError("denominator must have constant term 1")
+        return super().__new__(cls, numerator, denominator, caps)
 
     def expand(self) -> dict[ExponentVec, int]:
         """All nonzero series coefficients with exponents within the caps.
@@ -243,6 +246,12 @@ def _divide(
             f"the series box has {size} cells with padding, the denominator {len(tail) + 1} terms within "
             f"the caps and the coefficients up to about {bits} bits; {size} x ({len(tail) + 1} + {bits // 64}) "
             f"is over the limit of {MAX_SERIES_WORK}, so lower the caps"
+        )
+    decimal_work = prod(m + 1 for m in caps) * (bits // 64) ** 2
+    if decimal_work > MAX_SERIES_DECIMAL_WORK:
+        raise ValueError(
+            f"writing the series' coefficients of up to about {bits} bits in decimal takes about {decimal_work} "
+            f"products of 64-bit words, over the limit of {MAX_SERIES_DECIMAL_WORK}, so lower the caps"
         )
     cells = [0]
     for m, stride in zip(caps, strides):

@@ -23,9 +23,9 @@ leave no remainder, so the result is never rounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
-from math import comb, factorial
+from math import factorial
 from operator import mul
 
 from .degrees import TensorFormat
@@ -35,27 +35,28 @@ from .degrees import TensorFormat
 MAX_ISOTROPIC_WORK = 10**9  # 64-bit word products: factor lists, convolution, Horner's rule, decimal result
 
 
-@dataclass(frozen=True)
-class IsotropicResult:
-    degree: int
-    components: int
-    ambient_dim: int  # dimension N of the embedded product of quadrics
+class IsotropicResult(namedtuple("IsotropicResult", "degree components ambient_dim")):
+    """The degree, the number of components and the dimension N of the embedded product of quadrics."""
+
+    __slots__ = ()
 
 
 def _factor_poly(ni: int, wi: int) -> list[int]:
     """Coefficients m!/(m-a)! * wi^(m-a) * s(a), a = 0..m, with m = ni - 2.
 
     s(a) = sum_{b<=a} C(ni, b) (-2)^(a-b) is the factor's beta sum, taken by
-    the recurrence s(a) = -2 s(a-1) + C(ni, a).
+    the recurrence s(a) = -2 s(a-1) + C(ni, a), with C(ni, a) itself from
+    C(ni, a-1) (ni - a + 1) / a, exactly.
     """
     m = ni - 2
     powers = list(accumulate([wi] * m, mul, initial=1))
     coeffs = []
-    falling, s = 1, 0
+    falling, s, binom = 1, 0, 1
     for a in range(m + 1):
-        s = -2 * s + comb(ni, a)
+        s = -2 * s + binom
         coeffs.append(falling * powers[m - a] * s)
         falling *= m - a
+        binom = binom * (ni - a) // (a + 1)
     return coeffs
 
 

@@ -17,8 +17,8 @@ coefficient of the exact, untruncated product, regardless of signs.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from operator import add, le
-from typing import Mapping, Sequence
 
 # One exponent per ring variable, all >= 0.
 ExponentVec = tuple[int, ...]

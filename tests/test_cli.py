@@ -126,6 +126,13 @@ def test_isotropic_over_budget_exits_two_at_once(capsys):
     assert (code, out) == (2, "") and "over the limit of 1000000000" in err
 
 
+def test_genfun_decimal_budget_exits_two_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "genfun", "--omega", "1" + "0" * 10000, "--caps", "18", "--y-cap", "0")
+    assert time.perf_counter() - start < 0.2
+    assert (code, out) == (2, "") and "in decimal" in err and "lower the caps" in err
+
+
 def test_isotropic_rejects_small_n(capsys):
     code, _, err = run(capsys, "isotropic", "--n", "1,3", "--omega", "1,1")
     assert code == 2 and "n_i" in err

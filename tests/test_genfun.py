@@ -183,6 +183,25 @@ def test_series_budget_counts_coefficient_bits(monkeypatch):
         expand_series((10**100,), (850,), 350)
 
 
+def test_series_budget_counts_decimal_conversion(monkeypatch):
+    # The omega = 10^30 box above: 4 * 2 cells, each charged 6 words squared.
+    monkeypatch.setattr(genfun, "MAX_SERIES_DECIMAL_WORK", 288)
+    expand_series((10**30,), (3,), 1)
+    monkeypatch.setattr(genfun, "MAX_SERIES_DECIMAL_WORK", 287)
+    with pytest.raises(ValueError, match="about 401 bits in decimal takes about 288 products of 64-bit words, over the limit of 287"):
+        expand_series((10**30,), (3,), 1)
+    monkeypatch.undo()
+    # Passes the series work with coefficients of up to 170,000 digits, whose
+    # decimal form took seconds; refused before any arithmetic.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="in decimal takes about 1658541331 products"):
+        expand_series((10**10000,), (18,), 0)
+    assert time.perf_counter() - start < 0.1
+    # The largest boxes of weight 10^1000 along either axis stay accepted.
+    assert len(expand_series((10**1000,), (61,), 0)) == 61
+    assert expand_series((10**1000,), (1,), 49) == {((1,), 0): 1}
+
+
 def test_series_budget_refuses_huge_boxes():
     # These would allocate ~10^10 cells; the refusal comes before any allocation.
     with pytest.raises(ValueError, match="lower the caps"):

@@ -1,6 +1,8 @@
-"""The package imports nothing outside the standard library and itself."""
+"""The package imports nothing outside the standard library and itself, and
+leaves out the standard modules that only some commands need."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,3 +30,24 @@ def test_package_imports_only_stdlib():
         if name.split(".")[0] != "kalmandeg" and name.split(".")[0] not in sys.stdlib_module_names
     }
     assert not foreign, sorted(foreign)
+
+
+def test_import_leaves_out_heavy_modules():
+    # Without site, which imports typing and others itself in some installs.
+    probe = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "before = set(sys.modules)\n"
+        "import kalmandeg, kalmandeg.cli\n"
+        "print(kalmandeg.__file__)\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    src = str(Path(kalmandeg.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe, src], capture_output=True, text=True, timeout=60, check=True
+    )
+    where, imported = proc.stdout.splitlines()
+    assert where.startswith(src)
+    assert "kalmandeg.cli" in imported.split()
+    heavy = {"dataclasses", "inspect", "fractions", "decimal", "json", "typing"}
+    assert not heavy & set(imported.split())
