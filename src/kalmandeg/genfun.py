@@ -21,12 +21,13 @@ taken from the entries of A alone, by principal minors:
     det(I - T A) = sum_S (-1)^|S| t^S det(A[S, S]),
 
 one integer minor per subset S of the k + 1 variables.  All of them come
-from one fraction-free elimination shared along index prefixes (Sylvester's
-identity): A is first shifted by a multiple c of I so that every leading
-pivot is nonzero, and one inverse pass over the 2^(k+1) minors removes the
-shift again.  Both constructions (the subset expansion and the determinant)
-are implemented and must agree exactly; series coefficients must agree with
-direct extraction.
+from one fraction-free elimination run breadth-first (Sylvester's identity),
+which updates each block entry as one list over every subset decided so far.
+A is first shifted by a multiple c of I so that every pivot is nonzero, and
+one inverse pass over the 2^(k+1) minors removes the shift again.  Both
+constructions (the subset expansion and the determinant) are implemented
+and must agree exactly; series coefficients must agree with direct
+extraction.
 
 Series expansion is exact power-series division.  For a denominator D with
 constant term 1, the coefficients of N/D within a cap box satisfy
@@ -49,7 +50,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from itertools import compress, product as iter_product
 from math import prod
-from operator import mul
+from operator import floordiv, mul, sub
 
 from .polycore import ExponentVec, TPoly, poly_mul
 
@@ -86,9 +87,11 @@ def build_H(omega: Sequence[int]) -> TPoly:
     """
     omega = _check_omega(omega)
     _check_subsets(len(omega) + 1)
+    sums = [1, 1 - omega[-1]]  # 1 - sum_{j in S} omega_j in product order, by subset-sum doubling
+    for w in omega[-2::-1]:
+        sums += [x - w for x in sums]
     terms: dict[ExponentVec, int] = {}
-    for s in iter_product((0, 1), repeat=len(omega)):
-        c = 1 - sum(compress(omega, s))
+    for s, c in zip(iter_product((0, 1), repeat=len(omega)), sums):
         if c:
             terms[s + (0,)] = c
         if s[0]:
@@ -113,30 +116,26 @@ def _principal_minors(a: Sequence[Sequence[int]]) -> list[int]:
     """det(A[S, S]) for every subset S of A's indices, in ``product((0, 1), ...)`` order.
 
     B = A + cI with c = max_i sum_j |a_ij| + 1 is strictly diagonally dominant,
-    so every principal minor of B is nonzero.  A depth-first walk over index
-    prefixes P keeps the fraction-free reduced block whose (i, l) entry is
-    det(B[P + i, P + l]) for i, l after P (Sylvester's identity): its diagonal
-    gives det(B[P + j]), and extending P by j is one exact update
-    (p x - r y) // det(B[P]) of the block after j.  Then
+    so every principal minor of B is nonzero.  Once the indices after j are
+    decided, ``dets`` lists det(B[T]) and block entry (i, l), i, l <= j, lists
+    det(B[T + i, T + l]) over the subsets T of those indices.  Deciding j
+    appends the lists for T + j by Sylvester's identity: (p x - r y) // det(B[T])
+    elementwise, with pivot p = det(B[T + j]), r in column j and y in row j.
+    j leads the new half, so the lists stay in product order.  Then
     det(A[S]) = sum over R within S of (-c)^|S - R| det(B[R]), one pass per index.
     """
     m = len(a)
     c = max(sum(map(abs, row)) for row in a) + 1
-    dets = [0] * (1 << m)
-    dets[0] = 1
-
-    def walk(block: list[list[int]], first: int, mask: int, prev: int) -> None:
-        # block[i][l] = det(B[P + (first + i), P + (first + l)]); mask encodes P.
-        for j, pivot_row in enumerate(block):
-            p = pivot_row[j]
-            child = mask | 1 << (m - 1 - first - j)
-            dets[child] = p
-            tail = pivot_row[j + 1 :]
-            if tail:
-                rest = [[(p * x - row[j] * y) // prev for x, y in zip(row[j + 1 :], tail)] for row in block[j + 1 :]]
-                walk(rest, first + j + 1, child, p)
-
-    walk([[x + c * (i == l) for l, x in enumerate(row)] for i, row in enumerate(a)], 0, 0, 1)
+    block = [[[x + c * (i == l)] for l, x in enumerate(row)] for i, row in enumerate(a)]
+    dets = [1]
+    while block:  # decide the last undecided index j: drop its row and column
+        pivot_row = block.pop()
+        p = pivot_row.pop()
+        for row in block:
+            r = row.pop()
+            for x, y in zip(row, pivot_row):  # p is as long as x was, so the map stops there
+                x += map(floordiv, map(sub, map(mul, p, x), map(mul, r, y)), dets)
+        dets += p
     half = len(dets) // 2
     for _ in range(m):  # fold the -c of the leading index in, then rotate the last index to the front
         dets[half:] = [x - c * y for x, y in zip(dets[half:], dets[:half])]
@@ -148,13 +147,14 @@ def _det_identity_minus_ta(a: Sequence[Sequence[int]], ring: tuple[str, ...]) ->
     """det(I - T A) for an integer matrix A, T = diag(ring), by principal minors.
 
     det(I - T A) = sum over subsets S of t^S det(-A[S, S]), so the monomial
-    t^S carries one principal minor of -A.  All of them come from one
-    shared-prefix elimination of -A shifted to be diagonally dominant,
-    followed by a pass that undoes the shift (``_principal_minors``).
+    t^S carries one principal minor of -A.  They all come from one
+    breadth-first elimination of -A shifted to be diagonally dominant, then a
+    pass that undoes the shift (``_principal_minors``), in the order of the
+    exponent vectors.
     """
     _check_subsets(len(a))
     minors = _principal_minors([[-x for x in row] for row in a])
-    return TPoly._raw(ring, {s: d for s, d in zip(iter_product((0, 1), repeat=len(a)), minors) if d}, None)
+    return TPoly._raw(ring, dict(compress(zip(iter_product((0, 1), repeat=len(a)), minors), minors)), None)
 
 
 def build_H_via_determinant(omega: Sequence[int]) -> TPoly:

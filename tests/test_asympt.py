@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from kalmandeg.asympt import (
     AsymptoticEstimate,
@@ -83,6 +84,43 @@ def test_f_d_vanishes_at_critical_point():
         report = verify_critical_point(k, w)
         assert report.f_d_at_c == Fraction(evaluate(f_d, point)), (k, w)
         assert report.slope_product == -c * Fraction(evaluate(partial(f_d, ring[-1]), point)), (k, w)
+
+
+def _phase_v(k, w):
+    """lam = c dF_D/dx_k (c) and V_ij = c^2 d^2F_D/dx_i dx_j (c) / lam, by sympy from split_H's H2."""
+    _, h2 = split_H((w,) * k)
+    xs = sympy.symbols(f"x1:{k + 1}")
+    f_d = sympy.Poly.from_dict(h2.terms, *xs) * sympy.prod([sympy.Poly(1 - x, *xs) for x in xs])
+    c = sympy.Rational(1, w * k - 1)
+    point = [c] * k
+    lam = c * f_d.diff(xs[-1]).eval(point)
+    return [[c * c * f_d.diff(xi).diff(xj).eval(point) / lam for xj in xs] for xi in xs]
+
+
+def _phase_hessian_det(v, sign=1, diagonal=1, first=lambda v, i, j: v[i][j]):
+    """det of the (k-1) x (k-1) phase Hessian 1 + [i = j] + V_ij - V_id - V_jd + V_dd, d the last index."""
+    d = len(v) - 1
+
+    def entry(i, j):
+        return 1 + diagonal * (i == j) + sign * (first(v, i, j) - v[i][d] - v[j][d] + v[d][d])
+
+    return sympy.Matrix(d, d, entry).det()
+
+
+def test_det_hessian_matches_phase_hessian_of_f_d():
+    # Smooth-point diagonal asymptotics (Pemantle & Wilson 2013; Melczer 2021,
+    # ch. 5): the phase Hessian of F_D at c must have determinant det_hessian.
+    for k, w in ((3, 1), (4, 1), (3, 2), (2, 2), (2, 3), (5, 1), (4, 3), (6, 2)):
+        v = _phase_v(k, w)
+        expected = critical_constants(k, w, 0).det_hessian
+        assert _phase_hessian_det(v) == expected, (k, w)
+        # Each mutation of the formula must change the determinant.
+        assert _phase_hessian_det(v, sign=-1) != expected, (k, w)
+        assert _phase_hessian_det(v, diagonal=0) != expected, (k, w)
+        assert _phase_hessian_det(v, first=lambda v, i, j: v[i][-1]) != expected, (k, w)
+        # F_D is symmetric at the diagonal point, so V_id = V_jd there, and
+        # using one for the other cannot change the determinant.
+        assert len({v[i][-1] for i in range(k - 1)}) == 1, (k, w)
 
 
 def test_verify_critical_point_beyond_product_reach():

@@ -145,6 +145,45 @@ def test_principal_minors_against_cofactor_det():
         assert _det_identity_minus_ta(a, ring) == det(_identity_minus_ta(a, ring)), (trial, a)
 
 
+_entries = st.one_of(st.integers(-3, 3), st.integers(-(10**40), 10**40))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(st.data())
+def test_principal_minors_and_subset_sums_property(data):
+    m = data.draw(st.integers(1, 7))
+    a = data.draw(st.lists(st.lists(_entries, min_size=m, max_size=m), min_size=m, max_size=m))
+    if data.draw(st.booleans()):
+        for i in range(m):
+            a[i][i] = 0
+    if m > 1 and data.draw(st.booleans()):  # two equal rows: every block holding both is singular
+        i, j = data.draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+        a[j] = list(a[i])
+    assert _principal_minors(a) == _cofactor_minors(a), a
+
+    omega = data.draw(st.lists(st.one_of(st.integers(1, 3), st.integers(1, 10**40)), min_size=1, max_size=12))
+    expected = []
+    for s in product((0, 1), repeat=len(omega)):
+        c = 1 - sum(compress(omega, s))
+        if c:
+            expected.append((s + (0,), c))
+        if s[0]:
+            expected.append((s + (1,), -1))
+    assert list(build_H(omega).terms.items()) == expected, omega
+
+
+def test_determinant_route_reads_only_a(monkeypatch):
+    expected = {omega: build_H(omega) for omega in ((1,), (2, 1, 3), (1, 1, 1, 1))}
+
+    def refuse(*args):
+        raise AssertionError("the determinant route read H's subset expansion")
+
+    monkeypatch.setattr(genfun, "build_H", refuse)
+    monkeypatch.setattr(genfun, "split_H", refuse)
+    for omega, h in expected.items():
+        assert build_H_via_determinant(omega) == h, omega
+
+
 def test_subset_budget_refuses_before_work():
     with pytest.raises(ValueError, match="2\\^16 subsets, over the limit of 32768"):
         build_H((1,) * 15)
