@@ -16,6 +16,9 @@ in the polynomial
 Each quotient is the finite geometric sum
 sum_{j<n_i} (that_i + h)^(n_i-1-j) * t_i^j, built by Horner's rule: one
 capped product by (that_i + h) and one added power of t_i per degree.
+The first k // 2 factors and the rest are multiplied as two halves, P and Q,
+and d is the dot product sum_e P[e] * Q[caps - e] of their term maps, with
+caps the target exponents, so the full k-fold product is never formed.
 Everything here is capped integer polynomial arithmetic; no division ever
 happens.  Exponents only add under multiplication, hence truncating at the
 target exponents from the start, and after every Horner step, is exact.
@@ -26,6 +29,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from math import comb, prod
+from operator import sub
 
 from .polycore import TPoly, poly_mul
 
@@ -101,18 +105,23 @@ def _geometric_factor(fmt: TensorFormat, i: int, ring: tuple[str, ...], caps: tu
 def extract_degree(fmt: TensorFormat, d: CodimVec) -> int:
     """The degree factor for the given format and codimension vector.
 
-    Computed by multiplying the k geometric-sum factors under per-variable
-    caps (n_i - delta_i - 1 on t_i, total delta on h) and reading off the
-    coefficient at exactly those exponents.
+    The coefficient at the caps (n_i - delta_i - 1 on t_i, total delta on h)
+    of the product of the geometric-sum factors, read as the dot product
+    sum_e P[e] * Q[caps - e] of the capped products P of the first k // 2
+    factors and Q of the rest; the full product is never formed.
     """
     _check_codim(fmt, d)
     k = fmt.k
     ring = _ring(k)
     caps = tuple(fmt.n[i] - d.delta[i] - 1 for i in range(k)) + (d.total,)
-    acc = TPoly.one(ring, caps)
-    for i in range(k):
-        acc = poly_mul(acc, _geometric_factor(fmt, i, ring, caps))
-    return acc.coefficient(caps)
+    halves = []
+    for lo, hi in ((0, k // 2), (k // 2, k)):
+        acc = _geometric_factor(fmt, lo, ring, caps) if lo < hi else TPoly.one(ring)
+        for i in range(lo + 1, hi):
+            acc = poly_mul(acc, _geometric_factor(fmt, i, ring, caps))
+        halves.append(acc.terms)
+    small, large = sorted(halves, key=len)
+    return sum(c * large.get(tuple(map(sub, caps, e)), 0) for e, c in small.items())
 
 
 def kalman_degree(fmt: TensorFormat, d: CodimVec, deg_z: Sequence[int]) -> int:

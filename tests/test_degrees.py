@@ -1,10 +1,12 @@
 import random
 from functools import reduce
 from itertools import permutations, product
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from kalmandeg import degrees
 from kalmandeg.degrees import (
     CodimVec,
     TensorFormat,
@@ -18,6 +20,44 @@ from kalmandeg.degrees import (
 )
 from kalmandeg.polycore import TPoly, poly_mul
 from oracles import oracle_binary, oracle_extract
+
+
+def full_product_degree(fmt, d):
+    """The coefficient at the caps of the whole capped product of the k factors."""
+    k = fmt.k
+    ring = _ring(k)
+    caps = tuple(n - di - 1 for n, di in zip(fmt.n, d.delta)) + (d.total,)
+    return reduce(poly_mul, [_geometric_factor(fmt, i, ring, caps) for i in range(k)]).coefficient(caps)
+
+
+def closed_form_degree(fmt, d):
+    """The degree factor by one integer convolution, with no polynomial arithmetic.
+
+    With u = sum_j omega_j t_j + h, factor i is sum_b g_i(b) u^(n_i-1-b) t_i^b,
+    where g_i(b) = 2 g_i(b-1) + (-1)^b C(n_i, b) and g_i(-1) = 0.  Expanding
+    u^M by the multinomial theorem, with c_i = n_i - delta_i - 1, gives
+    d = sum_s (delta+1)...(delta+s) C_s / prod_i c_i!, where C is the
+    convolution of the lists L_i[a] = g_i(c_i - a) omega_i^a c_i!/a!, a = 0..c_i.
+    """
+    conv = [1]
+    for n, di, w in zip(fmt.n, d.delta, fmt.omega):
+        c = n - di - 1
+        g = [1]
+        for b in range(1, c + 1):
+            g.append(2 * g[-1] + (-1) ** b * comb(n, b))
+        factor = [g[c - a] * w**a * factorial(c) // factorial(a) for a in range(c + 1)]
+        out = [0] * (len(conv) + c)
+        for i, x in enumerate(conv):
+            for j, y in enumerate(factor):
+                out[i + j] += x * y
+        conv = out
+    total, rising = 0, 1
+    for s, cs in enumerate(conv):
+        total += rising * cs
+        rising *= d.total + s + 1
+    quotient, remainder = divmod(total, prod(factorial(n - di - 1) for n, di in zip(fmt.n, d.delta)))
+    assert remainder == 0, (fmt, d)
+    return quotient
 
 
 def test_reference_degree_values():
@@ -186,3 +226,57 @@ def test_below_threshold_probe_is_honest():
     assert report.threshold == 3
     assert not report.stable
     assert report.values == (2, 3, 3, 3)
+
+
+def test_extraction_equals_full_product_on_random_formats():
+    rng = random.Random(2024)
+    for _ in range(2000):
+        k = rng.randint(1, 5)
+        n = tuple(rng.randint(1, (9, 7, 5, 4, 3)[k - 1]) for _ in range(k))
+        omega = tuple(rng.randint(1, 4) for _ in range(k))
+        fmt, d = TensorFormat(n, omega), CodimVec(tuple(rng.randint(0, ni - 1) for ni in n))
+        assert extract_degree(fmt, d) == full_product_degree(fmt, d), (n, d.delta, omega)
+
+
+@st.composite
+def _format_and_codim(draw):
+    k = draw(st.integers(1, 4))
+    n = draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))
+    omega = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    delta = [draw(st.one_of(st.just(0), st.just(ni - 1), st.integers(0, ni - 1))) for ni in n]
+    return TensorFormat(n, omega), CodimVec(delta)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_format_and_codim())
+@example((TensorFormat((1,), (3,)), CodimVec((0,))))
+@example((TensorFormat((1, 4, 3), (2, 1, 3)), CodimVec((0, 3, 2))))
+@example((TensorFormat((5, 1, 2, 6), (1, 4, 2, 3)), CodimVec((0, 0, 0, 0))))
+def test_extraction_routes_agree_property(case):
+    fmt, d = case
+    got = extract_degree(fmt, d)
+    assert got == full_product_degree(fmt, d) == closed_form_degree(fmt, d), case
+    if fmt.k == 1:
+        assert got == symmetric_degree(fmt.n[0], d.total, fmt.omega[0])
+    # The all-binary format with delta_i cut to 0 or 1: the multinomial of (sum omega_j t_j + h)^k.
+    binary = CodimVec(min(di, 1) for di in d.delta)
+    omega_free = prod(w for w, di in zip(fmt.omega, binary.delta) if not di)
+    multinomial = factorial(fmt.k) // factorial(binary.total) * omega_free
+    binary_fmt = TensorFormat((2,) * fmt.k, fmt.omega)
+    assert extract_degree(binary_fmt, binary) == closed_form_degree(binary_fmt, binary) == multinomial, case
+
+
+def test_extraction_work_counts(monkeypatch):
+    # poly_mul calls and term pairs (|a| * |b| per call) of the two-halves extraction.
+    pairs = []
+
+    def counting(a, b):
+        pairs.append(len(a.terms) * len(b.terms))
+        return poly_mul(a, b)
+
+    monkeypatch.setattr(degrees, "poly_mul", counting)
+    assert extract_degree(TensorFormat((8, 8, 8, 8), (1, 1, 1, 1)), CodimVec((1, 0, 0, 0))) == 6660147853056
+    assert (len(pairs), sum(pairs)) == (30, 87794)
+    pairs.clear()
+    assert extract_degree(TensorFormat((40, 40), (1, 1)), CodimVec((1, 0))) == 1560
+    assert len(pairs) == 2 * 39  # the Horner steps alone: k = 2 forms no product of factors
