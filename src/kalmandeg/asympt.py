@@ -40,7 +40,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .degrees import CodimVec, TensorFormat, extract_degree
+from .degrees import CodimVec, TensorFormat, _check_extraction_work, extract_degree
 from .genfun import split_H
 
 _FLOAT_LOG10_MAX = math.log10(sys.float_info.max)
@@ -209,11 +209,11 @@ def compare_exact_asymptotic(
     k: int, omega: int, delta: int, n_range: Sequence[int]
 ) -> list[ComparisonRow]:
     """Exact degree factor (by extraction) next to the estimate for each n."""
+    cv = CodimVec((delta,) + (0,) * (k - 1))
+    _check_extraction_work((TensorFormat((n,) * k, (omega,) * k), cv) for n in n_range)
     rows = []
     for n in n_range:
-        fmt = TensorFormat((n,) * k, (omega,) * k)
-        cv = CodimVec((delta,) + (0,) * (k - 1))
-        exact = extract_degree(fmt, cv)
+        exact = extract_degree(TensorFormat((n,) * k, (omega,) * k), cv)
         est = asymptotic_degree(k, omega, delta, n)
         ratio = ratio_to_exact(est, exact)
         rows.append(ComparisonRow(n=n, exact=exact, log10_estimate=est.log10_value, ratio=ratio))

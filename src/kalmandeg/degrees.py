@@ -13,24 +13,25 @@ in the polynomial
     prod_i [ (that_i + h)^(n_i) - t_i^(n_i) ] / [ (that_i + h) - t_i ],
     that_i = (sum_j omega_j t_j) - t_i.
 
-Each quotient is the finite geometric sum
-sum_{j<n_i} (that_i + h)^(n_i-1-j) * t_i^j, built by Horner's rule: one
-capped product by (that_i + h) and one added power of t_i per degree.
-The first k // 2 factors and the rest are multiplied as two halves, P and Q,
-and d is the dot product sum_e P[e] * Q[caps - e] of their term maps, with
-caps the target exponents, so the full k-fold product is never formed.
-Everything here is capped integer polynomial arithmetic; no division ever
-happens.  Exponents only add under multiplication, hence truncating at the
-target exponents from the start, and after every Horner step, is exact.
+Each quotient is the geometric sum sum_{j<n_i} (that_i + h)^(n_i-1-j) t_i^j.
+The first k // 2 factors make a half P and the rest a half Q, each taken in
+by Horner's rule on the running half, so every product is by the k + 1 terms
+of that_i + h or by t_i; d is the dot product sum_e P[e] * Q[caps - e], with
+caps the target exponents, and the full k-fold product is never formed.
+Everything here is capped integer polynomial arithmetic without division.
+Exponents only add under multiplication, hence truncating at the target
+exponents from the start, and after every Horner step, is exact.  A work
+estimate, taken before any polynomial is built, refuses what would run long.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from math import comb, prod
 from operator import sub
 
+from .genfun import MAX_SERIES_WORK
 from .polycore import TPoly, poly_mul
 
 
@@ -86,39 +87,68 @@ def _ring(k: int) -> tuple[str, ...]:
     return tuple(f"t{i + 1}" for i in range(k)) + ("h",)
 
 
-def _geometric_factor(fmt: TensorFormat, i: int, ring: tuple[str, ...], caps: tuple[int, ...]) -> TPoly:
-    """The i-th factor sum_{j<n_i} (that_i + h)^(n_i-1-j) * t_i^j, capped.
+def _extraction_work(fmt: TensorFormat, d: CodimVec) -> int:
+    """A bound on the term pairs extraction visits, each weighted by its coefficients' size.
 
-    By Horner's rule: total = total * (that_i + h) + t_i^j for j = 1..n_i-1,
-    starting from 1.  The constructor drops t_i^j above its cap.
+    Every Horner total is homogeneous and each step raises its degree by one,
+    so the n_i - 1 steps of factor i multiply totals of distinct degrees.  The
+    cap box has sides n_i - delta_i and delta + 1; a degree slice of it meets
+    each line along its longest side L at most once, so it holds at most
+    slab = prod(sides) / L terms.  Factor i thus visits at most
+    (k + 2) slab min(n_i - 1, L) pairs, k + 1 per term of a total (by
+    that_i + h) and one per term of a power (by t_i), and the dot product of
+    the homogeneous halves at most slab; plus 2 sum(n_i - 1) calls.  A
+    coefficient has at most sum_i ((n_i - 1) bitlen(sum omega) + bitlen(n_i))
+    bits, the factors' product at all ones, and a pair multiplies it by a
+    weight: one more pair's cost per 2^20 products of their bits.
     """
+    _check_codim(fmt, d)
     k = fmt.k
-    # Coefficients of t_1..t_k and h in that_i + h; the constructor drops zeros.
-    coeffs = [w - (j == i) for j, w in enumerate(fmt.omega)] + [1]
-    base = TPoly(ring, {(0,) * j + (1,) + (0,) * (k - j): c for j, c in enumerate(coeffs)}, caps)
-    total = TPoly.one(ring, caps)
-    for j in range(1, fmt.n[i]):
-        total = poly_mul(total, base) + TPoly(ring, {(0,) * i + (j,) + (0,) * (k - i): 1}, caps)
-    return total
+    steps = sum(fmt.n) - k
+    bits = steps * sum(fmt.omega).bit_length() + sum(n.bit_length() for n in fmt.n)
+    sides = [n - di for n, di in zip(fmt.n, d.delta)] + [d.total + 1]
+    longest = max(sides)
+    pairs = prod(sides) // longest * ((k + 2) * sum(min(n - 1, longest) for n in fmt.n) + 1)
+    return pairs * (1 + (bits * max(fmt.omega).bit_length() >> 20)) + 2 * steps
+
+
+def _check_extraction_work(cells: Iterable[tuple[TensorFormat, CodimVec]]) -> None:
+    """Refuse extractions whose work, summed over the (format, codimension) cells, is over the limit."""
+    work = 0
+    for fmt, d in cells:
+        work += _extraction_work(fmt, d)
+        if work > MAX_SERIES_WORK:
+            raise ValueError(
+                f"the extraction work estimate reaches {work} term pairs, weighted by coefficient size, "
+                f"over the limit of {MAX_SERIES_WORK}; use smaller n or omega"
+            )
 
 
 def extract_degree(fmt: TensorFormat, d: CodimVec) -> int:
     """The degree factor for the given format and codimension vector.
 
     The coefficient at the caps (n_i - delta_i - 1 on t_i, total delta on h)
-    of the product of the geometric-sum factors, read as the dot product
-    sum_e P[e] * Q[caps - e] of the capped products P of the first k // 2
-    factors and Q of the rest; the full product is never formed.
+    of the product of the factors, as the dot product of the halves P and Q.
+    A half starts from acc = 1, and factor i sets total = acc, then
+    total = total * (that_i + h) + acc * t_i^j for j = 1..n_i-1, then acc = total.
     """
-    _check_codim(fmt, d)
+    _check_extraction_work([(fmt, d)])
     k = fmt.k
     ring = _ring(k)
     caps = tuple(fmt.n[i] - d.delta[i] - 1 for i in range(k)) + (d.total,)
+    units = [(0,) * j + (1,) + (0,) * (k - j) for j in range(k + 1)]
     halves = []
     for lo, hi in ((0, k // 2), (k // 2, k)):
-        acc = _geometric_factor(fmt, lo, ring, caps) if lo < hi else TPoly.one(ring)
-        for i in range(lo + 1, hi):
-            acc = poly_mul(acc, _geometric_factor(fmt, i, ring, caps))
+        acc = TPoly.one(ring, caps)
+        for i in range(lo, hi):
+            # Coefficients of t_1..t_k and h in that_i + h; the constructor drops zeros.
+            base = TPoly(ring, {u: w - (j == i) for j, (u, w) in enumerate(zip(units, fmt.omega + (1,)))}, caps)
+            t_i = TPoly(ring, {units[i]: 1}, caps)
+            total = power = acc
+            for _ in range(1, fmt.n[i]):
+                power = poly_mul(power, t_i)
+                total = poly_mul(total, base) + power
+            acc = total
         halves.append(acc.terms)
     small, large = sorted(halves, key=len)
     return sum(c * large.get(tuple(map(sub, caps, e)), 0) for e, c in small.items())
@@ -194,17 +224,18 @@ def check_stabilization(fmt: TensorFormat, d: CodimVec, i: int, probes: int) -> 
         raise ValueError("stabilization requires omega_i = 1 in the growing factor")
     if probes < 1:
         raise ValueError("probes must be >= 1")
-    _check_codim(fmt, d)
+
+    def grown(m: int) -> TensorFormat:
+        return TensorFormat(fmt.n[:i] + (m,) + fmt.n[i + 1 :], fmt.omega)
+
+    checked = range(fmt.n[i], fmt.n[i] + probes + 1)
+    _check_extraction_work((grown(m), d) for m in checked)
     threshold = sum(nj - 1 for j, nj in enumerate(fmt.n) if j != i) + d.delta[i] + 1
-    checked = tuple(range(fmt.n[i], fmt.n[i] + probes + 1))
-    values = []
-    for m in checked:
-        n_new = fmt.n[:i] + (m,) + fmt.n[i + 1 :]
-        values.append(extract_degree(TensorFormat(n_new, fmt.omega), d))
+    values = tuple(extract_degree(grown(m), d) for m in checked)
     return StabilizationReport(
         factor=i,
         threshold=threshold,
-        checked_n=checked,
-        values=tuple(values),
+        checked_n=tuple(checked),
+        values=values,
         stable=len(set(values)) == 1,
     )

@@ -57,7 +57,7 @@ from .polycore import ExponentVec, TPoly, poly_mul
 # Work budgets, checked before anything is allocated.  Each keeps the slowest
 # accepted call, CLI output included, to about 2 s on one core.
 MAX_SUBSETS = 1 << 15  # 2^(k+1) subsets of H's variables, 2^m of an m x m MacMahon matrix
-MAX_SERIES_WORK = 400_000  # padded series cells times (denominator terms + coefficient words); MacMahon term pairs
+MAX_SERIES_WORK = 400_000  # padded series cells times (denominator terms + coefficient words); MacMahon, extraction pairs
 # Box cells times the square of a coefficient's 64-bit words: the cost of
 # writing the series in decimal, which CPython does in quadratic time.  Every
 # cell is charged the largest coefficient, about three times the true cost

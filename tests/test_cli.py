@@ -133,6 +133,22 @@ def test_genfun_decimal_budget_exits_two_at_once(capsys):
     assert (code, out) == (2, "") and "in decimal" in err and "lower the caps" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("degree", "--n", "3000,3000", "--delta", "0,0", "--omega", "1,1"),
+    ("degree", "--n", "60,60,60", "--delta", "0,0,0", "--omega", "1,1,1"),
+    ("asympt", "--k", "2", "--omega", "2", "--n", "3000", "--compare"),
+    ("asympt", "--k", "2", "--omega", "2", "--n", "1000000000000", "--compare"),
+    ("table", "--kind", "hypercubical-compare", "--k", "3", "--n-max", "80"),
+    ("table", "--kind", "matrix-ed", "--max-n", "60"),
+])
+def test_extraction_over_budget_exits_two_at_once(capsys, argv):
+    # Without the budget these ran from 4.7 s to minutes; tables sum their cells' estimates first.
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.2
+    assert (code, out) == (2, "") and "over the limit of 400000" in err
+
+
 def test_isotropic_rejects_small_n(capsys):
     code, _, err = run(capsys, "isotropic", "--n", "1,3", "--omega", "1,1")
     assert code == 2 and "n_i" in err

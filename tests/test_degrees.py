@@ -1,4 +1,5 @@
 import random
+import time
 from functools import reduce
 from itertools import permutations, product
 from math import comb, factorial, prod
@@ -10,7 +11,7 @@ from kalmandeg import degrees
 from kalmandeg.degrees import (
     CodimVec,
     TensorFormat,
-    _geometric_factor,
+    _extraction_work,
     _ring,
     binary_degree,
     check_stabilization,
@@ -23,11 +24,22 @@ from oracles import oracle_binary, oracle_extract
 
 
 def full_product_degree(fmt, d):
-    """The coefficient at the caps of the whole capped product of the k factors."""
+    """The coefficient at the caps of the whole capped product of the k factors.
+
+    Each factor is built by its definition, sum_{j<n_i} (that_i + h)^(n_i-1-j) t_i^j
+    under the caps, power by power.
+    """
     k = fmt.k
     ring = _ring(k)
     caps = tuple(n - di - 1 for n, di in zip(fmt.n, d.delta)) + (d.total,)
-    return reduce(poly_mul, [_geometric_factor(fmt, i, ring, caps) for i in range(k)]).coefficient(caps)
+    one, zero = TPoly.one(ring, caps), TPoly.zero(ring, caps)
+    variables = [TPoly.variable(ring, v, caps) for v in ring]
+    factors = []
+    for i, n in enumerate(fmt.n):
+        base = sum(((w - (j == i)) * v for j, (w, v) in enumerate(zip(fmt.omega + (1,), variables))), zero)
+        powers = [reduce(poly_mul, [base] * (n - 1 - j) + [variables[i]] * j, one) for j in range(n)]
+        factors.append(sum(powers, zero))
+    return reduce(poly_mul, factors).coefficient(caps)
 
 
 def closed_form_degree(fmt, d):
@@ -74,18 +86,6 @@ def test_neutral_deg_z():
     cv = CodimVec((1, 1))
     assert kalman_degree(fmt, cv, (1, 1)) == extract_degree(fmt, cv)
     assert kalman_degree(TensorFormat((2, 2), (1, 1)), CodimVec((0, 0)), (1, 1)) == 2
-
-
-def test_geometric_factor_by_definition():
-    # The Horner loop against the capped sum_{j<n_i} (that_i + h)^(n_i-1-j) t_i^j.
-    # extract_degree reads only the degree sum(n_i - 1) part, so a stray term of
-    # another degree, such as an extra Horner step, shows only here.
-    fmt, ring, caps = TensorFormat((3, 2), (2, 1)), _ring(2), (1, 1, 2)
-    t1, t2, h = (TPoly.variable(ring, v) for v in ring)
-    for i, base, ti in ((0, t1 + t2 + h, t1), (1, 2 * t1 + h, t2)):
-        n = fmt.n[i]
-        terms = [reduce(poly_mul, [base] * (n - 1 - j) + [ti] * j, TPoly.one(ring)) for j in range(n)]
-        assert _geometric_factor(fmt, i, ring, caps) == TPoly(ring, sum(terms, TPoly.zero(ring)).terms, caps), i
 
 
 def test_extraction_matches_sympy_oracle_on_grid():
@@ -267,7 +267,9 @@ def test_extraction_routes_agree_property(case):
 
 
 def test_extraction_work_counts(monkeypatch):
-    # poly_mul calls and term pairs (|a| * |b| per call) of the two-halves extraction.
+    # poly_mul calls and term pairs (|a| * |b| per call) of the Horner steps:
+    # per step, one product of the running total by that_i + h and one of the
+    # running power by t_i, so 2 (n_i - 1) calls per factor.
     pairs = []
 
     def counting(a, b):
@@ -276,7 +278,44 @@ def test_extraction_work_counts(monkeypatch):
 
     monkeypatch.setattr(degrees, "poly_mul", counting)
     assert extract_degree(TensorFormat((8, 8, 8, 8), (1, 1, 1, 1)), CodimVec((1, 0, 0, 0))) == 6660147853056
-    assert (len(pairs), sum(pairs)) == (30, 87794)
+    assert (len(pairs), sum(pairs)) == (56, 28672)
     pairs.clear()
     assert extract_degree(TensorFormat((40, 40), (1, 1)), CodimVec((1, 0))) == 1560
-    assert len(pairs) == 2 * 39  # the Horner steps alone: k = 2 forms no product of factors
+    assert len(pairs) == 4 * 39
+
+
+def test_extraction_work_estimate_bounds_the_count(monkeypatch):
+    # Term pairs and calls, counted, never exceed the estimate.
+    counted = []
+
+    def counting(a, b):
+        counted.append(len(a.terms) * len(b.terms) + 1)
+        return poly_mul(a, b)
+
+    monkeypatch.setattr(degrees, "poly_mul", counting)
+    rng = random.Random(4242)
+    for _ in range(300):
+        k = rng.randint(1, 5)
+        n = tuple(rng.randint(1, (30, 12, 7, 5, 4)[k - 1]) for _ in range(k))
+        fmt = TensorFormat(n, tuple(rng.randint(1, 4) for _ in range(k)))
+        d = CodimVec(tuple(rng.randint(0, ni - 1) for ni in n))
+        counted.clear()
+        extract_degree(fmt, d)
+        assert sum(counted) <= _extraction_work(fmt, d), (n, d.delta, fmt.omega)
+
+
+def test_extraction_budget_refuses_before_building(monkeypatch):
+    monkeypatch.setattr(degrees, "TPoly", None)  # any polynomial built would fail
+    start = time.perf_counter()
+    for fmt, d in (
+        (TensorFormat((60, 60, 60), (1, 1, 1)), CodimVec((0, 0, 0))),
+        (TensorFormat((10**12, 10**12), (2, 2)), CodimVec((0, 0))),
+        (TensorFormat((50, 50), (10**500, 10**500)), CodimVec((0, 0))),  # the coefficient-size term
+        (TensorFormat((100000,), (1,)), CodimVec((0,))),  # the Horner calls
+    ):
+        with pytest.raises(ValueError, match="over the limit of 400000"):
+            extract_degree(fmt, d)
+    # Probes are summed before the first one runs, and stop at the limit.
+    with pytest.raises(ValueError, match="over the limit of 400000"):
+        check_stabilization(TensorFormat((30, 30), (1, 1)), CodimVec((0, 0)), 0, 10**9)
+    assert time.perf_counter() - start < 0.1

@@ -333,6 +333,23 @@ def test_series_matches_extraction_mixed_weights():
                 assert coeffs.get((n, d), 0) == expected, (omega, n, d)
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.data())
+def test_series_matches_extraction_property(data):
+    # Every series coefficient is the extraction at codimension (delta, 0, ..., 0).
+    k = data.draw(st.integers(1, 3))
+    omega = data.draw(st.lists(st.one_of(st.integers(1, 3), st.integers(1, 10**20)), min_size=k, max_size=k))
+    caps = data.draw(st.lists(st.integers(0, (6, 4, 3)[k - 1]), min_size=k, max_size=k))
+    y_cap = data.draw(st.integers(0, 3))
+    coeffs = expand_series(omega, caps, y_cap)
+    for n in product(*(range(c + 1) for c in caps)):
+        for d in range(y_cap + 1):
+            expected = 0
+            if min(n) >= 1 and d <= n[0] - 1:
+                expected = extract_degree(TensorFormat(n, omega), CodimVec((d,) + (0,) * (k - 1)))
+            assert coeffs.get((n, d), 0) == expected, (omega, n, d)
+
+
 def test_single_factor_series_matches_closed_form():
     # third route for k = 1: series vs the binomial closed form
     from kalmandeg.degrees import symmetric_degree
