@@ -41,7 +41,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .degrees import CodimVec, TensorFormat, _check_extraction_work, extract_degree
-from .genfun import split_H
+from .genfun import InputError, _check_subsets, split_H
 
 _FLOAT_LOG10_MAX = math.log10(sys.float_info.max)
 _LOG10_2 = math.log10(2)
@@ -49,9 +49,9 @@ _LOG10_2 = math.log10(2)
 
 def _check_regime(k: int, omega: int) -> int:
     if k < 2 or omega < 1:
-        raise ValueError("need k >= 2 and omega >= 1")
+        raise InputError("need k >= 2 and omega >= 1")
     if omega * k < 3:
-        raise ValueError("need k >= 3, or k = 2 with omega >= 2 (omega*k - 2 must be positive)")
+        raise InputError("need k >= 3, or k = 2 with omega >= 2 (omega*k - 2 must be positive)")
     return omega * k
 
 
@@ -77,7 +77,7 @@ def critical_constants(k: int, omega: int, delta: int) -> CriticalConstants:
 
     wk = _check_regime(k, omega)
     if delta < 0:
-        raise ValueError("delta must be >= 0")
+        raise InputError("delta must be >= 0")
     return CriticalConstants(
         c=Fraction(1, wk - 1),
         det_hessian=Fraction((wk - 2) ** (k - 1), omega) / Fraction(wk) ** (k - 2),
@@ -104,6 +104,7 @@ def verify_critical_point(k: int, omega: int) -> CriticalPointReport:
     from fractions import Fraction
 
     wk = _check_regime(k, omega)
+    _check_subsets(k + 1)  # before (omega,) * k exists
     _, h2 = split_H((omega,) * k)
     # At the diagonal point c = 1/q a monomial x^e is q^-|e|, and its x_k
     # derivative e_k q^(1-|e|); over the common denominator q^k both are ints.
@@ -151,19 +152,19 @@ def asymptotic_degree(k: int, omega: int, delta: int, n: int) -> AsymptoticEstim
     """Leading-order estimate of the hypercubical degree factor, in log10 space."""
     wk = _check_regime(k, omega)
     if delta < 0:
-        raise ValueError("delta must be >= 0")
+        raise InputError("delta must be >= 0")
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputError("n must be >= 1")
     if delta > n - 1:  # outside the hypercubical format's codimension range, as extract_degree says
-        raise ValueError(f"delta_1 = {delta} exceeds n_1 - 1 = {n - 1}")
-    log10_c = (
-        (k - 1) * math.log10(wk - 1)
-        - (k - 1) / 2 * math.log10(2 * math.pi)
-        - 0.5 * math.log10(omega)
-        - (k - 2) / 2 * math.log10(wk)
-        - (3 * k - 1) / 2 * math.log10(wk - 2)
-    )
+        raise InputError(f"delta_1 = {delta} exceeds n_1 - 1 = {n - 1}")
     try:
+        log10_c = (
+            (k - 1) * math.log10(wk - 1)
+            - (k - 1) / 2 * math.log10(2 * math.pi)
+            - 0.5 * math.log10(omega)
+            - (k - 2) / 2 * math.log10(wk)
+            - (3 * k - 1) / 2 * math.log10(wk - 2)
+        )
         log10_value = (
             log10_c
             + delta * (math.log10(k) - math.log10(wk - 1))
@@ -171,9 +172,10 @@ def asymptotic_degree(k: int, omega: int, delta: int, n: int) -> AsymptoticEstim
             + k * n * math.log10(wk - 1)
             - ((k - 1) / 2 - delta) * math.log10(n)
         )
-    except OverflowError:
-        # int * float and lgamma() raise it for values beyond float range.
-        raise ValueError("n or delta is too large for the estimate (beyond float range)") from None
+    except OverflowError:  # int * float and lgamma() raise it for values beyond float range
+        log10_value = math.inf
+    if not math.isfinite(log10_value):  # float products overflow to inf silently
+        raise InputError("k, n or delta is too large for the estimate (beyond float range)")
     value = 10.0**log10_value if abs(log10_value) < _FLOAT_LOG10_MAX else None
     return AsymptoticEstimate(log10_value=log10_value, value_if_representable=value)
 

@@ -5,7 +5,8 @@ stdout (text, JSON records, or CSV for tables), diagnostics to stderr.  Each
 subcommand converts every exact value to decimal once, builds both its JSON
 records and its text lines from those strings and hands them to the single
 emitter ``_emit``, the one place the output format is decided.  Exit
-codes: 0 success, 2 validation error, 3 internal assertion failure.  All
+codes: 0 success, 2 input refused, invalid or over a budget (exactly
+``genfun.InputError``), 3 internal failure (any other exception).  All
 potentially large integers are emitted as exact decimal strings in JSON so
 64-bit consumers never truncate them.
 """
@@ -76,7 +77,7 @@ def _cmd_genfun(args: argparse.Namespace) -> None:
         _emit(args, [record], [f"H = {h}", f"H_via_det = {h_det}"])
         return
     if args.caps is None:
-        raise ValueError("--caps is required unless --show-h is given")
+        raise genfun.InputError("--caps is required unless --show-h is given")
     coeffs = genfun.expand_series(args.omega, args.caps, args.y_cap)
     keys = sorted(coeffs)
     digits = [str(coeffs[key]) for key in keys]
@@ -161,7 +162,7 @@ def _cmd_asympt(args: argparse.Namespace) -> None:
         _emit(args, [record], [f"{key} = {record[key]}" for key in ("c", "det_hessian", "l0", "minus_ck_dk")])
         return
     if args.n is None:
-        raise ValueError("--n is required unless --verify or --constants is given")
+        raise genfun.InputError("--n is required unless --verify or --constants is given")
     est = asympt.asymptotic_degree(args.k, args.omega, args.delta, args.n)
     record = {
         "command": "asympt",
@@ -185,7 +186,7 @@ def _cmd_asympt(args: argparse.Namespace) -> None:
 def _table_rows(args: argparse.Namespace) -> tuple[list[str], list[list]]:
     if args.kind == "matrix-ed":
         if args.max_n < 1:
-            raise ValueError("--max-n must be >= 1 for matrix-ed")
+            raise genfun.InputError("--max-n must be >= 1 for matrix-ed")
         sizes, zero = range(1, args.max_n + 1), degrees.CodimVec((0, 0))
         degrees._check_extraction_work((degrees.TensorFormat((n1, n2), (1, 1)), zero) for n1 in sizes for n2 in sizes)
         return ["n1", "n2", "degree"], [
@@ -195,20 +196,18 @@ def _table_rows(args: argparse.Namespace) -> tuple[list[str], list[list]]:
         ]
     if args.kind == "hypercubical-compare":
         if not 1 <= args.n_min <= args.n_max:
-            raise ValueError("need 1 <= --n-min <= --n-max for hypercubical-compare")
+            raise genfun.InputError("need 1 <= --n-min <= --n-max for hypercubical-compare")
         rows = asympt.compare_exact_asymptotic(args.k, args.omega, args.delta, range(args.n_min, args.n_max + 1))
         return ["n", "exact", "log10_estimate", "ratio"], [
             [row.n, str(row.exact), repr(row.log10_estimate), repr(row.ratio)] for row in rows
         ]
-    if args.kind == "isotropic-sym":
-        if args.max_n < 2 or args.max_omega < 1:
-            raise ValueError("need --max-n >= 2 and --max-omega >= 1 for isotropic-sym")
-        return ["n", "omega", "degree"], [
-            [n, w, str(isotropic.isotropic_degree_symmetric(n, w))]
-            for n in range(2, args.max_n + 1)
-            for w in range(1, args.max_omega + 1)
-        ]
-    raise ValueError(f"unknown table kind {args.kind!r}")
+    if args.max_n < 2 or args.max_omega < 1:  # isotropic-sym, the parser's last choice
+        raise genfun.InputError("need --max-n >= 2 and --max-omega >= 1 for isotropic-sym")
+    return ["n", "omega", "degree"], [
+        [n, w, str(isotropic.isotropic_degree_symmetric(n, w))]
+        for n in range(2, args.max_n + 1)
+        for w in range(1, args.max_omega + 1)
+    ]
 
 
 def _cmd_table(args: argparse.Namespace) -> None:
@@ -292,11 +291,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         args.func(args)
         return 0
-    except ValueError as exc:
+    except genfun.InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
-        print(f"internal assertion failed: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"internal assertion failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     finally:
         if old_limit is not None:

@@ -31,7 +31,8 @@ from collections.abc import Iterable, Sequence
 from math import comb, prod
 from operator import sub
 
-from .genfun import MAX_SERIES_WORK
+from . import genfun
+from .genfun import InputError, _check_omega
 from .polycore import TPoly, poly_mul
 
 
@@ -43,14 +44,10 @@ class TensorFormat(namedtuple("TensorFormat", "n omega")):
     def __new__(cls, n: Sequence[int], omega: Sequence[int]):
         n, omega = tuple(n), tuple(omega)
         if len(n) != len(omega):
-            raise ValueError("n and omega must have the same length")
-        if len(n) < 1:
-            raise ValueError("at least one factor is required")
+            raise InputError("n and omega must have the same length")
         if any(x < 1 for x in n):
-            raise ValueError("all dimensions n_i must be >= 1")
-        if any(w < 1 for w in omega):
-            raise ValueError("all weights omega_i must be >= 1")
-        return super().__new__(cls, n, omega)
+            raise InputError("all dimensions n_i must be >= 1")
+        return super().__new__(cls, n, _check_omega(omega))
 
     @property
     def k(self) -> int:
@@ -65,9 +62,9 @@ class CodimVec(namedtuple("CodimVec", "delta")):
     def __new__(cls, delta: Sequence[int]):
         delta = tuple(delta)
         if len(delta) < 1:
-            raise ValueError("at least one entry is required")
+            raise InputError("at least one entry is required")
         if any(d < 0 for d in delta):
-            raise ValueError("codimensions must be nonnegative")
+            raise InputError("codimensions must be nonnegative")
         return super().__new__(cls, delta)
 
     @property
@@ -77,10 +74,10 @@ class CodimVec(namedtuple("CodimVec", "delta")):
 
 def _check_codim(fmt: TensorFormat, d: CodimVec) -> None:
     if len(d.delta) != fmt.k:
-        raise ValueError("codimension vector length does not match the number of factors")
+        raise InputError("codimension vector length does not match the number of factors")
     for i, (di, ni) in enumerate(zip(d.delta, fmt.n)):
         if di > ni - 1:
-            raise ValueError(f"delta_{i + 1} = {di} exceeds n_{i + 1} - 1 = {ni - 1}")
+            raise InputError(f"delta_{i + 1} = {di} exceeds n_{i + 1} - 1 = {ni - 1}")
 
 
 def _ring(k: int) -> tuple[str, ...]:
@@ -117,10 +114,10 @@ def _check_extraction_work(cells: Iterable[tuple[TensorFormat, CodimVec]]) -> No
     work = 0
     for fmt, d in cells:
         work += _extraction_work(fmt, d)
-        if work > MAX_SERIES_WORK:
-            raise ValueError(
+        if work > genfun.MAX_SERIES_WORK:
+            raise InputError(
                 f"the extraction work estimate reaches {work} term pairs, weighted by coefficient size, "
-                f"over the limit of {MAX_SERIES_WORK}; use smaller n or omega"
+                f"over the limit of {genfun.MAX_SERIES_WORK}; use smaller n or omega"
             )
 
 
@@ -166,9 +163,9 @@ def _deg_z_product(fmt: TensorFormat, deg_z: Sequence[int]) -> int:
     """prod_i deg(Z_i), after checking one degree >= 1 per factor."""
     deg_z = tuple(deg_z)
     if len(deg_z) != fmt.k:
-        raise ValueError("deg_z length does not match the number of factors")
+        raise InputError("deg_z length does not match the number of factors")
     if any(z < 1 for z in deg_z):
-        raise ValueError("all deg_z entries must be >= 1")
+        raise InputError("all deg_z entries must be >= 1")
     return prod(deg_z)
 
 
@@ -179,11 +176,11 @@ def symmetric_degree(n: int, delta: int, omega: int) -> int:
     with the convention (omega-1)^0 = 1 even for omega = 1.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputError("n must be >= 1")
     if omega < 1:
-        raise ValueError("omega must be >= 1")
+        raise InputError("omega must be >= 1")
     if delta < 0 or delta > n - 1:
-        raise ValueError(f"delta must lie in [0, {n - 1}]")
+        raise InputError(f"delta must lie in [0, {n - 1}]")
     return sum(comb(delta + j, j) * (omega - 1) ** j for j in range(n - delta))
 
 
@@ -194,9 +191,9 @@ def binary_degree(k: int, d: CodimVec, omega: Sequence[int]) -> int:
     see the discrepancy note in the test suite for why no closed form is used.
     """
     if len(d.delta) != k or len(tuple(omega)) != k:
-        raise ValueError("k, delta and omega must agree in length")
+        raise InputError("k, delta and omega must agree in length")
     if any(di not in (0, 1) for di in d.delta):
-        raise ValueError("binary format requires all delta_i in {0, 1}")
+        raise InputError("binary format requires all delta_i in {0, 1}")
     return extract_degree(TensorFormat((2,) * k, tuple(omega)), d)
 
 
@@ -219,11 +216,11 @@ def check_stabilization(fmt: TensorFormat, d: CodimVec, i: int, probes: int) -> 
     are rejected: the property genuinely fails there (already for k = 1).
     """
     if not 0 <= i < fmt.k:
-        raise ValueError(f"factor index {i} out of range")
+        raise InputError(f"factor index {i} out of range")
     if fmt.omega[i] != 1:
-        raise ValueError("stabilization requires omega_i = 1 in the growing factor")
+        raise InputError("stabilization requires omega_i = 1 in the growing factor")
     if probes < 1:
-        raise ValueError("probes must be >= 1")
+        raise InputError("probes must be >= 1")
 
     def grown(m: int) -> TensorFormat:
         return TensorFormat(fmt.n[:i] + (m,) + fmt.n[i + 1 :], fmt.omega)

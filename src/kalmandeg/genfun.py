@@ -54,15 +54,17 @@ from operator import floordiv, mul, sub
 
 from .polycore import ExponentVec, TPoly, poly_mul
 
-# Work budgets, checked before anything is allocated.  Each keeps the slowest
-# accepted call, CLI output included, to about 2 s on one core.
+# Work budgets, one limit per cost unit, each read from here when checked.  Each
+# keeps the slowest accepted call, CLI output included, to about 2 s on one core.
 MAX_SUBSETS = 1 << 15  # 2^(k+1) subsets of H's variables, 2^m of an m x m MacMahon matrix
 MAX_SERIES_WORK = 400_000  # padded series cells times (denominator terms + coefficient words); MacMahon, extraction pairs
-# Box cells times the square of a coefficient's 64-bit words: the cost of
-# writing the series in decimal, which CPython does in quadratic time.  Every
-# cell is charged the largest coefficient, about three times the true cost
-# along one axis, so the limit lets about 2 s of conversion through.
-MAX_SERIES_DECIMAL_WORK = 10**9
+# Products of 64-bit words, big-int arithmetic and decimal output alike (CPython
+# writes an int in decimal in time quadratic in its words).
+MAX_WORD_PRODUCTS = 10**9
+
+
+class InputError(ValueError):
+    """An input refused: invalid, or over a work budget.  The CLI exits 2 on it and only on it."""
 
 
 def _xy_ring(k: int) -> tuple[str, ...]:
@@ -72,9 +74,9 @@ def _xy_ring(k: int) -> tuple[str, ...]:
 def _check_omega(omega: Sequence[int]) -> tuple[int, ...]:
     omega = tuple(omega)
     if len(omega) < 1:
-        raise ValueError("at least one factor is required")
+        raise InputError("at least one factor is required")
     if any(w < 1 for w in omega):
-        raise ValueError("all weights omega_i must be >= 1")
+        raise InputError("all weights omega_i must be >= 1")
     return omega
 
 
@@ -108,8 +110,8 @@ def _bordered_a(omega: tuple[int, ...]) -> list[list[int]]:
 
 
 def _check_subsets(n: int) -> None:
-    if 1 << n > MAX_SUBSETS:
-        raise ValueError(f"{n} variables give 2^{n} subsets, over the limit of {MAX_SUBSETS}; use fewer variables")
+    if n >= MAX_SUBSETS.bit_length():  # 2^n > MAX_SUBSETS, without building 2^n
+        raise InputError(f"{n} variables give 2^{n} subsets, over the limit of {MAX_SUBSETS}; use fewer variables")
 
 
 def _principal_minors(a: Sequence[Sequence[int]]) -> list[int]:
@@ -242,16 +244,17 @@ def _divide(
     growth = (max(1, sum(abs(c) for _, c in tail)) - 1).bit_length()
     bits = max([0] + [abs(c).bit_length() for c in numerator.values()]) + sum(caps) * growth
     if size * (len(tail) + 1 + bits // 64) > MAX_SERIES_WORK:
-        raise ValueError(
+        raise InputError(
             f"the series box has {size} cells with padding, the denominator {len(tail) + 1} terms within "
             f"the caps and the coefficients up to about {bits} bits; {size} x ({len(tail) + 1} + {bits // 64}) "
             f"is over the limit of {MAX_SERIES_WORK}, so lower the caps"
         )
+    # Every cell is charged the largest coefficient, about three times the true decimal cost along one axis.
     decimal_work = prod(m + 1 for m in caps) * (bits // 64) ** 2
-    if decimal_work > MAX_SERIES_DECIMAL_WORK:
-        raise ValueError(
+    if decimal_work > MAX_WORD_PRODUCTS:
+        raise InputError(
             f"writing the series' coefficients of up to about {bits} bits in decimal takes about {decimal_work} "
-            f"products of 64-bit words, over the limit of {MAX_SERIES_DECIMAL_WORK}, so lower the caps"
+            f"products of 64-bit words, over the limit of {MAX_WORD_PRODUCTS}, so lower the caps"
         )
     cells = [0]
     for m, stride in zip(caps, strides):
@@ -281,9 +284,9 @@ def expand_series(
     k = len(omega)
     caps = tuple(caps)
     if len(caps) != k:
-        raise ValueError("caps length does not match the number of factors")
+        raise InputError("caps length does not match the number of factors")
     if any(c < 0 for c in caps) or y_cap < 0:
-        raise ValueError("caps must be nonnegative")
+        raise InputError("caps must be nonnegative")
     coeffs, cells, strides = _divide({(1,) * k + (0,): 1}, build_H(omega).terms, caps + (y_cap,))
     for stride in strides[:k]:  # dividing by 1 - x_i is a running sum along axis i
         for i in cells:
@@ -301,10 +304,10 @@ def macmahon_check(a: Sequence[Sequence[int]], cap: Sequence[int] | int) -> bool
     """
     m = len(a)
     if m == 0 or any(len(row) != m for row in a):
-        raise ValueError("matrix must be square and nonempty")
+        raise InputError("matrix must be square and nonempty")
     caps = (cap,) * m if isinstance(cap, int) else tuple(cap)
     if len(caps) != m:
-        raise ValueError("cap length does not match matrix size")
+        raise InputError("cap length does not match matrix size")
     ring = tuple(f"z{i + 1}" for i in range(m))
     series = RationalSeries(TPoly.one(ring), _det_identity_minus_ta(a, ring), caps)
     # The bound takes each p on its own: sum(p) forms of at most m terms
@@ -317,7 +320,7 @@ def macmahon_check(a: Sequence[Sequence[int]], cap: Sequence[int] | int) -> bool
     boxes = [(c + 1) * (c + 2) // 2 for c in caps]
     pairs = m * sum(c * (c + 1) * (c + 2) // 3 * prod(boxes[:i] + boxes[i + 1 :]) for i, c in enumerate(caps))
     if pairs > MAX_SERIES_WORK:
-        raise ValueError(
+        raise InputError(
             f"the MacMahon product side visits up to {pairs} term pairs, "
             f"over the limit of {MAX_SERIES_WORK}, so lower the cap"
         )

@@ -28,11 +28,9 @@ from itertools import accumulate
 from math import factorial
 from operator import mul
 
+from . import genfun
 from .degrees import TensorFormat
-
-# Work budget, checked before any arithmetic; like genfun's budgets it keeps
-# the slowest accepted call, CLI output included, to about 2 s on one core.
-MAX_ISOTROPIC_WORK = 10**9  # 64-bit word products: factor lists, convolution, Horner's rule, decimal result
+from .genfun import InputError
 
 
 class IsotropicResult(namedtuple("IsotropicResult", "degree components ambient_dim")):
@@ -90,17 +88,17 @@ def _check_work(n: tuple[int, ...], omega: tuple[int, ...]) -> None:
     n_dim = sum(n) - 2 * len(n)
     words += (n_dim + 1) * (n_dim + 1).bit_length() // 64
     work += length * words + 4 * words * words  # Horner's rule, then the result's decimal digits
-    if work > MAX_ISOTROPIC_WORK:
-        raise ValueError(
+    if work > genfun.MAX_WORD_PRODUCTS:
+        raise InputError(
             f"the polar-class sum needs about {work} products of 64-bit words, "
-            f"over the limit of {MAX_ISOTROPIC_WORK}; use smaller n or omega"
+            f"over the limit of {genfun.MAX_WORD_PRODUCTS}; use smaller n or omega"
         )
 
 
 def isotropic_degree(fmt: TensorFormat) -> IsotropicResult:
     """Degree and component count of the totally isotropic variety for ``fmt``."""
     if any(ni < 2 for ni in fmt.n):
-        raise ValueError("all dimensions n_i must be >= 2 (each factor needs a smooth quadric)")
+        raise InputError("all dimensions n_i must be >= 2 (each factor needs a smooth quadric)")
     _check_work(fmt.n, fmt.omega)
     k = fmt.k
     n_dim = sum(fmt.n) - 2 * k
@@ -129,18 +127,18 @@ def isotropic_degree(fmt: TensorFormat) -> IsotropicResult:
 def isotropic_degree_symmetric(n: int, omega: int) -> int:
     """Closed form for a single symmetric factor: 2 * sum_{j<=n-2} (j+1)(omega-1)^j."""
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise InputError("n must be >= 2")
     if omega < 1:
-        raise ValueError("omega must be >= 1")
+        raise InputError("omega must be >= 1")
     return 2 * sum((j + 1) * (omega - 1) ** j for j in range(n - 1))
 
 
 def symmetric_tuple_codim(n: int, k: int) -> int:
     """Codimension of the variety of tensors with a fully repeated singular tuple."""
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise InputError("n must be >= 2")
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InputError("k must be >= 1")
     return (k - 1) * (n - 1)
 
 
@@ -150,9 +148,9 @@ def partition_tuple_codim(n: int, k: int, t: int) -> int:
     Depends only on the number of parts t, not on the partition itself.
     """
     if not 1 <= t <= k:
-        raise ValueError("the number of parts t must satisfy 1 <= t <= k")
+        raise InputError("the number of parts t must satisfy 1 <= t <= k")
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputError("n must be >= 1")
     return (k - t) * (n - 1)
 
 

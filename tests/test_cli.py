@@ -1,10 +1,13 @@
 import json
+import shlex
 import sys
 import time
 
 import pytest
 
 from kalmandeg import cli
+from kalmandeg.genfun import InputError
+from test_readme import EXAMPLES as README_EXAMPLES
 
 
 def run(capsys, *argv):
@@ -359,3 +362,78 @@ def test_golden_stdout(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out == expected
+
+
+def _refused(message, *argv):
+    return argv, 2, message
+
+
+BIG = "1" + "0" * 400
+EXIT_CODES = [
+    *[(argv, 0, "") for argv, _ in GOLDEN],
+    *[(tuple(shlex.split(command)[1:]), 0, "") for command, _ in README_EXAMPLES],
+    # one argv per validation message
+    _refused("n and omega must have the same length", "degree", "--n", "2,2", "--delta", "0,0", "--omega", "1"),
+    _refused("at least one factor is required", "degree", "--n", "", "--delta", "", "--omega", ""),
+    _refused("all dimensions n_i must be >= 1", "degree", "--n", "0,2", "--delta", "0,0", "--omega", "1,1"),
+    _refused("all weights omega_i must be >= 1", "degree", "--n", "2,2", "--delta", "0,0", "--omega", "0,1"),
+    _refused("at least one entry is required", "degree", "--n", "2", "--delta", "", "--omega", "1"),
+    _refused("codimensions must be nonnegative", "degree", "--n", "2", "--delta", "-1", "--omega", "1"),
+    _refused("codimension vector length does not match", "degree", "--n", "2,2", "--delta", "0", "--omega", "1,1"),
+    _refused("delta_1 = 2 exceeds n_1 - 1 = 1", "degree", "--n", "2,2", "--delta", "2,0", "--omega", "1,1"),
+    _refused("deg_z length does not match", "degree", "--n", "2,2", "--delta", "0,0", "--omega", "1,1", "--deg-z", "1"),
+    _refused("all deg_z entries must be >= 1", "degree", "--n", "2", "--delta", "0", "--omega", "1", "--deg-z", "0"),
+    _refused("--caps is required", "genfun", "--omega", "1,1"),
+    _refused("caps length does not match the number of factors", "genfun", "--omega", "1,1", "--caps", "2"),
+    _refused("caps must be nonnegative", "genfun", "--omega", "1", "--caps", "2", "--y-cap", "-1"),
+    _refused("all weights omega_i must be >= 1", "genfun", "--omega", "0", "--show-h"),
+    _refused("at least one factor is required", "genfun", "--omega", "", "--caps", ""),
+    _refused("all dimensions n_i must be >= 2", "isotropic", "--n", "1,3", "--omega", "1,1"),
+    _refused("n must be >= 2", "codim", "--n", "1", "--k", "2"),
+    _refused("k must be >= 1", "codim", "--n", "3", "--k", "0"),
+    _refused("the number of parts t must satisfy 1 <= t <= k", "codim", "--n", "3", "--k", "2", "--parts", "3"),
+    _refused("n must be >= 1", "codim", "--n", "0", "--k", "2", "--parts", "1"),
+    _refused("need k >= 2 and omega >= 1", "asympt", "--k", "1", "--omega", "1", "--n", "5"),
+    _refused("need k >= 3, or k = 2 with omega >= 2", "asympt", "--k", "2", "--omega", "1", "--verify"),
+    _refused("delta must be >= 0", "asympt", "--k", "3", "--omega", "1", "--delta", "-1", "--constants"),
+    _refused("n must be >= 1", "asympt", "--k", "3", "--omega", "1", "--n", "0"),
+    _refused("delta_1 = 5 exceeds n_1 - 1 = 4", "asympt", "--k", "3", "--omega", "1", "--delta", "5", "--n", "5"),
+    _refused("--n is required", "asympt", "--k", "3", "--omega", "1"),
+    _refused("--max-n must be >= 1 for matrix-ed", "table", "--kind", "matrix-ed", "--max-n", "0"),
+    _refused("need 1 <= --n-min <= --n-max", "table", "--kind", "hypercubical-compare", "--n-min", "0"),
+    _refused("need --max-n >= 2 and --max-omega >= 1", "table", "--kind", "isotropic-sym", "--max-n", "1"),
+    # one argv per budget
+    _refused("subsets, over the limit of 32768", "genfun", "--omega", ",".join(["1"] * 15), "--show-h"),
+    _refused("cells with padding", "genfun", "--omega", "1,1", "--caps", "100000,100000"),
+    _refused("in decimal takes about", "genfun", "--omega", "1" + "0" * 10000, "--caps", "18"),
+    _refused("the polar-class sum needs about", "isotropic", "--n", "20000", "--omega", "3"),
+    _refused("the extraction work estimate", "degree", "--n", "3000,3000", "--delta", "0,0", "--omega", "1,1"),
+    # user numbers beyond float or index range
+    _refused("beyond float range", "asympt", "--k", BIG, "--omega", "1", "--n", "5"),
+    _refused("subsets, over the limit of 32768", "asympt", "--k", "100000000000000000000", "--omega", "1", "--verify"),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", EXIT_CODES, ids=[" ".join(argv)[:80] for argv, _, _ in EXIT_CODES])
+def test_exit_code_contract(capsys, argv, code, message):
+    # Exit 0 answers, exit 2 (InputError, and only it) refuses at once with "error:", nothing on stdout.
+    start = time.perf_counter()
+    result = run(capsys, *argv)
+    elapsed = time.perf_counter() - start
+    if code == 0:
+        assert result[0] == 0 and result[2] == "", argv
+    else:
+        assert result[:2] == (2, "") and result[2].startswith("error: ") and message in result[2], result
+        assert elapsed < 0.1
+
+
+@pytest.mark.parametrize("exc", [ValueError("boom"), TypeError("boom"), ArithmeticError("boom"), ZeroDivisionError("boom")])
+def test_internal_failures_exit_three(capsys, monkeypatch, exc):
+    def broken(*args):
+        raise exc
+
+    monkeypatch.setattr(cli.degrees, "extract_degree", broken)
+    code, out, err = run(capsys, "degree", "--n", "4,4", "--delta", "2,1", "--omega", "1,1")
+    assert (code, out) == (3, "")
+    assert err == f"internal assertion failed: {type(exc).__name__}: boom\n"
+    assert issubclass(InputError, ValueError) and not isinstance(exc, InputError)

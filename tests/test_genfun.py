@@ -224,9 +224,9 @@ def test_series_budget_counts_coefficient_bits(monkeypatch):
 
 def test_series_budget_counts_decimal_conversion(monkeypatch):
     # The omega = 10^30 box above: 4 * 2 cells, each charged 6 words squared.
-    monkeypatch.setattr(genfun, "MAX_SERIES_DECIMAL_WORK", 288)
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 288)
     expand_series((10**30,), (3,), 1)
-    monkeypatch.setattr(genfun, "MAX_SERIES_DECIMAL_WORK", 287)
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 287)
     with pytest.raises(ValueError, match="about 401 bits in decimal takes about 288 products of 64-bit words, over the limit of 287"):
         expand_series((10**30,), (3,), 1)
     monkeypatch.undo()

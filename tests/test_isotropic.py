@@ -4,7 +4,7 @@ from itertools import permutations, product
 
 import pytest
 
-from kalmandeg import isotropic
+from kalmandeg import genfun, isotropic
 from kalmandeg.degrees import TensorFormat
 from kalmandeg.isotropic import (
     SYMMETRIC_PAIR_TABLE,
@@ -95,9 +95,9 @@ def test_work_budget_counts_word_products(monkeypatch):
     # building and convolving it into [1] costs 3 * 1 * (1 + 1); the summed
     # list then has 3 words, and Horner's 3 steps plus 4 * 3^2 for the digits
     # bring the work to 6 + 9 + 36 = 51.
-    monkeypatch.setattr(isotropic, "MAX_ISOTROPIC_WORK", 51)
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 51)
     assert isotropic_degree(TensorFormat((4,), (3,))).degree == FROZEN_ISO[((4,), (3,))]
-    monkeypatch.setattr(isotropic, "MAX_ISOTROPIC_WORK", 50)
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 50)
     with pytest.raises(ValueError, match="about 51 products of 64-bit words, over the limit of 50; use smaller n"):
         isotropic_degree(TensorFormat((4,), (3,)))
 
