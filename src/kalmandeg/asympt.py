@@ -40,7 +40,8 @@ import sys
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .degrees import CodimVec, TensorFormat, _check_extraction_work, extract_degree
+from . import genfun
+from .degrees import CodimVec, TensorFormat, _check_extraction_work, _ring_work, extract_degree
 from .genfun import InputError, _check_subsets, split_H
 
 _FLOAT_LOG10_MAX = math.log10(sys.float_info.max)
@@ -78,6 +79,16 @@ def critical_constants(k: int, omega: int, delta: int) -> CriticalConstants:
     wk = _check_regime(k, omega)
     if delta < 0:
         raise InputError("delta must be >= 0")
+    # Before cancelling, the four numerators and denominators hold at most about
+    # this many bits, W words; normalizing them (gcds) and writing them in
+    # decimal are quadratic in their words, about W^2 word products in all.
+    bits = (7 * k + 2 * abs(k - delta) + 2) * wk.bit_length() + (delta + 3) * omega.bit_length()
+    if (bits // 64) ** 2 > genfun.MAX_WORD_PRODUCTS:
+        raise InputError(
+            f"the critical-point constants have up to about {bits} bits, and normalizing and writing them takes "
+            f"about {(bits // 64) ** 2} products of 64-bit words, over the limit of {genfun.MAX_WORD_PRODUCTS}; "
+            "use smaller k, omega or delta"
+        )
     return CriticalConstants(
         c=Fraction(1, wk - 1),
         det_hessian=Fraction((wk - 2) ** (k - 1), omega) / Fraction(wk) ** (k - 2),
@@ -211,6 +222,8 @@ def compare_exact_asymptotic(
     k: int, omega: int, delta: int, n_range: Sequence[int]
 ) -> list[ComparisonRow]:
     """Exact degree factor (by extraction) next to the estimate for each n."""
+    if _ring_work(k) > genfun.MAX_SERIES_WORK:  # before any k-tuple exists
+        raise InputError(f"extracting with k = {k} factors is over the limit of {genfun.MAX_SERIES_WORK}; use smaller k")
     cv = CodimVec((delta,) + (0,) * (k - 1))
     _check_extraction_work((TensorFormat((n,) * k, (omega,) * k), cv) for n in n_range)
     rows = []

@@ -65,8 +65,8 @@ def _cmd_degree(args: argparse.Namespace) -> None:
 
 def _cmd_genfun(args: argparse.Namespace) -> None:
     if args.show_h:
-        h = str(genfun.build_H(args.omega))
-        h_det = str(genfun.build_H_via_determinant(args.omega))
+        h, h_det = genfun.build_H(args.omega), genfun.build_H_via_determinant(args.omega)  # both budgets first
+        h, h_det = str(h), str(h_det)
         record = {
             "command": "genfun",
             "inputs": {"omega": list(args.omega)},
@@ -156,9 +156,9 @@ def _cmd_asympt(args: argparse.Namespace) -> None:
             "det_hessian": str(cc.det_hessian),
             "l0": str(cc.l0),
             "minus_ck_dk": str(cc.minus_ck_dk),
-            "result": str(cc.l0),
             "provenance": "closed-form critical-point constants, exact rationals",
         }
+        record["result"] = record["l0"]
         _emit(args, [record], [f"{key} = {record[key]}" for key in ("c", "det_hessian", "l0", "minus_ck_dk")])
         return
     if args.n is None:
@@ -203,6 +203,7 @@ def _table_rows(args: argparse.Namespace) -> tuple[list[str], list[list]]:
         ]
     if args.max_n < 2 or args.max_omega < 1:  # isotropic-sym, the parser's last choice
         raise genfun.InputError("need --max-n >= 2 and --max-omega >= 1 for isotropic-sym")
+    isotropic._check_symmetric_work(args.max_n, args.max_omega, (args.max_n - 1) * args.max_omega)
     return ["n", "omega", "degree"], [
         [n, w, str(isotropic.isotropic_degree_symmetric(n, w))]
         for n in range(2, args.max_n + 1)

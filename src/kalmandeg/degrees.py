@@ -97,7 +97,8 @@ def _extraction_work(fmt: TensorFormat, d: CodimVec) -> int:
     the homogeneous halves at most slab; plus 2 sum(n_i - 1) calls.  A
     coefficient has at most sum_i ((n_i - 1) bitlen(sum omega) + bitlen(n_i))
     bits, the factors' product at all ones, and a pair multiplies it by a
-    weight: one more pair's cost per 2^20 products of their bits.
+    weight: one more pair's cost per 2^20 products of their bits.  Setting up
+    the k bases of k + 1 terms over k + 1 variables adds ``_ring_work(k)``.
     """
     _check_codim(fmt, d)
     k = fmt.k
@@ -106,7 +107,12 @@ def _extraction_work(fmt: TensorFormat, d: CodimVec) -> int:
     sides = [n - di for n, di in zip(fmt.n, d.delta)] + [d.total + 1]
     longest = max(sides)
     pairs = prod(sides) // longest * ((k + 2) * sum(min(n - 1, longest) for n in fmt.n) + 1)
-    return pairs * (1 + (bits * max(fmt.omega).bit_length() >> 20)) + 2 * steps
+    return pairs * (1 + (bits * max(fmt.omega).bit_length() >> 20)) + 2 * steps + _ring_work(k)
+
+
+def _ring_work(k: int) -> int:
+    """k^3 / 64: each of k bases has k + 1 terms whose exponent tuples are k + 1 long."""
+    return k**3 >> 6
 
 
 def _check_extraction_work(cells: Iterable[tuple[TensorFormat, CodimVec]]) -> None:

@@ -128,6 +128,15 @@ def _principal_minors(a: Sequence[Sequence[int]]) -> list[int]:
     """
     m = len(a)
     c = max(sum(map(abs, row)) for row in a) + 1
+    # Deciding the (t+1)-th index updates (m - t - 1)^2 lists of 2^t entries, minors of B of order up
+    # to t + 1 of W = 1 + (t + 1) bitlen(c) // 64 words each.  Two products and an exact division,
+    # which CPython takes digit by digit, cost about 5 W^2 word products per entry.
+    work = sum(5 * (m - t - 1) ** 2 * (1 + (t + 1) * c.bit_length() // 64) ** 2 << t for t in range(m))
+    if work > MAX_WORD_PRODUCTS:
+        raise InputError(
+            f"the principal minors of a {m} x {m} matrix with entries of up to {c.bit_length()} bits take about "
+            f"{work} products of 64-bit words, over the limit of {MAX_WORD_PRODUCTS}; use smaller entries or weights"
+        )
     block = [[[x + c * (i == l)] for l, x in enumerate(row)] for i, row in enumerate(a)]
     dets = [1]
     while block:  # decide the last undecided index j: drop its row and column

@@ -124,13 +124,42 @@ def isotropic_degree(fmt: TensorFormat) -> IsotropicResult:
     return IsotropicResult(degree=degree, components=components, ambient_dim=n_dim)
 
 
+def _check_symmetric_work(n: int, omega: int, cells: int = 1) -> None:
+    """Refuse ``cells`` single-factor degrees, none larger than the one at (n, omega), over the limit.
+
+    That degree has at most n bitlen(omega - 1) + bitlen(n) bits, W words:
+    its power, product and exact division and its decimal digits cost about
+    5 W^2 word products, and its table row about 3000 more.
+    """
+    words = 1 + (n * (omega - 1).bit_length() + n.bit_length()) // 64
+    work = cells * (3000 + 5 * words * words)
+    if work > genfun.MAX_WORD_PRODUCTS:
+        raise InputError(
+            f"{cells} single-factor isotropic degrees of up to {words} 64-bit words take about {work} products "
+            f"of 64-bit words, over the limit of {genfun.MAX_WORD_PRODUCTS}; use smaller n or omega"
+        )
+
+
 def isotropic_degree_symmetric(n: int, omega: int) -> int:
-    """Closed form for a single symmetric factor: 2 * sum_{j<=n-2} (j+1)(omega-1)^j."""
+    """Closed form for a single symmetric factor: 2 * sum_{j<=n-2} (j+1)(omega-1)^j.
+
+    With m = n - 2 and x = omega - 1 the sum is (m+1)(m+2) at x = 1, and
+    otherwise 2 (1 - (m+2) x^(m+1) + (m+1) x^(m+2)) / (1 - x)^2, an exact
+    division, asserted like the polar-class sum's.
+    """
     if n < 2:
         raise InputError("n must be >= 2")
     if omega < 1:
         raise InputError("omega must be >= 1")
-    return 2 * sum((j + 1) * (omega - 1) ** j for j in range(n - 1))
+    _check_symmetric_work(n, omega)
+    m, x = n - 2, omega - 1
+    if x == 1:
+        return (m + 1) * (m + 2)
+    power = x ** (m + 1)
+    degree, rest = divmod(2 * (1 - (m + 2) * power + (m + 1) * power * x), (1 - x) ** 2)
+    if rest:
+        raise ArithmeticError(f"single-factor closed form is not integral at n = {n}, omega = {omega}")
+    return degree
 
 
 def symmetric_tuple_codim(n: int, k: int) -> int:

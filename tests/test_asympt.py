@@ -16,7 +16,8 @@ from kalmandeg.asympt import (
     ratio_to_exact,
     verify_critical_point,
 )
-from kalmandeg.genfun import split_H
+from kalmandeg import genfun
+from kalmandeg.genfun import InputError, split_H
 from kalmandeg.polycore import TPoly, poly_mul
 from test_polycore import evaluate, partial
 
@@ -135,8 +136,24 @@ def test_verify_critical_point_beyond_product_reach():
 
 
 def test_verify_critical_point_refuses_too_many_subsets():
-    with pytest.raises(ValueError, match="subsets, over the limit"):
-        verify_critical_point(15, 1)
+    for k in (15, 10**20):  # checked before (omega,) * k is built
+        with pytest.raises(InputError, match="subsets, over the limit"):
+            verify_critical_point(k, 1)
+
+
+def test_constants_budget_counts_bits_before_any_fraction(monkeypatch):
+    # k = 100, omega = 1: (7 * 100 + 2 * 100 + 2) * bitlen(100) + 3 * bitlen(1) = 6317 bits, 98 words.
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 98 * 98)
+    assert critical_constants(100, 1, 0).c == Fraction(1, 99)
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 98 * 98 - 1)
+    with pytest.raises(InputError, match="up to about 6317 bits, and normalizing and writing them takes about 9604"):
+        critical_constants(100, 1, 0)
+    monkeypatch.undo()
+    start = time.perf_counter()
+    for k, delta in ((10**20, 0), (3, 10**20), (30000, 0), (3, 10**6)):  # 10 s and more, or never done
+        with pytest.raises(InputError, match="over the limit of 1000000000"):
+            critical_constants(k, 1, delta)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_estimate_matches_closed_constants():

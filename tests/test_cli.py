@@ -408,9 +408,16 @@ EXIT_CODES = [
     _refused("in decimal takes about", "genfun", "--omega", "1" + "0" * 10000, "--caps", "18"),
     _refused("the polar-class sum needs about", "isotropic", "--n", "20000", "--omega", "3"),
     _refused("the extraction work estimate", "degree", "--n", "3000,3000", "--delta", "0,0", "--omega", "1,1"),
+    _refused("extracting with k = 295 factors", "asympt", "--k", "295", "--omega", "1", "--n", "1", "--compare"),
+    _refused("principal minors of a 9 x 9 matrix", "genfun", "--omega", ",".join(["1" + "0" * 3000] * 8), "--show-h"),
+    _refused("single-factor isotropic degrees", "table", "--kind", "isotropic-sym", "--max-n", "1000000"),
+    _refused("single-factor isotropic degrees", "table", "--kind", "isotropic-sym", "--max-n", "2", "--max-omega", BIG),
+    _refused("critical-point constants", "asympt", "--k", "100000000000000000000", "--omega", "1", "--constants"),
+    _refused("critical-point constants", "asympt", "--k", "3", "--omega", "1", "--delta", "1" + "0" * 20, "--constants"),
     # user numbers beyond float or index range
     _refused("beyond float range", "asympt", "--k", BIG, "--omega", "1", "--n", "5"),
     _refused("subsets, over the limit of 32768", "asympt", "--k", "100000000000000000000", "--omega", "1", "--verify"),
+    _refused("extracting with k = 1000", "asympt", "--k", "100000000000000000000", "--omega", "1", "--n", "5", "--compare"),
 ]
 
 

@@ -312,6 +312,7 @@ def test_extraction_budget_refuses_before_building(monkeypatch):
         (TensorFormat((10**12, 10**12), (2, 2)), CodimVec((0, 0))),
         (TensorFormat((50, 50), (10**500, 10**500)), CodimVec((0, 0))),  # the coefficient-size term
         (TensorFormat((100000,), (1,)), CodimVec((0,))),  # the Horner calls
+        (TensorFormat((1,) * 300, (1,) * 300), CodimVec((0,) * 300)),  # the ring setup
     ):
         with pytest.raises(ValueError, match="over the limit of 400000"):
             extract_degree(fmt, d)

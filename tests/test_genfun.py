@@ -196,6 +196,24 @@ def test_subset_budget_refuses_before_work():
     assert build_H((1,) * 14).constant_term == 1  # 2^15 subsets: at the limit, accepted
 
 
+def test_principal_minors_budget_counts_entry_words(monkeypatch):
+    # omega = (1,): A = [[0, 1], [1, 0]], c = 2; deciding the first index
+    # updates one list of one entry of one word, at 5 word products.
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 5)
+    assert build_H_via_determinant((1,)) == build_H((1,))
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 4)
+    with pytest.raises(genfun.InputError, match="2 x 2 matrix with entries of up to 2 bits take about 5 products"):
+        build_H_via_determinant((1,))
+    monkeypatch.undo()
+    # Eight weights of 10^3000 took 5 s, eleven over 35 s; refused before the elimination.
+    start = time.perf_counter()
+    for k in (8, 11):
+        with pytest.raises(genfun.InputError, match="over the limit of 1000000000"):
+            build_H_via_determinant((10**3000,) * k)
+    assert time.perf_counter() - start < 0.1
+    assert build_H_via_determinant((1,) * 14) == build_H((1,) * 14)
+
+
 def test_series_budget_counts_padded_cells_times_terms(monkeypatch):
     # H = 1 - x1*y for omega = (1,); each axis gets one pad cell, so the box
     # (3 + 2) * (1 + 2) = 15 cells times 2 terms is 30 units of work.

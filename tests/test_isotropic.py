@@ -6,6 +6,7 @@ import pytest
 
 from kalmandeg import genfun, isotropic
 from kalmandeg.degrees import TensorFormat
+from kalmandeg.genfun import InputError
 from kalmandeg.isotropic import (
     SYMMETRIC_PAIR_TABLE,
     isotropic_degree,
@@ -121,6 +122,27 @@ def test_symmetric_closed_form():
         assert isotropic_degree_symmetric(2, w) == 2
     with pytest.raises(ValueError):
         isotropic_degree_symmetric(1, 2)
+
+
+def test_symmetric_closed_form_matches_the_sum():
+    # The sum the closed form replaced, kept as its second route.
+    for n in range(2, 60):
+        for w in (*range(1, 12), 10**10, 3**41):
+            assert isotropic_degree_symmetric(n, w) == 2 * sum((j + 1) * (w - 1) ** j for j in range(n - 1)), (n, w)
+
+
+def test_symmetric_budget_counts_cells_and_words(monkeypatch):
+    # (3, 2): a one-word value, 3000 for the row and 5 * 1^2 for the value.
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 3005)
+    assert isotropic_degree_symmetric(3, 2) == 6
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 3004)
+    with pytest.raises(InputError, match="1 single-factor isotropic degrees of up to 1 64-bit words take about 3005"):
+        isotropic_degree_symmetric(3, 2)
+    monkeypatch.undo()
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="over the limit of 1000000000"):
+        isotropic_degree_symmetric(10**9, 3)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_single_factor_specializes_to_closed_form():
