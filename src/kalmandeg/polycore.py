@@ -13,15 +13,30 @@ nonnegative and add under multiplication, so a monomial within the caps can
 only arise from factor monomials that are themselves within the caps; every
 coefficient a truncated product keeps therefore equals the corresponding
 coefficient of the exact, untruncated product, regardless of signs.
+
+``poly_mul`` has two paths with the same terms.  Small products run the
+plain pairwise loop.  From ``COLUMN_CUTOFF`` terms in the larger operand on,
+that operand is transposed into exponent columns once, and each term of the
+smaller one is applied to whole columns by ``map``/``zip``/``compress``, which
+leaves only the dict accumulation per pair in Python: about twice as fast on
+extraction's Horner steps, where the larger operand has hundreds of terms and
+the smaller one at most k + 1.  Below the cutoff the column setup costs more
+than it saves (always taking it made the ``matrix-ed`` table and MacMahon's
+small boxes 1.2-1.4x slower); any cutoff from 8 to 32 measured the same.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from itertools import compress
 from operator import add, le
 
 # One exponent per ring variable, all >= 0.
 ExponentVec = tuple[int, ...]
+
+# Terms in the larger operand from which poly_mul works on exponent columns;
+# measured on the extraction, table and MacMahon pools (see the module docstring).
+COLUMN_CUTOFF = 16
 
 
 def _merge_caps(a: tuple[int, ...] | None, b: tuple[int, ...] | None) -> tuple[int, ...] | None:
@@ -194,16 +209,51 @@ def poly_mul(a: TPoly, b: TPoly) -> TPoly:
     Every monomial exceeding a cap in any variable is dropped; all
     coefficients within the caps are exact.  Uncapped operands give the full
     product.
+
+    Below ``COLUMN_CUTOFF`` terms in the larger operand this is the pairwise
+    loop.  From there on the larger operand's exponent tuples are transposed
+    into columns once, and each term of the smaller operand shifts the
+    columns it moves, scales the coefficients (unless it is 1) and masks
+    only the columns whose largest entry, shifted, passes its cap; only the
+    accumulation into the output runs per pair in Python.  The cutoff exists
+    because that setup costs more than it saves on few-term products.  Only
+    the insertion order of the result's terms depends on the path.
     """
     a._check_same_ring(b)
     caps = _merge_caps(a.caps, b.caps)
+    small, large = sorted((a.terms, b.terms), key=len)
     out: dict[ExponentVec, int] = {}
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
-            e = tuple(map(add, e1, e2))
-            if caps is None or all(map(le, e, caps)):
-                out[e] = out.get(e, 0) + c1 * c2
-    return TPoly._raw(a.vars, {e: c for e, c in out.items() if c}, caps)
+    if len(large) < COLUMN_CUTOFF:
+        for e1, c1 in a.terms.items():
+            for e2, c2 in b.terms.items():
+                e = tuple(map(add, e1, e2))
+                if caps is None or all(map(le, e, caps)):
+                    out[e] = out.get(e, 0) + c1 * c2
+        return TPoly._raw(a.vars, {e: c for e, c in out.items() if c}, caps)
+    coeffs = list(large.values())
+    cols = list(zip(*large))
+    tops = list(map(max, cols))
+    get = out.get
+    for e1, c1 in small.items():
+        pairs = zip(
+            zip(*[map(s.__add__, col) if s else col for s, col in zip(e1, cols)]),
+            map(c1.__mul__, coeffs) if c1 != 1 else coeffs,
+        )
+        if caps is not None:
+            # A column can pass its cap only if its largest entry, shifted, does.
+            masks = [map((cap - s).__ge__, col) for s, col, cap, top in zip(e1, cols, caps, tops) if top + s > cap]
+            if len(masks) == 1:
+                pairs = compress(pairs, masks[0])
+            elif masks:
+                pairs = compress(pairs, map(all, zip(*masks)))
+        if out:
+            for e, c in pairs:
+                out[e] = get(e, 0) + c
+        else:  # a shift is one-to-one, so the first term's products are distinct monomials
+            out.update(pairs)
+    if 0 in out.values():
+        out = {e: c for e, c in out.items() if c}
+    return TPoly._raw(a.vars, out, caps)
 
 
 def det(rows: Sequence[Sequence[TPoly]]) -> TPoly:

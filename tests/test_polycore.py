@@ -4,8 +4,9 @@ from math import prod
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
-from kalmandeg.polycore import TPoly, det, poly_mul
+from kalmandeg.polycore import COLUMN_CUTOFF, TPoly, det, poly_mul
 
 
 def partial(p, name):
@@ -200,3 +201,66 @@ def test_constructor_invariants():
     # zero coefficients and over-cap monomials are dropped, not stored
     p = TPoly(("x",), {(0,): 0, (5,): 3, (1,): 2}, caps=(2,))
     assert p.terms == {(1,): 2}
+
+
+def _pairwise(a, b):
+    """The capped product by its definition: every pair, every cap, zero sums dropped."""
+    caps = [c for c in (a.caps, b.caps) if c is not None]
+    caps = tuple(map(min, *caps)) if len(caps) == 2 else (caps[0] if caps else None)
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if caps is None or all(x <= c for x, c in zip(e, caps)):
+                out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}, caps
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_poly_mul_matches_pairwise_product_property(data):
+    # Both paths of the kernel (pairwise below COLUMN_CUTOFF terms in the
+    # larger operand, columns from there on), caps absent, equal or different,
+    # terms of the larger operand beyond the merged caps, and sums that cancel.
+    k = data.draw(st.integers(1, 5), label="k")
+    ring = tuple(f"x{i + 1}" for i in range(k))
+    top = (4, 4, 2, 1, 1)[k - 1]  # dense enough for sums to collide and cancel
+    exps = st.tuples(*[st.integers(0, top)] * k)
+    coeffs = st.sampled_from((-1, 1, -1, 1, -2, 3 * 10**30))
+    size = data.draw(st.one_of(st.integers(0, COLUMN_CUTOFF - 1), st.integers(COLUMN_CUTOFF, 2 * COLUMN_CUTOFF)))
+    # The larger operand's own caps keep all its terms; the smaller one's may cut them.
+    caps_a = st.tuples(*[st.integers(top, 6)] * k)
+    caps_b = st.tuples(*[st.integers(0, 6)] * k)
+    mode = data.draw(st.sampled_from(("none", "a", "b", "equal", "different")), label="caps")
+    ca = data.draw(caps_a) if mode in ("a", "equal", "different") else None
+    cb = ca if mode == "equal" else data.draw(caps_b) if mode in ("b", "different") else None
+    a = TPoly(ring, data.draw(st.dictionaries(exps, coeffs, min_size=min(size, (top + 1) ** k), max_size=size)), ca)
+    b = TPoly(ring, data.draw(st.dictionaries(exps, coeffs, max_size=6)), cb)
+    for x, y in ((a, b), (b, a)):
+        terms, merged = _pairwise(x, y)
+        got = poly_mul(x, y)
+        assert got.terms == terms and got.caps == merged and got.vars == ring
+        assert 0 not in got.terms.values()
+
+
+def test_poly_mul_column_path_cases():
+    ring = ("x", "y", "z")
+    box = {(i, j, 0): 1 for i in range(4) for j in range(4)}
+    assert len(box) >= COLUMN_CUTOFF
+    diff = {(1, 0, 0): 1, (0, 1, 0): -1}
+    for caps_a, caps_b in ((None, None), ((3, 3, 1), None), ((4, 2, 0), (4, 2, 0)), ((5, 5, 5), (2, 4, 1))):
+        a, b = TPoly(ring, box, caps_a), TPoly(ring, diff, caps_b)
+        # (x - y) times the box: the inner x^i y^j cancel to zero.
+        terms, merged = _pairwise(a, b)
+        assert poly_mul(a, b).terms == terms and poly_mul(b, a).terms == terms
+        assert poly_mul(a, b).caps == merged
+    rim = {(4, j, 0): 1 for j in range(4)} | {(i, 0, 0): 1 for i in range(1, 4)}
+    rim |= {(0, j, 0): -1 for j in range(1, 5)} | {(i, 4, 0): -1 for i in range(1, 4)}
+    assert poly_mul(TPoly(ring, box), TPoly(ring, diff)).terms == rim
+    # The larger operand's own caps exceed the merged ones: terms past them go, unmoved columns included.
+    wide = TPoly(ring, box, (3, 3, 0))
+    narrow = TPoly(ring, {(0, 0, 0): 1}, (1, 3, 0))
+    assert poly_mul(wide, narrow).terms == {e: 1 for e in box if e[0] <= 1}
+    # A term past a cap everywhere contributes nothing; an empty operand gives zero.
+    assert poly_mul(wide, TPoly(ring, {(0, 0, 5): 2})).terms == {}
+    assert poly_mul(wide, TPoly.zero(ring)).terms == {}
