@@ -42,7 +42,7 @@ from collections.abc import Sequence
 
 from . import genfun
 from .degrees import CodimVec, TensorFormat, _check_extraction_work, _ring_work, extract_degree
-from .genfun import InputError, _check_subsets, split_H
+from .genfun import InputError, _check_subsets, _num, split_H
 
 _FLOAT_LOG10_MAX = math.log10(sys.float_info.max)
 _LOG10_2 = math.log10(2)
@@ -85,8 +85,8 @@ def critical_constants(k: int, omega: int, delta: int) -> CriticalConstants:
     bits = (7 * k + 2 * abs(k - delta) + 2) * wk.bit_length() + (delta + 3) * omega.bit_length()
     if (bits // 64) ** 2 > genfun.MAX_WORD_PRODUCTS:
         raise InputError(
-            f"the critical-point constants have up to about {bits} bits, and normalizing and writing them takes "
-            f"about {(bits // 64) ** 2} products of 64-bit words, over the limit of {genfun.MAX_WORD_PRODUCTS}; "
+            f"the critical-point constants have up to about {_num(bits)} bits, and normalizing and writing them "
+            f"takes about {_num((bits // 64) ** 2)} products of 64-bit words, over the limit of {genfun.MAX_WORD_PRODUCTS}; "
             "use smaller k, omega or delta"
         )
     return CriticalConstants(
@@ -110,16 +110,37 @@ class CriticalPointReport(
     __slots__ = ()
 
 
+def _check_evaluation_work(k: int, omega: int, q: int) -> None:
+    """Refuse an exact evaluation at c = 1/q that would multiply too many 64-bit words.
+
+    H2 has up to 2^k terms, with coefficients 1 - |S| omega of A words; each
+    term multiplies its coefficient by a power q^j, j <= k + 1, of at most
+    P words, once for the value and again for the slope.  Measured, those
+    products and the sums around them take about three times 2^k A P word
+    products; the Fraction steps after them, gcds of P-word ints, about P^2.
+    """
+    a_words = 1 + (k * omega).bit_length() // 64
+    p_words = 1 + (k + 1) * q.bit_length() // 64
+    work = 3 * (a_words * p_words << k) + p_words * p_words
+    if work > genfun.MAX_WORD_PRODUCTS:
+        raise InputError(
+            f"evaluating H2's {1 << k} terms at the critical point takes about {_num(work)} products of 64-bit "
+            f"words, over the limit of {genfun.MAX_WORD_PRODUCTS}; use smaller k or omega"
+        )
+
+
 def verify_critical_point(k: int, omega: int) -> CriticalPointReport:
     """Evaluate F_D and its x_k-slope at c from H2's term map; confirm both identities."""
     from fractions import Fraction
 
     wk = _check_regime(k, omega)
     _check_subsets(k + 1)  # before (omega,) * k exists
-    _, h2 = split_H((omega,) * k)
     # At the diagonal point c = 1/q a monomial x^e is q^-|e|, and its x_k
     # derivative e_k q^(1-|e|); over the common denominator q^k both are ints.
     q = wk - 1
+    _check_evaluation_work(k, omega, q)
+    expected = critical_constants(k, omega, 0).minus_ck_dk  # checks its own budget before any Fraction
+    _, h2 = split_H((omega,) * k)
     powers = [q**j for j in range(k + 2)]
     h2_at_c = Fraction(sum(a * powers[k - sum(e)] for e, a in h2.terms.items()), powers[k])
     dh2_at_c = Fraction(sum(a * e[-1] * powers[k + 1 - sum(e)] for e, a in h2.terms.items()), powers[k])
@@ -128,7 +149,6 @@ def verify_critical_point(k: int, omega: int) -> CriticalPointReport:
     c = Fraction(1, q)
     value = h2_at_c * (1 - c) ** k
     slope = -c * (dh2_at_c * (1 - c) ** k - h2_at_c * (1 - c) ** (k - 1))
-    expected = critical_constants(k, omega, 0).minus_ck_dk
     return CriticalPointReport(
         k=k,
         omega=omega,
@@ -167,7 +187,7 @@ def asymptotic_degree(k: int, omega: int, delta: int, n: int) -> AsymptoticEstim
     if n < 1:
         raise InputError("n must be >= 1")
     if delta > n - 1:  # outside the hypercubical format's codimension range, as extract_degree says
-        raise InputError(f"delta_1 = {delta} exceeds n_1 - 1 = {n - 1}")
+        raise InputError(f"delta_1 = {_num(delta)} exceeds n_1 - 1 = {_num(n - 1)}")
     try:
         log10_c = (
             (k - 1) * math.log10(wk - 1)
@@ -223,7 +243,7 @@ def compare_exact_asymptotic(
 ) -> list[ComparisonRow]:
     """Exact degree factor (by extraction) next to the estimate for each n."""
     if _ring_work(k) > genfun.MAX_SERIES_WORK:  # before any k-tuple exists
-        raise InputError(f"extracting with k = {k} factors is over the limit of {genfun.MAX_SERIES_WORK}; use smaller k")
+        raise InputError(f"extracting with k = {_num(k)} factors is over the limit of {genfun.MAX_SERIES_WORK}; use smaller k")
     cv = CodimVec((delta,) + (0,) * (k - 1))
     _check_extraction_work((TensorFormat((n,) * k, (omega,) * k), cv) for n in n_range)
     rows = []

@@ -32,7 +32,7 @@ from math import comb, prod
 from operator import sub
 
 from . import genfun
-from .genfun import InputError, _check_omega
+from .genfun import InputError, _check_omega, _num
 from .polycore import TPoly, poly_mul
 
 
@@ -77,7 +77,7 @@ def _check_codim(fmt: TensorFormat, d: CodimVec) -> None:
         raise InputError("codimension vector length does not match the number of factors")
     for i, (di, ni) in enumerate(zip(d.delta, fmt.n)):
         if di > ni - 1:
-            raise InputError(f"delta_{i + 1} = {di} exceeds n_{i + 1} - 1 = {ni - 1}")
+            raise InputError(f"delta_{i + 1} = {_num(di)} exceeds n_{i + 1} - 1 = {_num(ni - 1)}")
 
 
 def _ring(k: int) -> tuple[str, ...]:
@@ -122,7 +122,7 @@ def _check_extraction_work(cells: Iterable[tuple[TensorFormat, CodimVec]]) -> No
         work += _extraction_work(fmt, d)
         if work > genfun.MAX_SERIES_WORK:
             raise InputError(
-                f"the extraction work estimate reaches {work} term pairs, weighted by coefficient size, "
+                f"the extraction work estimate reaches {_num(work)} term pairs, weighted by coefficient size, "
                 f"over the limit of {genfun.MAX_SERIES_WORK}; use smaller n or omega"
             )
 
@@ -186,7 +186,7 @@ def symmetric_degree(n: int, delta: int, omega: int) -> int:
     if omega < 1:
         raise InputError("omega must be >= 1")
     if delta < 0 or delta > n - 1:
-        raise InputError(f"delta must lie in [0, {n - 1}]")
+        raise InputError(f"delta must lie in [0, {_num(n - 1)}]")
     return sum(comb(delta + j, j) * (omega - 1) ** j for j in range(n - delta))
 
 
@@ -222,7 +222,7 @@ def check_stabilization(fmt: TensorFormat, d: CodimVec, i: int, probes: int) -> 
     are rejected: the property genuinely fails there (already for k = 1).
     """
     if not 0 <= i < fmt.k:
-        raise InputError(f"factor index {i} out of range")
+        raise InputError(f"factor index {_num(i)} out of range")
     if fmt.omega[i] != 1:
         raise InputError("stabilization requires omega_i = 1 in the growing factor")
     if probes < 1:

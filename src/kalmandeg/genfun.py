@@ -49,7 +49,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from itertools import compress, product as iter_product
-from math import prod
+from math import log2, prod
 from operator import floordiv, mul, sub
 
 from .polycore import ExponentVec, TPoly, poly_mul
@@ -65,6 +65,18 @@ MAX_WORD_PRODUCTS = 10**9
 
 class InputError(ValueError):
     """An input refused: invalid, or over a work budget.  The CLI exits 2 on it and only on it."""
+
+
+def _num(n: int) -> str:
+    """n for a message: in decimal up to 14,000 bits (4215 digits), else as ~2^x to one decimal.
+
+    Outside the CLI, which lifts it, the interpreter refuses to write an int
+    of over 4300 digits in decimal; a message that tried would raise that
+    ValueError in place of the InputError it was meant for.
+    """
+    if n.bit_length() <= 14_000:
+        return str(n)
+    return f"{'-' if n < 0 else ''}~2^{log2(abs(n)):.1f}"
 
 
 def _xy_ring(k: int) -> tuple[str, ...]:
@@ -111,7 +123,7 @@ def _bordered_a(omega: tuple[int, ...]) -> list[list[int]]:
 
 def _check_subsets(n: int) -> None:
     if n >= MAX_SUBSETS.bit_length():  # 2^n > MAX_SUBSETS, without building 2^n
-        raise InputError(f"{n} variables give 2^{n} subsets, over the limit of {MAX_SUBSETS}; use fewer variables")
+        raise InputError(f"{_num(n)} variables give 2^{_num(n)} subsets, over the limit of {MAX_SUBSETS}; use fewer variables")
 
 
 def _principal_minors(a: Sequence[Sequence[int]]) -> list[int]:
@@ -134,8 +146,8 @@ def _principal_minors(a: Sequence[Sequence[int]]) -> list[int]:
     work = sum(5 * (m - t - 1) ** 2 * (1 + (t + 1) * c.bit_length() // 64) ** 2 << t for t in range(m))
     if work > MAX_WORD_PRODUCTS:
         raise InputError(
-            f"the principal minors of a {m} x {m} matrix with entries of up to {c.bit_length()} bits take about "
-            f"{work} products of 64-bit words, over the limit of {MAX_WORD_PRODUCTS}; use smaller entries or weights"
+            f"the principal minors of a {m} x {m} matrix with entries of up to {_num(c.bit_length())} bits take about "
+            f"{_num(work)} products of 64-bit words, over the limit of {MAX_WORD_PRODUCTS}; use smaller entries or weights"
         )
     block = [[[x + c * (i == l)] for l, x in enumerate(row)] for i, row in enumerate(a)]
     dets = [1]
@@ -254,15 +266,16 @@ def _divide(
     bits = max([0] + [abs(c).bit_length() for c in numerator.values()]) + sum(caps) * growth
     if size * (len(tail) + 1 + bits // 64) > MAX_SERIES_WORK:
         raise InputError(
-            f"the series box has {size} cells with padding, the denominator {len(tail) + 1} terms within "
-            f"the caps and the coefficients up to about {bits} bits; {size} x ({len(tail) + 1} + {bits // 64}) "
+            f"the series box has {_num(size)} cells with padding, the denominator {len(tail) + 1} terms within "
+            f"the caps and the coefficients up to about {_num(bits)} bits; "
+            f"{_num(size)} x ({len(tail) + 1} + {_num(bits // 64)}) "
             f"is over the limit of {MAX_SERIES_WORK}, so lower the caps"
         )
     # Every cell is charged the largest coefficient, about three times the true decimal cost along one axis.
     decimal_work = prod(m + 1 for m in caps) * (bits // 64) ** 2
     if decimal_work > MAX_WORD_PRODUCTS:
         raise InputError(
-            f"writing the series' coefficients of up to about {bits} bits in decimal takes about {decimal_work} "
+            f"writing the series' coefficients of up to about {_num(bits)} bits in decimal takes about {_num(decimal_work)} "
             f"products of 64-bit words, over the limit of {MAX_WORD_PRODUCTS}, so lower the caps"
         )
     cells = [0]
@@ -330,7 +343,7 @@ def macmahon_check(a: Sequence[Sequence[int]], cap: Sequence[int] | int) -> bool
     pairs = m * sum(c * (c + 1) * (c + 2) // 3 * prod(boxes[:i] + boxes[i + 1 :]) for i, c in enumerate(caps))
     if pairs > MAX_SERIES_WORK:
         raise InputError(
-            f"the MacMahon product side visits up to {pairs} term pairs, "
+            f"the MacMahon product side visits up to {_num(pairs)} term pairs, "
             f"over the limit of {MAX_SERIES_WORK}, so lower the cap"
         )
     rhs = series.expand()

@@ -30,7 +30,7 @@ from operator import mul
 
 from . import genfun
 from .degrees import TensorFormat
-from .genfun import InputError
+from .genfun import InputError, _num
 
 
 class IsotropicResult(namedtuple("IsotropicResult", "degree components ambient_dim")):
@@ -90,7 +90,7 @@ def _check_work(n: tuple[int, ...], omega: tuple[int, ...]) -> None:
     work += length * words + 4 * words * words  # Horner's rule, then the result's decimal digits
     if work > genfun.MAX_WORD_PRODUCTS:
         raise InputError(
-            f"the polar-class sum needs about {work} products of 64-bit words, "
+            f"the polar-class sum needs about {_num(work)} products of 64-bit words, "
             f"over the limit of {genfun.MAX_WORD_PRODUCTS}; use smaller n or omega"
         )
 
@@ -135,7 +135,7 @@ def _check_symmetric_work(n: int, omega: int, cells: int = 1) -> None:
     work = cells * (3000 + 5 * words * words)
     if work > genfun.MAX_WORD_PRODUCTS:
         raise InputError(
-            f"{cells} single-factor isotropic degrees of up to {words} 64-bit words take about {work} products "
+            f"{_num(cells)} single-factor isotropic degrees of up to {_num(words)} 64-bit words take about {_num(work)} products "
             f"of 64-bit words, over the limit of {genfun.MAX_WORD_PRODUCTS}; use smaller n or omega"
         )
 

@@ -9,6 +9,7 @@ import sympy
 
 from kalmandeg.asympt import (
     AsymptoticEstimate,
+    _check_evaluation_work,
     _log10_bigint,
     asymptotic_degree,
     compare_exact_asymptotic,
@@ -139,6 +140,26 @@ def test_verify_critical_point_refuses_too_many_subsets():
     for k in (15, 10**20):  # checked before (omega,) * k is built
         with pytest.raises(InputError, match="subsets, over the limit"):
             verify_critical_point(k, 1)
+
+
+def test_verify_budget_counts_evaluation_words(monkeypatch):
+    # k = 3, omega = 1: 2^3 terms of 1 word times powers of q = 2 of 1 word, three times, plus 1^2 for the gcds.
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 3 * 8 + 1)
+    assert verify_critical_point(3, 1).ok
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 3 * 8)
+    with pytest.raises(InputError, match="evaluating H2's 8 terms at the critical point takes about 25 products"):
+        verify_critical_point(3, 1)
+
+
+def test_verify_budget_edge():
+    # (14, 10^600) ran in 1.3 s and stays accepted; (14, 10^1000) ran 3.2 s and
+    # (14, 10^2000) 8.2 s.  Both are refused before H2 is built.
+    _check_evaluation_work(14, 10**600, 14 * 10**600 - 1)
+    for omega in (10**1000, 10**2000):
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="evaluating H2's 16384 terms"):
+            verify_critical_point(14, omega)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_constants_budget_counts_bits_before_any_fraction(monkeypatch):

@@ -414,6 +414,7 @@ EXIT_CODES = [
     _refused("single-factor isotropic degrees", "table", "--kind", "isotropic-sym", "--max-n", "2", "--max-omega", BIG),
     _refused("critical-point constants", "asympt", "--k", "100000000000000000000", "--omega", "1", "--constants"),
     _refused("critical-point constants", "asympt", "--k", "3", "--omega", "1", "--delta", "1" + "0" * 20, "--constants"),
+    _refused("evaluating H2's 16384 terms at the critical point", "asympt", "--k", "14", "--omega", "1" + "0" * 1000, "--verify"),
     # user numbers beyond float or index range
     _refused("beyond float range", "asympt", "--k", BIG, "--omega", "1", "--n", "5"),
     _refused("subsets, over the limit of 32768", "asympt", "--k", "100000000000000000000", "--omega", "1", "--verify"),

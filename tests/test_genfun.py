@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 import time
 from itertools import combinations, compress, product
 from operator import le, mul
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kalmandeg.genfun as genfun
+from kalmandeg.asympt import asymptotic_degree, critical_constants, verify_critical_point
 from kalmandeg.degrees import CodimVec, TensorFormat, extract_degree
 from kalmandeg.genfun import (
     RationalSeries,
@@ -20,6 +23,7 @@ from kalmandeg.genfun import (
     _principal_minors,
     _xy_ring,
 )
+from kalmandeg.isotropic import isotropic_degree, isotropic_degree_symmetric
 from kalmandeg.polycore import TPoly, det, poly_mul
 
 
@@ -275,6 +279,34 @@ def _claim_products(k, ring):
     for i in range(1, k):
         prod_tail = prod_tail * (TPoly.one(ring) + TPoly.variable(ring, ring[i]))
     return x1, prod_tail
+
+
+def test_budgets_write_huge_estimates_without_decimal_conversion():
+    # Outside the CLI the interpreter refuses str() of ints past 4300 digits
+    # (where the limit exists); a budget message must still raise InputError.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(4300)
+    huge = 10**5000
+    cases = [
+        (expand_series, ((1,), (huge,), 0), "the series box has ~2^16610.6 cells"),
+        (isotropic_degree_symmetric, (huge, 3), "of up to ~2^16604.6 64-bit words take about ~2^"),
+        (isotropic_degree, (TensorFormat((huge,), (1,)),), "the polar-class sum needs about ~2^"),
+        (macmahon_check, ([[1]], huge), "visits up to ~2^"),
+        (extract_degree, (TensorFormat((huge,), (1,)), CodimVec((0,))), "estimate reaches ~2^"),
+        (extract_degree, (TensorFormat((2,), (1,)), CodimVec((huge,))), "delta_1 = ~2^16609.6 exceeds n_1 - 1 = 1"),
+        (critical_constants, (3, 1, huge), "up to about ~2^"),
+        (verify_critical_point, (huge, 1), "~2^16609.6 variables"),
+        (asymptotic_degree, (3, 1, huge, 2), "delta_1 = ~2^16609.6 exceeds"),
+    ]
+    try:
+        for fn, args, message in cases:
+            with pytest.raises(genfun.InputError, match=re.escape(message)):
+                fn(*args)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert genfun._num(10**400) == str(10**400) and genfun._num(-(2**20000)) == "-~2^20000.0"
 
 
 def test_minor_determinant_identities():
