@@ -3,6 +3,7 @@ import time
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kalmandeg import genfun, isotropic
 from kalmandeg.degrees import TensorFormat
@@ -79,6 +80,19 @@ def test_against_live_oracle_random():
         omega = tuple(rng.randint(1, 5) for _ in range(k))
         res = isotropic_degree(TensorFormat(n, omega))
         assert res.degree == oracle_isotropic(n, omega), (trial, n, omega)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_against_live_oracle_property(data):
+    # The integer product form against the naive full-box Fraction summation.
+    k = data.draw(st.integers(1, 4), label="k")
+    n = data.draw(st.tuples(*[st.integers(2, 7 if k <= 2 else 4)] * k), label="n")
+    omega = data.draw(st.tuples(*[st.integers(1, 12)] * k), label="omega")
+    res = isotropic_degree(TensorFormat(n, omega))
+    assert res.degree == oracle_isotropic(n, omega)
+    assert res.components == 2 ** n.count(2)
+    assert res.ambient_dim == sum(n) - 2 * k
 
 
 def test_integrality_and_positivity_guards(monkeypatch):
