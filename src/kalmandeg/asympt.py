@@ -86,8 +86,8 @@ def critical_constants(k: int, omega: int, delta: int) -> CriticalConstants:
     if (bits // 64) ** 2 > genfun.MAX_WORD_PRODUCTS:
         raise InputError(
             f"the critical-point constants have up to about {_num(bits)} bits, and normalizing and writing them "
-            f"takes about {_num((bits // 64) ** 2)} products of 64-bit words, over the limit of {genfun.MAX_WORD_PRODUCTS}; "
-            "use smaller k, omega or delta"
+            f"takes about {_num((bits // 64) ** 2)} products of 64-bit words, over the limit of "
+            f"{genfun.MAX_WORD_PRODUCTS}; use smaller k, omega or delta"
         )
     return CriticalConstants(
         c=Fraction(1, wk - 1),
@@ -243,7 +243,9 @@ def compare_exact_asymptotic(
 ) -> list[ComparisonRow]:
     """Exact degree factor (by extraction) next to the estimate for each n."""
     if _ring_work(k) > genfun.MAX_SERIES_WORK:  # before any k-tuple exists
-        raise InputError(f"extracting with k = {_num(k)} factors is over the limit of {genfun.MAX_SERIES_WORK}; use smaller k")
+        raise InputError(
+            f"extracting with k = {_num(k)} factors is over the limit of {genfun.MAX_SERIES_WORK}; use smaller k"
+        )
     cv = CodimVec((delta,) + (0,) * (k - 1))
     _check_extraction_work((TensorFormat((n,) * k, (omega,) * k), cv) for n in n_range)
     rows = []

@@ -123,7 +123,9 @@ def _bordered_a(omega: tuple[int, ...]) -> list[list[int]]:
 
 def _check_subsets(n: int) -> None:
     if n >= MAX_SUBSETS.bit_length():  # 2^n > MAX_SUBSETS, without building 2^n
-        raise InputError(f"{_num(n)} variables give 2^{_num(n)} subsets, over the limit of {MAX_SUBSETS}; use fewer variables")
+        raise InputError(
+            f"{_num(n)} variables give 2^{_num(n)} subsets, over the limit of {MAX_SUBSETS}; use fewer variables"
+        )
 
 
 def _principal_minors(a: Sequence[Sequence[int]]) -> list[int]:
@@ -146,7 +148,7 @@ def _principal_minors(a: Sequence[Sequence[int]]) -> list[int]:
     work = sum(5 * (m - t - 1) ** 2 * (1 + (t + 1) * c.bit_length() // 64) ** 2 << t for t in range(m))
     if work > MAX_WORD_PRODUCTS:
         raise InputError(
-            f"the principal minors of a {m} x {m} matrix with entries of up to {_num(c.bit_length())} bits take about "
+            f"the principal minors of a {m} x {m} matrix with entries of up to {c.bit_length()} bits take about "
             f"{_num(work)} products of 64-bit words, over the limit of {MAX_WORD_PRODUCTS}; use smaller entries or weights"
         )
     block = [[[x + c * (i == l)] for l, x in enumerate(row)] for i, row in enumerate(a)]
@@ -275,8 +277,8 @@ def _divide(
     decimal_work = prod(m + 1 for m in caps) * (bits // 64) ** 2
     if decimal_work > MAX_WORD_PRODUCTS:
         raise InputError(
-            f"writing the series' coefficients of up to about {_num(bits)} bits in decimal takes about {_num(decimal_work)} "
-            f"products of 64-bit words, over the limit of {MAX_WORD_PRODUCTS}, so lower the caps"
+            f"writing the series' coefficients of up to about {_num(bits)} bits in decimal takes about "
+            f"{_num(decimal_work)} products of 64-bit words, over the limit of {MAX_WORD_PRODUCTS}, so lower the caps"
         )
     cells = [0]
     for m, stride in zip(caps, strides):

@@ -135,8 +135,8 @@ def _check_symmetric_work(n: int, omega: int, cells: int = 1) -> None:
     work = cells * (3000 + 5 * words * words)
     if work > genfun.MAX_WORD_PRODUCTS:
         raise InputError(
-            f"{_num(cells)} single-factor isotropic degrees of up to {_num(words)} 64-bit words take about {_num(work)} products "
-            f"of 64-bit words, over the limit of {genfun.MAX_WORD_PRODUCTS}; use smaller n or omega"
+            f"{_num(cells)} single-factor isotropic degrees of up to {_num(words)} 64-bit words take about "
+            f"{_num(work)} products of 64-bit words, over the limit of {genfun.MAX_WORD_PRODUCTS}; use smaller n or omega"
         )
 
 
