@@ -248,8 +248,9 @@ def test_poly_mul_column_path_cases():
     box = {(i, j, 0): 1 for i in range(4) for j in range(4)}
     assert len(box) >= COLUMN_CUTOFF
     diff = {(1, 0, 0): 1, (0, 1, 0): -1}
-    for caps_a, caps_b in ((None, None), ((3, 3, 1), None), ((4, 2, 0), (4, 2, 0)), ((5, 5, 5), (2, 4, 1))):
+    for caps_a, caps_b in ((None, None), ((3, 3, 1), None), ((4, 3, 0), (4, 3, 0)), ((5, 5, 5), (2, 4, 1))):
         a, b = TPoly(ring, box, caps_a), TPoly(ring, diff, caps_b)
+        assert len(a.terms) == len(box)
         # (x - y) times the box: the inner x^i y^j cancel to zero.
         terms, merged = _pairwise(a, b)
         assert poly_mul(a, b).terms == terms and poly_mul(b, a).terms == terms
