@@ -115,9 +115,10 @@ def _check_evaluation_work(k: int, omega: int, q: int) -> None:
 
     H2 has up to 2^k terms, with coefficients 1 - |S| omega of A words; each
     term multiplies its coefficient by a power q^j, j <= k + 1, of at most
-    P words, once for the value and again for the slope.  Measured, those
-    products and the sums around them take about three times 2^k A P word
-    products; the Fraction steps after them, gcds of P-word ints, about P^2.
+    P words, once for the value and again for the slope.  Measured on CPython
+    3.11 (shared 2-core Linux machine), those products and the sums around
+    them take about three times 2^k A P word products; the Fraction steps
+    after them, gcds of P-word ints, about P^2.
     """
     a_words = 1 + (k * omega).bit_length() // 64
     p_words = 1 + (k + 1) * q.bit_length() // 64
