@@ -74,21 +74,33 @@ def critical_constants(k: int, omega: int, delta: int) -> CriticalConstants:
     F_N the reduced series numerator; the test suite checks that relation
     symbolically.
     """
-    from fractions import Fraction  # here, not at import: most callers never need it
-
-    wk = _check_regime(k, omega)
+    _check_regime(k, omega)
     if delta < 0:
         raise InputError("delta must be >= 0")
-    # Before cancelling, the four numerators and denominators hold at most about
-    # this many bits, W words; normalizing them (gcds) and writing them in
-    # decimal are quadratic in their words, about W^2 word products in all.
-    bits = (7 * k + 2 * abs(k - delta) + 2) * wk.bit_length() + (delta + 3) * omega.bit_length()
+    bits = _constants_bits(k, omega, delta)
     if (bits // 64) ** 2 > genfun.MAX_WORD_PRODUCTS:
         raise InputError(
             f"the critical-point constants have up to about {_num(bits)} bits, and normalizing and writing them "
             f"takes about {_num((bits // 64) ** 2)} products of 64-bit words, over the limit of "
             f"{genfun.MAX_WORD_PRODUCTS}; use smaller k, omega or delta"
         )
+    return _constants(k, omega, delta)
+
+
+def _constants_bits(k: int, omega: int, delta: int) -> int:
+    """About the most bits the constants' four numerators and denominators hold before cancelling.
+
+    Normalizing them (gcds) and writing them in decimal are quadratic in their
+    words W, about W^2 word products in all.
+    """
+    return (7 * k + 2 * abs(k - delta) + 2) * (omega * k).bit_length() + (delta + 3) * omega.bit_length()
+
+
+def _constants(k: int, omega: int, delta: int) -> CriticalConstants:
+    """``critical_constants`` without its checks, for a caller that has charged their work."""
+    from fractions import Fraction  # here, not at import: most callers never need it
+
+    wk = omega * k
     return CriticalConstants(
         c=Fraction(1, wk - 1),
         det_hessian=Fraction((wk - 2) ** (k - 1), omega) / Fraction(wk) ** (k - 2),
@@ -118,15 +130,18 @@ def _check_evaluation_work(k: int, omega: int, q: int) -> None:
     P words, once for the value and again for the slope.  Measured on CPython
     3.11 (shared 2-core Linux machine), those products and the sums around
     them take about three times 2^k A P word products; the Fraction steps
-    after them, gcds of P-word ints, about P^2.
+    after them, gcds of P-word ints, about P^2.  The constants that the check
+    compares against (delta = 0) are charged here too, so the path spends
+    the limit once, not once for each part.
     """
     a_words = 1 + (k * omega).bit_length() // 64
     p_words = 1 + (k + 1) * q.bit_length() // 64
-    work = 3 * (a_words * p_words << k) + p_words * p_words
+    work = 3 * (a_words * p_words << k) + p_words * p_words + (_constants_bits(k, omega, 0) // 64) ** 2
     if work > genfun.MAX_WORD_PRODUCTS:
         raise InputError(
-            f"evaluating H2's {1 << k} terms at the critical point takes about {_num(work)} products of 64-bit "
-            f"words, over the limit of {genfun.MAX_WORD_PRODUCTS}; use smaller k or omega"
+            f"evaluating H2's {1 << k} terms at the critical point and normalizing the constants takes about "
+            f"{_num(work)} products of 64-bit words, over the limit of {genfun.MAX_WORD_PRODUCTS}; "
+            "use smaller k or omega"
         )
 
 
@@ -139,8 +154,8 @@ def verify_critical_point(k: int, omega: int) -> CriticalPointReport:
     # At the diagonal point c = 1/q a monomial x^e is q^-|e|, and its x_k
     # derivative e_k q^(1-|e|); over the common denominator q^k both are ints.
     q = wk - 1
-    _check_evaluation_work(k, omega, q)
-    expected = critical_constants(k, omega, 0).minus_ck_dk  # checks its own budget before any Fraction
+    _check_evaluation_work(k, omega, q)  # the constants' work included
+    expected = _constants(k, omega, 0).minus_ck_dk
     _, h2 = split_H((omega,) * k)
     powers = [q**j for j in range(k + 2)]
     h2_at_c = Fraction(sum(a * powers[k - sum(e)] for e, a in h2.terms.items()), powers[k])

@@ -350,20 +350,21 @@ def macmahon_check(a: Sequence[Sequence[int]], cap: Sequence[int] | int) -> bool
         )
     rhs = series.expand()
 
-    linear_forms = [
-        TPoly(ring, {tuple(1 if t == j else 0 for t in range(m)): a[i][j] for j in range(m) if a[i][j]})
-        for i in range(m)
-    ]
+    units = [tuple(int(t == j) for t in range(m)) for j in range(m)]
+    linear_forms = [[(j, units[j], a[i][j]) for j in range(m) if a[i][j]] for i in range(m)]
     # prods[i] = prod_{l < i} (form l)^(p_l) for the current p.  The next p in
     # lexicographic order raises its last nonzero p_j by one and zeroes the
     # rest, so one product by form j updates prods[j + 1:].  prods[j + 1] may
-    # still take form j up to caps[j] times, so it is capped at p[:j] + caps[j:].
+    # still take form j up to caps[j] times, so the product is capped at
+    # p[:j] + caps[j:].  Those caps go on form j, less its variables capped at 0:
+    # prods[j + 1]'s own caps are never tighter, but some of its terms lie beyond them.
     prods = [TPoly.one(ring)] * (m + 1)
     for p in _box(caps):
         if any(p):
             j = max(i for i, x in enumerate(p) if x)
-            shared = TPoly._raw(ring, prods[j + 1].terms, p[:j] + caps[j:])
-            prods[j + 1 :] = [poly_mul(shared, linear_forms[j])] * (m - j)
+            cap = p[:j] + caps[j:]
+            form = TPoly._raw(ring, {e: c for l, e, c in linear_forms[j] if cap[l]}, cap)
+            prods[j + 1 :] = [poly_mul(prods[j + 1], form)] * (m - j)
         if prods[m].terms.get(p, 0) != rhs.get(p, 0):
             return False
     return True

@@ -70,19 +70,31 @@ def _check_work(n: tuple[int, ...], omega: tuple[int, ...]) -> None:
     """Refuse a format whose polar-class sum would multiply too many 64-bit words.
 
     Factor l's list holds m + 1 integers, m = n_l - 2, of at most
-    m (bitlen(m) + bitlen(omega_l)) + 2 n_l bits (the falling factorial, the
-    power of omega_l and the beta sum), W_l words each.  Building it costs at
-    most (m + 1) W_l^2 word products and convolving it into the running list
-    of L integers of W words L (m + 1) W W_l.  Horner's rule then takes one
-    small factor per entry into a sum that also carries (N + 1)!, and writing
-    that sum in decimal is quadratic in its words, at about the cost of four
-    word products per pair of words.
+    m (bitlen(m) + bitlen(omega_l)) + 2 n_l bits, W_l words each.  Its entry a
+    multiplies the falling factorial m!/(m-a)!, of F_a = 1 + a bitlen(m) / 64
+    words, by the power omega_l^(m-a), of P_a = 1 + (m - a) bitlen(omega_l) / 64,
+    and that by the beta sum, of S = 1 + 2 n_l / 64: F_a P_a + (F_a + P_a) S
+    word products.  Each of the m powers costs P_a (1 + bitlen(omega_l) / 64)
+    more; the binomials and falling factorials grow by one-word factors.
+    Measured on CPython 3.11 (shared 2-core Linux machine), this build takes
+    about twice as long per word product as the convolution, so it is charged
+    twice.  Convolving the list into the running list of L integers of W words
+    costs L (m + 1) W W_l.  Horner's rule then takes one small factor per entry
+    into a sum that also carries (N + 1)!, and writing that sum in decimal is
+    quadratic in its words, at about the cost of four word products per pair
+    of words.
     """
     work, length, words = 0, 1, 1
     for ni, wi in zip(n, omega):
-        m = ni - 2
-        w_l = 1 + (m * (m.bit_length() + wi.bit_length()) + 2 * ni) // 64
-        work += (m + 1) * w_l * (w_l + length * words)
+        m, lm, lw = ni - 2, (ni - 2).bit_length(), wi.bit_length()
+        w_l = 1 + (m * (lm + lw) + 2 * ni) // 64
+        # Sums over a = 0..m, with sum_a a = sum_a (m - a) = tri and sum_a a (m - a) = (m - 1) tri / 3.
+        tri = m * (m + 1) // 2
+        linear = (lm + lw) * tri // 64  # of F_a + P_a - 2
+        fp = m + 1 + linear + lm * lw * (m - 1) * tri // 12288  # of F_a P_a
+        powers = (m + lw * (tri - m) // 64) * (1 + lw // 64)  # P_0..P_(m-1), each times omega_l's words
+        build = fp + (2 * (m + 1) + linear) * (1 + 2 * ni // 64) + powers
+        work += 2 * build + (m + 1) * w_l * length * words
         length += m
         words += w_l + 1  # a word more covers the carries of summing the products
     n_dim = sum(n) - 2 * len(n)

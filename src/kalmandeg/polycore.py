@@ -7,10 +7,10 @@ read the term maps directly.  A polynomial is a term map from exponent tuples
 to nonzero ints over a fixed, ordered tuple of variable names; coefficients
 never touch floating point.
 
-Optional per-variable exponent caps truncate arithmetic as it happens: any
-monomial exceeding a cap in a single variable is dropped.  Exponents are
-nonnegative and add under multiplication, so a monomial within the caps can
-only arise from factor monomials that are themselves within the caps; every
+Optional per-variable exponent caps truncate arithmetic as it happens: a
+monomial over a cap is dropped, so every term lies within its own caps.
+Exponents are nonnegative and add in a product, so a monomial within the caps
+can only arise from factor monomials that are themselves within the caps; every
 coefficient a truncated product keeps therefore equals the corresponding
 coefficient of the exact, untruncated product, regardless of signs.
 
@@ -42,11 +42,9 @@ COLUMN_CUTOFF = 16
 
 
 def _merge_caps(a: tuple[int, ...] | None, b: tuple[int, ...] | None) -> tuple[int, ...] | None:
-    if a is None:
-        return b
-    if b is None:
+    if b is None or a == b:
         return a
-    return tuple(min(x, y) for x, y in zip(a, b))
+    return b if a is None else tuple(map(min, a, b))
 
 
 class TPoly:
@@ -91,7 +89,7 @@ class TPoly:
 
     @classmethod
     def _raw(cls, vars: tuple[str, ...], terms: dict[ExponentVec, int], caps: tuple[int, ...] | None) -> TPoly:
-        # Internal fast path: caller guarantees all invariants already hold.
+        # Internal fast path: caller guarantees all invariants, every term within ``caps`` among them.
         self = object.__new__(cls)
         self.vars = vars
         self.caps = caps
@@ -152,7 +150,8 @@ class TPoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        if caps is not None:
+        # Each operand's terms lie within its own caps, so only tighter merged caps can drop any.
+        if caps is not None and not caps == self.caps == other.caps:
             out = {e: c for e, c in out.items() if all(map(le, e, caps))}
         return TPoly._raw(self.vars, out, caps)
 

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's own polynomial engine:
 degree factors go through sympy expansion, the isotropic degree through a
-naive full-box summation with Fractions, and the binary format through the
-multinomial theorem.  Values frozen into the tests were produced by these
+naive full-box summation with Fractions and, from a second derivation,
+through the class formula in the Chow ring, and the binary format through
+the multinomial theorem.  Values frozen into the tests were produced by these
 oracles.
 """
 
@@ -59,6 +60,52 @@ def oracle_isotropic(n, omega):
     total *= 2**k
     assert total.denominator == 1, total
     return int(total)
+
+
+def oracle_isotropic_chow(n, omega):
+    """Isotropic degree by the Katz-Kleiman class formula, in the Chow ring of a product of quadrics.
+
+    X = prod_l Q_l, with Q_l a smooth quadric in P^(n_l - 1), has dimension
+    N = sum_l (n_l - 2) and Chow ring Z[h_1..h_k]/(h_l^(n_l - 1)), in which
+    the top class prod_l h_l^(n_l - 2) has degree 2^k.  The totally isotropic
+    variety is the dual of X embedded by L = sum_l omega_l h_l, of degree
+
+        sum_{i=0}^{N} (i + 1) deg c_{N-i}(Omega_X) L^i,
+
+    and c(Omega_X) = prod_l (1 - h_l)^(n_l) / (1 - 2 h_l) (Kleiman, "Tangency
+    and duality", 1986; Gelfand, Kapranov & Zelevinsky, "Discriminants,
+    Resultants, and Multidimensional Determinants", 1994).  Only c_{N-i}
+    meets L^i in the top degree, so the coefficient of the top class in the
+    whole c(Omega_X) L^i is the one needed: the sum over e of c(Omega_X)'s
+    coefficient at e times L^i's at top - e.  This checks the degree only,
+    not the component count.
+    """
+    k = len(n)
+    top = tuple(ni - 2 for ni in n)
+
+    def mul(p, q):
+        out = {}
+        for e1, c1 in p.items():
+            for e2, c2 in q.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                if all(x <= t for x, t in zip(e, top)):
+                    out[e] = out.get(e, 0) + c1 * c2
+        return out
+
+    def monomial(l, a):
+        return tuple(a if j == l else 0 for j in range(k))
+
+    chern = {(0,) * k: 1}
+    for l, ni in enumerate(n):
+        # c(Omega_{Q_l}) up to h_l^(n_l - 2): (1 - h_l)^(n_l) times 1/(1 - 2 h_l) = sum_j (2 h_l)^j
+        chern = mul(chern, {monomial(l, a): sum(comb(ni, b) * (-1) ** b * 2 ** (a - b) for b in range(a + 1))
+                            for a in range(top[l] + 1)})
+    line = {monomial(l, 1): w for l, w in enumerate(omega)}
+    total, power = 0, {(0,) * k: 1}
+    for i in range(sum(top) + 1):
+        total += (i + 1) * sum(c * power.get(tuple(t - x for t, x in zip(top, e)), 0) for e, c in chern.items())
+        power = mul(power, line)
+    return 2**k * total
 
 
 def oracle_binary(delta, omega):

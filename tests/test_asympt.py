@@ -143,12 +143,30 @@ def test_verify_critical_point_refuses_too_many_subsets():
 
 
 def test_verify_budget_counts_evaluation_words(monkeypatch):
-    # k = 3, omega = 1: 2^3 terms of 1 word times powers of q = 2 of 1 word, three times, plus 1^2 for the gcds.
-    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 3 * 8 + 1)
-    assert verify_critical_point(3, 1).ok
-    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 3 * 8)
-    with pytest.raises(InputError, match="evaluating H2's 8 terms at the critical point takes about 25 products"):
-        verify_critical_point(3, 1)
+    # k = 3, omega = 2^200: 2^3 terms of 1 + 202 // 64 = 4 words times powers of
+    # q = 3 * 2^200 - 1 of 1 + 4 * 202 // 64 = 13 words, three times, plus 13^2
+    # for the gcds: 1417.  The constants hold (7 * 3 + 2 * 3 + 2) * 202 + 3 * 201
+    # = 6461 bits, 100 words, so 100^2 more: 11417.
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 11417)
+    assert verify_critical_point(3, 2**200).ok
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 11416)
+    with pytest.raises(InputError, match="the critical point and normalizing the constants takes about 11417 products"):
+        verify_critical_point(3, 2**200)
+
+
+def test_verify_budget_charges_evaluation_and_constants_once():
+    # At k = 7 the two parts used to be checked one at a time against the same
+    # limit, so a 29,760-bit omega passed both and the CLI ran 2.10 s.  Their
+    # sum now binds where 7 omega - 1 reaches 2^22974; the edge ran in 1.0 s
+    # as a CLI process (CPython 3.11, shared 2-core machine).
+    edge = 2**22974 // 7
+    _check_evaluation_work(7, edge, 7 * edge - 1)
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="evaluating H2's 128 terms .* takes about 1000018916 products"):
+        verify_critical_point(7, edge + 1)
+    assert time.perf_counter() - start < 0.1
+    # Alone, the constants there are still accepted: about 24410^2 of the sum.
+    assert critical_constants(7, edge + 1, 0).c == Fraction(1, 7 * edge + 6)
 
 
 def test_verify_budget_edge():

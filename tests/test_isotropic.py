@@ -15,7 +15,7 @@ from kalmandeg.isotropic import (
     partition_tuple_codim,
     symmetric_tuple_codim,
 )
-from oracles import oracle_isotropic
+from oracles import oracle_isotropic, oracle_isotropic_chow
 
 # Frozen from the naive full-box summation oracle in oracles.py.
 FROZEN_ISO = {
@@ -95,6 +95,17 @@ def test_against_live_oracle_property(data):
     assert res.ambient_dim == sum(n) - 2 * k
 
 
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_against_class_formula_property(data):
+    # The polar-class sum against a second derivation: the Katz-Kleiman class
+    # formula for the dual of the product of quadrics, in its Chow ring.
+    k = data.draw(st.integers(1, 4), label="k")
+    n = data.draw(st.tuples(*[st.integers(2, 7)] * k), label="n")
+    omega = data.draw(st.tuples(*[st.integers(1, 5)] * k), label="omega")
+    assert isotropic_degree(TensorFormat(n, omega)).degree == oracle_isotropic_chow(n, omega)
+
+
 def test_integrality_and_positivity_guards(monkeypatch):
     # the true sum always passes both checks, so feed it impossible factors
     monkeypatch.setattr(isotropic, "_factor_poly", lambda ni, wi: [0, 0, 0, 1])
@@ -106,15 +117,36 @@ def test_integrality_and_positivity_guards(monkeypatch):
 
 
 def test_work_budget_counts_word_products(monkeypatch):
-    # n = 4, omega = 3: the list of m + 1 = 3 integers fits one word each, so
-    # building and convolving it into [1] costs 3 * 1 * (1 + 1); the summed
-    # list then has 3 words, and Horner's 3 steps plus 4 * 3^2 for the digits
-    # bring the work to 6 + 9 + 36 = 51.
-    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 51)
+    # n = 4, omega = 3: m = 2 and every integer fits one word.  Building the
+    # list of m + 1 = 3 entries costs 3 for the F_a P_a, (3 + 3) * 1 for the
+    # (F_a + P_a) S and 2 for the powers, charged twice: 22.  Convolving it into
+    # [1] costs 3 * 1 * 1 * 1; the summed list then has 3 words, and Horner's 3
+    # steps plus 4 * 3^2 for the digits bring the work to 22 + 3 + 9 + 36 = 70.
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 70)
     assert isotropic_degree(TensorFormat((4,), (3,))).degree == FROZEN_ISO[((4,), (3,))]
-    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 50)
-    with pytest.raises(ValueError, match="about 51 products of 64-bit words, over the limit of 50; use smaller n"):
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 69)
+    with pytest.raises(ValueError, match="about 70 products of 64-bit words, over the limit of 69; use smaller n"):
         isotropic_degree(TensorFormat((4,), (3,)))
+
+
+def _estimate(monkeypatch, n, omega):
+    """The work ``_check_work`` charges for a format, read from its message at a zero limit."""
+    with monkeypatch.context() as patch:
+        patch.setattr(genfun, "MAX_WORD_PRODUCTS", 0)
+        with pytest.raises(InputError) as refused:
+            isotropic._check_work(n, omega)
+    return int(str(refused.value).split("about ")[1].split()[0])
+
+
+def test_work_budget_ranks_inputs_by_cost(monkeypatch):
+    # On CPython 3.11 (shared 2-core machine) (3000,), omega = 3 ran in about
+    # 0.35 s and (309, 309), omega = (1000, 1000) in about 1.2 s.  Charging the
+    # factor lists their old from-scratch binomials refused the first and
+    # accepted the second; the incremental build's cost puts them in order.
+    fast, slow = ((3000,), (3,)), ((309, 309), (1000, 1000))
+    assert _estimate(monkeypatch, *fast) < _estimate(monkeypatch, *slow)
+    for n, omega in (fast, slow):
+        isotropic._check_work(n, omega)  # both accepted
 
 
 def test_work_budget_refuses_before_work():

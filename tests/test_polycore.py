@@ -265,3 +265,33 @@ def test_poly_mul_column_path_cases():
     # A term past a cap everywhere contributes nothing; an empty operand gives zero.
     assert poly_mul(wide, TPoly(ring, {(0, 0, 5): 2})).terms == {}
     assert poly_mul(wide, TPoly.zero(ring)).terms == {}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_add_matches_validating_constructor_property(data):
+    # TPoly.__add__ filters by the merged caps only when they are tighter than
+    # an operand's own.  Against the constructor, which checks every term: the
+    # five cap modes of the poly_mul property test, terms of one operand beyond
+    # the other's caps, and sums that cancel.
+    k = data.draw(st.integers(1, 4), label="k")
+    ring = tuple(f"x{i + 1}" for i in range(k))
+    exps = st.tuples(*[st.integers(0, 3)] * k)
+    coeffs = st.sampled_from((-1, 1, 2, -3 * 10**30))
+    caps = st.tuples(*[st.integers(0, 3)] * k)
+    mode = data.draw(st.sampled_from(("none", "a", "b", "equal", "different")), label="caps")
+    ca = data.draw(caps) if mode in ("a", "equal", "different") else None
+    cb = ca if mode == "equal" else data.draw(caps) if mode in ("b", "different") else None
+    a = TPoly(ring, data.draw(st.dictionaries(exps, coeffs, max_size=12)), ca)
+    b_terms = data.draw(st.dictionaries(exps, coeffs, max_size=12))
+    # Some of a's terms cancel exactly in the sum.
+    for e in data.draw(st.lists(st.sampled_from(sorted(a.terms)), max_size=4) if a.terms else st.just([])):
+        b_terms[e] = -a.terms[e]
+    b = TPoly(ring, b_terms, cb)
+    merged = tuple(map(min, ca, cb)) if ca and cb else ca or cb
+    for x, y in ((a, b), (b, a)):
+        summed = {e: x.terms.get(e, 0) + y.terms.get(e, 0) for e in x.terms | y.terms}
+        got = x + y
+        assert got.terms == TPoly(ring, summed, merged).terms
+        assert got.caps == merged and got.vars == ring
+        assert 0 not in got.terms.values()
