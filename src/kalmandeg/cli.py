@@ -187,13 +187,10 @@ def _table_rows(args: argparse.Namespace) -> tuple[list[str], list[list]]:
     if args.kind == "matrix-ed":
         if args.max_n < 1:
             raise genfun.InputError("--max-n must be >= 1 for matrix-ed")
-        sizes, zero = range(1, args.max_n + 1), degrees.CodimVec((0, 0))
-        degrees._check_extraction_work((degrees.TensorFormat((n1, n2), (1, 1)), zero) for n1 in sizes for n2 in sizes)
-        return ["n1", "n2", "degree"], [
-            [n1, n2, str(degrees.extract_degree(degrees.TensorFormat((n1, n2), (1, 1)), zero))]
-            for n1 in sizes
-            for n2 in sizes
-        ]
+        # The table is one box of the generating function (omega = (1, 1), delta = 0); hypercubical-compare is not.
+        coeffs = genfun.expand_series((1, 1), (args.max_n, args.max_n), 0)
+        sizes = range(1, args.max_n + 1)
+        return ["n1", "n2", "degree"], [[n1, n2, str(coeffs.get(((n1, n2), 0), 0))] for n1 in sizes for n2 in sizes]
     if args.kind == "hypercubical-compare":
         if not 1 <= args.n_min <= args.n_max:
             raise genfun.InputError("need 1 <= --n-min <= --n-max for hypercubical-compare")

@@ -22,9 +22,13 @@ leaves only the dict accumulation per pair in Python.  That pays on
 extraction's Horner steps, where the larger operand has hundreds of terms and
 the smaller one at most k + 1: about twice as fast on CPython 3.11 (shared
 2-core Linux machine).  Below the cutoff the column setup costs more than it
-saves: on the same machine, always taking it made the ``matrix-ed`` table and
-MacMahon's small boxes 1.2-1.4x slower, and any cutoff from 8 to 32 measured
-the same.
+saves.  Timed on the same machine over the benchmark pools' small callers,
+the ``hypercubical-compare`` table, ``asympt --compare``, ``degree`` and
+MacMahon's small boxes: never taking the column path made the first three
+1.1-1.2x, 2.1-2.6x and 2.0x slower, and always taking it made MacMahon's
+boxes 1.3-1.7x slower and the others 0.95-1.17x.  Cutoffs from 8 to 32 lie
+within noise of each other: in 10 alternating pairs, 8 took 0.87, 0.95, 0.98
+and 1.00 of the time 16 took, in that order.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from operator import add, le
 ExponentVec = tuple[int, ...]
 
 # Terms in the larger operand from which poly_mul works on exponent columns;
-# measured on the extraction, table and MacMahon pools (see the module docstring).
+# measured on extraction and MacMahon's small boxes (see the module docstring).
 COLUMN_CUTOFF = 16
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import shlex
 import sys
@@ -5,7 +7,10 @@ import time
 
 import pytest
 
+from hypothesis import example, given, settings, strategies as st
+
 from kalmandeg import cli
+from kalmandeg.degrees import CodimVec, TensorFormat, extract_degree
 from kalmandeg.genfun import InputError
 from test_readme import EXAMPLES as README_EXAMPLES
 
@@ -142,14 +147,21 @@ def test_genfun_decimal_budget_exits_two_at_once(capsys):
     ("asympt", "--k", "2", "--omega", "2", "--n", "3000", "--compare"),
     ("asympt", "--k", "2", "--omega", "2", "--n", "1000000000000", "--compare"),
     ("table", "--kind", "hypercubical-compare", "--k", "3", "--n-max", "80"),
-    ("table", "--kind", "matrix-ed", "--max-n", "60"),
+    ("table", "--kind", "matrix-ed", "--max-n", "315"),
 ])
 def test_extraction_over_budget_exits_two_at_once(capsys, argv):
-    # Without the budget these ran from 4.7 s to minutes; tables sum their cells' estimates first.
+    # Without the budget the extractions ran from 4.7 s to minutes; the hypercubical table sums
+    # its cells' estimates first.  The matrix-ed table is one series box under the same limit.
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 0.2
     assert (code, out) == (2, "") and "over the limit of 400000" in err
+
+
+def test_matrix_ed_beyond_the_summed_extraction_estimate_runs(capsys):
+    # The summed extraction estimate refused this; the series box it now is stays within the limit.
+    code, out, err = run(capsys, "table", "--kind", "matrix-ed", "--max-n", "60")
+    assert (code, err) == (0, "") and len(out.splitlines()) == 1 + 60**2
 
 
 def test_isotropic_rejects_small_n(capsys):
@@ -211,6 +223,37 @@ def test_table_matrix_ed_csv(capsys):
     assert lines[0] == "n1,n2,degree"
     assert "2,3,2" in lines and "3,3,3" in lines
     assert len(lines) == 10
+
+
+def _matrix_ed_cells(out, fmt):
+    """{(n1, n2): degree} in output order from a matrix-ed table."""
+    if fmt == "json":
+        return {(r["n1"], r["n2"]): int(r["degree"]) for r in map(json.loads, out.splitlines())}
+    header, *rows = out.splitlines()
+    assert header == "n1,n2,degree"
+    return {(n1, n2): d for n1, n2, d in (map(int, row.split(",")) for row in rows)}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_matrix_ed_matches_extraction(capsys, fmt):
+    # The table is read off one series box; extraction computes each cell on its own.
+    for max_n in range(1, 7):
+        code, out, _ = run(capsys, "table", "--kind", "matrix-ed", "--max-n", str(max_n), "--format", fmt)
+        assert code == 0
+        cells = _matrix_ed_cells(out, fmt)
+        sizes = range(1, max_n + 1)
+        assert list(cells) == [(n1, n2) for n1 in sizes for n2 in sizes]
+        for (n1, n2), degree in cells.items():
+            assert degree == extract_degree(TensorFormat((n1, n2), (1, 1)), CodimVec((0, 0))), (n1, n2)
+
+
+def test_table_matrix_ed_is_eckart_young(capsys):
+    # An n1 x n2 matrix has ED degree min(n1, n2) (Eckart-Young).
+    code, out, _ = run(capsys, "table", "--kind", "matrix-ed", "--max-n", "40")
+    assert code == 0
+    cells = _matrix_ed_cells(out, "csv")
+    assert len(cells) == 40**2
+    assert all(degree == min(n) for n, degree in cells.items())
 
 
 def test_table_deterministic_and_parallel(capsys):
@@ -445,3 +488,98 @@ def test_internal_failures_exit_three(capsys, monkeypatch, exc):
     assert (code, out) == (3, "")
     assert err == f"internal assertion failed: {type(exc).__name__}: boom\n"
     assert issubclass(InputError, ValueError) and not isinstance(exc, InputError)
+
+
+# The first input each budget refuses, one family per line; the inputs one below run for up to 2.4 s.
+FIRST_REFUSED = [
+    ("genfun", "--omega", ",".join(["1"] * 15), "--show-h"),  # MAX_SUBSETS
+    ("asympt", "--k", "15", "--omega", "1", "--verify"),
+    ("genfun", "--omega", "1,1", "--caps", "315,315"),  # MAX_SERIES_WORK: series box
+    ("table", "--kind", "matrix-ed", "--max-n", "315"),
+    ("degree", "--n", "80001", "--delta", "0", "--omega", "3"),  # MAX_SERIES_WORK: extraction
+    ("table", "--kind", "hypercubical-compare", "--k", "3", "--n-max", "18"),
+    ("asympt", "--k", "295", "--omega", "1", "--n", "1", "--compare"),
+    ("genfun", "--omega", "1" + "0" * 7766, "--caps", "18"),  # MAX_WORD_PRODUCTS: decimal series
+    ("genfun", "--omega", ",".join(["1" + "0" * 1321] * 8), "--show-h"),  # principal minors
+    ("isotropic", "--n", "4660", "--omega", "3"),
+    ("table", "--kind", "isotropic-sym", "--max-n", "3642"),
+    ("asympt", "--k", "16063", "--omega", "1", "--constants"),
+    ("asympt", "--k", "14", "--omega", "1" + "0" * 693, "--verify"),
+]
+
+
+@pytest.mark.parametrize("argv", FIRST_REFUSED, ids=[" ".join(argv)[:80] for argv in FIRST_REFUSED])
+def test_first_refused_inputs_exit_two_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.2
+    assert (code, out) == (2, "") and "over the limit" in err
+
+
+def _decimal(n):
+    """str(n) for any n: the interpreter writes at most 4300 digits by default."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+# Small numbers, three draws in four, reach the computations; numbers of up to 5001 digits reach the budgets.
+_NUMBER = st.one_of(*[st.integers(-2, 5)] * 3, st.integers(-2, 10**5000)).map(_decimal)
+# Per subcommand: each flag, the kind of value it takes (None for a switch), and the flags always given.
+_FLAGS = {
+    "degree": ({"--n": list, "--delta": list, "--omega": list, "--deg-z": list}, {"--n", "--delta", "--omega"}),
+    "genfun": ({"--omega": list, "--caps": list, "--y-cap": int, "--show-h": None}, {"--omega"}),
+    "isotropic": ({"--n": list, "--omega": list}, {"--n", "--omega"}),
+    "codim": ({"--n": int, "--k": int, "--parts": int}, {"--n", "--k"}),
+    "asympt": (
+        {"--k": int, "--omega": int, "--delta": int, "--n": int, "--compare": None, "--verify": None, "--constants": None},
+        {"--k", "--omega"},
+    ),
+    "table": (
+        {"--kind": str, **dict.fromkeys(("--max-n", "--max-omega", "--k", "--omega", "--delta", "--n-min", "--n-max"), int)},
+        {"--kind"},
+    ),
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags, required = _FLAGS[command]
+    size = draw(st.integers(0, 3))  # one length for every list, so that lists of factors can match
+    values = {
+        int: _NUMBER,
+        list: st.lists(_NUMBER, min_size=size, max_size=size).map(",".join),
+        str: st.sampled_from(("matrix-ed", "hypercubical-compare", "isotropic-sym")),
+    }
+    argv = [command]
+    for flag, kind in flags.items():
+        if flag in required or draw(st.booleans()):
+            argv += [flag] if kind is None else [flag, draw(values[kind])]
+    formats = ("csv", "json", "text") if command == "table" else ("text", "json", "csv")
+    return argv + ["--format", draw(st.sampled_from(formats[:2] * 3 + formats[2:]))]  # one in seven invalid
+
+
+def _seeded_with_first_refused(test):
+    for argv in FIRST_REFUSED:
+        test = example(list(argv))(test)
+    return test
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_cli_argv())
+@_seeded_with_first_refused
+def test_exit_codes_fuzz(argv):
+    # Any argv is answered (0) or refused (2, argparse's SystemExit(2) included), never an internal failure (3).
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    shown = [arg[:40] for arg in argv]
+    assert code in (0, 2), (shown, err.getvalue()[:300])
+    assert code == 0 or out.getvalue() == "", shown
