@@ -1,14 +1,19 @@
 """Command-line surface for every computation in the package.
 
-Subcommands: degree, genfun, isotropic, codim, asympt, table.  Results go to
-stdout (text, JSON records, or CSV for tables), diagnostics to stderr.  Each
-subcommand converts every exact value to decimal once, builds both its JSON
-records and its text lines from those strings and hands them to the single
-emitter ``_emit``, the one place the output format is decided.  Exit
-codes: 0 success, 2 input refused, invalid or over a budget (exactly
-``genfun.InputError``), 3 internal failure (any other exception).  All
-potentially large integers are emitted as exact decimal strings in JSON so
-64-bit consumers never truncate them.
+Subcommands: degree, genfun, isotropic, codim, asympt, table.  A call that
+names a subcommand first is parsed by that subcommand's parser alone; any
+other call (no arguments, ``-h``, an unknown name) and any call that leaves
+an argument over goes to the full parser, so usage texts and argument errors
+are the full parser's.  Results go to stdout (text, JSON records, or CSV for
+tables), diagnostics to stderr.  Each subcommand converts every exact value
+to decimal once, builds both its JSON records and its text lines from those
+strings and hands them to the single emitter ``_emit``, the one place the
+output format is decided.  It prints one line at a time; JSON records are
+encoded by one sorted-key encoder, built by the first JSON call, so text
+output never imports ``json``.  Exit codes: 0 success, 2 input refused,
+invalid or over a budget (exactly ``genfun.InputError``), 3 internal failure
+(any other exception).  All potentially large integers are emitted as exact
+decimal strings in JSON so 64-bit consumers never truncate them.
 """
 
 from __future__ import annotations
@@ -28,13 +33,19 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
 
 
+@functools.cache
+def _json_encoder():
+    import json
+
+    return json.JSONEncoder(sort_keys=True)
+
+
 def _emit(args: argparse.Namespace, records: list[dict], lines: list[str]) -> None:
     """Print ``records`` as sorted-key JSON lines under ``--format json``, else ``lines``."""
     if args.format == "json":
-        import json  # here, not at import: text output never needs it
-
+        encode = _json_encoder().encode
         for record in records:
-            print(json.dumps(record, sort_keys=True))
+            print(encode(record))
     else:
         for line in lines:
             print(line)
@@ -216,8 +227,10 @@ def _cmd_table(args: argparse.Namespace) -> None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every later call; do not modify it."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and its subcommand map (name to subparser, the ``choices`` of the
+    action ``add_subparsers`` returns), built on first use and shared by every later
+    call; modify neither."""
     parser = argparse.ArgumentParser(
         prog="kalmandeg",
         description="Exact degrees, generating functions and asymptotics for Kalman varieties of partially symmetric tensors.",
@@ -276,7 +289,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_table)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full argument parser, which parses every call the subcommand map cannot."""
+    return _parsers()[0]
+
+
+def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
+    """The namespace the full parser gives for ``argv``, parsed once where the subcommand's parser suffices."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, subparsers = _parsers()
+    if argv and argv[0] in subparsers:
+        args, rest = subparsers[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    # The full parser reports leftovers, and writes every usage text and error itself.
+    return parser.parse_args(argv)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -286,7 +317,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if old_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
         args.func(args)
         return 0
     except genfun.InputError as exc:

@@ -140,13 +140,16 @@ def extract_degree(fmt: TensorFormat, d: CodimVec) -> int:
     ring = _ring(k)
     caps = tuple(fmt.n[i] - d.delta[i] - 1 for i in range(k)) + (d.total,)
     units = [(0,) * j + (1,) + (0,) * (k - j) for j in range(k + 1)]
+    weights = fmt.omega + (1,)
     halves = []
     for lo, hi in ((0, k // 2), (k // 2, k)):
         acc = TPoly.one(ring, caps)
         for i in range(lo, hi):
-            # Coefficients of t_1..t_k and h in that_i + h; the constructor drops zeros.
-            base = TPoly(ring, {u: w - (j == i) for j, (u, w) in enumerate(zip(units, fmt.omega + (1,)))}, caps)
-            t_i = TPoly(ring, {units[i]: 1}, caps)
+            # Coefficients of t_1..t_k and h in that_i + h, less zeros and the units over a cap of 0.
+            base = TPoly._raw(
+                ring, {u: c for j, (u, w) in enumerate(zip(units, weights)) if (c := w - (j == i)) and caps[j]}, caps
+            )
+            t_i = TPoly._raw(ring, {units[i]: 1} if caps[i] else {}, caps)
             total = power = acc
             for _ in range(1, fmt.n[i]):
                 power = poly_mul(power, t_i)

@@ -4,6 +4,7 @@ import json
 import shlex
 import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -484,7 +485,8 @@ def test_internal_failures_exit_three(capsys, monkeypatch, exc):
     assert issubclass(InputError, ValueError) and not isinstance(exc, InputError)
 
 
-# The first input each budget refuses, one family per line; the inputs one below run for up to 2.4 s.
+# The first input each budget refuses, one family per line; the inputs one below run for up to
+# 1.9 s in process (CPython 3.11 on a shared 2-core Linux machine).
 FIRST_REFUSED = [
     ("genfun", "--omega", ",".join(["1"] * 15), "--show-h"),  # MAX_SUBSETS
     ("asympt", "--k", "15", "--omega", "1", "--verify"),
@@ -508,6 +510,14 @@ def test_first_refused_inputs_exit_two_at_once(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 0.2
     assert (code, out) == (2, "") and "over the limit" in err
+
+
+def test_asympt_compare_at_the_largest_accepted_k(capsys):
+    # k = 295 is refused; k = 294 builds 2k bases over 295 variables and must stay quick.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "asympt", "--k", "294", "--omega", "1", "--n", "1", "--compare")
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "") and "\nexact = 1\n" in out
 
 
 def _decimal(n):
@@ -577,3 +587,50 @@ def test_exit_codes_fuzz(argv):
     shown = [arg[:40] for arg in argv]
     assert code in (0, 2), (shown, err.getvalue()[:300])
     assert code == 0 or out.getvalue() == "", shown
+
+
+# Calls the parser's fast path must answer exactly as the full parser does: usage and help
+# texts, an unknown subcommand, a stray argument left over, a bad value, a missing flag.
+PARSE_EDGES = [
+    [],
+    ["-h"],
+    ["degree", "-h"],
+    ["nope"],
+    ["codim", "--n", "3", "--k", "2", "stray"],
+    ["degree", "--n", "4,4", "--delta", "2,1", "--omega", "1,1", "--", "stray"],
+    ["degree", "--n", "4,x", "--delta", "2,1", "--omega", "1,1"],
+    ["degree", "--n", "4,4", "--omega", "1,1"],
+    ["table", "--kind", "matrix-ed", "--format", "text"],
+]
+
+
+def _parse_outcome(parse, argv):
+    """vars() of the namespace ``parse`` returns for ``argv``, else its exit code; then stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # as cli.main does before it parses
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = vars(parse(argv))
+            except SystemExit as exc:
+                result = exc.code
+    finally:
+        sys.set_int_max_str_digits(limit)
+    return result, out.getvalue(), err.getvalue()
+
+
+def _seeded_with_parse_edges(test):
+    for argv in PARSE_EDGES:
+        test = example(argv)(test)
+    return test
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_cli_argv())
+@_seeded_with_parse_edges
+def test_parse_fast_path_matches_full_parser(argv):
+    expected = _parse_outcome(cli.build_parser().parse_args, argv)
+    assert _parse_outcome(cli._parse, argv) == expected
+    with mock.patch.object(sys, "argv", ["kalmandeg", *argv]):  # the console script passes no argv
+        assert _parse_outcome(cli._parse, None) == expected

@@ -51,3 +51,24 @@ def test_import_leaves_out_heavy_modules():
     assert "kalmandeg.cli" in imported.split()
     heavy = {"dataclasses", "inspect", "fractions", "decimal", "json", "typing"}
     assert not heavy & set(imported.split())
+
+
+def test_json_loads_with_the_first_json_output():
+    probe = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from kalmandeg import cli\n"
+        "argv = ['codim', '--n', '3', '--k', '2']\n"
+        "codes = [cli.main(argv)]\n"
+        "loaded = ['json' in sys.modules]\n"
+        "codes.append(cli.main(argv + ['--format', 'json']))\n"
+        "loaded.append('json' in sys.modules)\n"
+        "print(codes, loaded)\n"
+    )
+    src = str(Path(kalmandeg.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe, src], capture_output=True, text=True, timeout=60, check=True
+    )
+    text, record, result = proc.stdout.splitlines()
+    assert text == "codim = 2" and record.startswith('{"command": "codim"')
+    assert result == "[0, 0] [False, True]"
