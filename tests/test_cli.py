@@ -567,15 +567,18 @@ def _cli_argv(draw):
     return argv + ["--format", draw(st.sampled_from(formats[:2] * 3 + formats[2:]))]  # one in seven invalid
 
 
-def _seeded_with_first_refused(test):
-    for argv in FIRST_REFUSED:
-        test = example(list(argv))(test)
-    return test
+def _seeded_with(argvs):
+    def seed(test):
+        for argv in argvs:
+            test = example(list(argv))(test)
+        return test
+
+    return seed
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_cli_argv())
-@_seeded_with_first_refused
+@_seeded_with(FIRST_REFUSED)
 def test_exit_codes_fuzz(argv):
     # Any argv is answered (0) or refused (2, argparse's SystemExit(2) included), never an internal failure (3).
     out, err = io.StringIO(), io.StringIO()
@@ -620,15 +623,9 @@ def _parse_outcome(parse, argv):
     return result, out.getvalue(), err.getvalue()
 
 
-def _seeded_with_parse_edges(test):
-    for argv in PARSE_EDGES:
-        test = example(argv)(test)
-    return test
-
-
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_cli_argv())
-@_seeded_with_parse_edges
+@_seeded_with(PARSE_EDGES)
 def test_parse_fast_path_matches_full_parser(argv):
     expected = _parse_outcome(cli.build_parser().parse_args, argv)
     assert _parse_outcome(cli._parse, argv) == expected
