@@ -100,13 +100,23 @@ def _constants(k: int, omega: int, delta: int) -> CriticalConstants:
     """``critical_constants`` without its checks, for a caller that has charged their work."""
     from fractions import Fraction  # here, not at import: most callers never need it
 
+    def power_product(*factors: tuple[int, int]) -> Fraction:
+        # The product of base^exp over positive integer bases, normalized by one gcd:
+        # a negative exponent puts its base in the denominator.
+        num = den = 1
+        for base, exp in factors:
+            if exp >= 0:
+                num *= base**exp
+            else:
+                den *= base**-exp
+        return Fraction(num, den)
+
     wk = omega * k
     return CriticalConstants(
         c=Fraction(1, wk - 1),
-        det_hessian=Fraction((wk - 2) ** (k - 1), omega) / Fraction(wk) ** (k - 2),
-        l0=Fraction(wk - 1) ** (k - delta - 1)
-        / (Fraction(omega) ** (delta + 1) * Fraction(wk) ** (k - delta - 2) * (wk - 2) ** k),
-        minus_ck_dk=omega * Fraction(wk) ** (k - 2) * (wk - 2) ** k / Fraction(wk - 1) ** (2 * k - 1),
+        det_hessian=power_product((wk - 2, k - 1), (omega, -1), (wk, 2 - k)),
+        l0=power_product((wk - 1, k - delta - 1), (omega, -delta - 1), (wk, delta + 2 - k), (wk - 2, -k)),
+        minus_ck_dk=power_product((omega, 1), (wk, k - 2), (wk - 2, k), (wk - 1, 1 - 2 * k)),
     )
 
 

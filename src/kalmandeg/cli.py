@@ -1,19 +1,23 @@
 """Command-line surface for every computation in the package.
 
-Subcommands: degree, genfun, isotropic, codim, asympt, table.  A call that
-names a subcommand first is parsed by that subcommand's parser alone; any
-other call (no arguments, ``-h``, an unknown name) and any call that leaves
-an argument over goes to the full parser, so usage texts and argument errors
-are the full parser's.  Results go to stdout (text, JSON records, or CSV for
-tables), diagnostics to stderr.  Each subcommand converts every exact value
-to decimal once, builds both its JSON records and its text lines from those
-strings and hands them to the single emitter ``_emit``, the one place the
-output format is decided.  It prints one line at a time; JSON records are
-encoded by one sorted-key encoder, built by the first JSON call, so text
-output never imports ``json``.  Exit codes: 0 success, 2 input refused,
-invalid or over a budget (exactly ``genfun.InputError``), 3 internal failure
-(any other exception).  All potentially large integers are emitted as exact
-decimal strings in JSON so 64-bit consumers never truncate them.
+Subcommands: degree, genfun, isotropic, codim, asympt, table.  Each one's
+options are declared once, in ``_COMMANDS``: flag, type, default or required,
+choices, switch and help text, with the subcommand's handler.  The argparse
+parser is built from that table on first use, and most calls never reach it:
+``_match`` reads a call whose first argument names a subcommand and whose
+later arguments are exact flags, each a switch or followed by one value, off
+the same table.  Every other call goes to the full parser (``_parse`` lists
+them), so usage texts, help texts and argument errors are argparse's.  Results
+go to stdout (text, JSON records, or CSV for tables), diagnostics to stderr.
+Each subcommand converts every exact value to decimal once, builds both its
+JSON records and its text lines from those strings and hands them to the
+single emitter ``_emit``, the one place the output format is decided.  It
+prints one line at a time; JSON records are encoded by one sorted-key encoder,
+built by the first JSON call, so text output never imports ``json``.  Exit
+codes: 0 success, 2 input refused, invalid or over a budget (exactly
+``genfun.InputError``, or argparse's usage error), 3 internal failure (any
+other exception).  All potentially large integers are emitted as exact decimal
+strings in JSON so 64-bit consumers never truncate them.
 """
 
 from __future__ import annotations
@@ -226,88 +230,137 @@ def _cmd_table(args: argparse.Namespace) -> None:
     _emit(args, [dict(zip(header, row)) for row in rows], [",".join(map(str, row)) for row in [header, *rows]])
 
 
+_FORMAT = {"choices": ("text", "json"), "default": "text"}
+_REQUIRED_INT_LIST = {"type": _int_list, "required": True}
+# Each subcommand's handler, help line and options, every flag with the keyword arguments
+# ``add_argument`` takes for it, in the order the help text lists them.  The argparse parsers
+# are built from this table, and ``_match`` reads the same entries.
+_COMMANDS = {
+    "degree": (_cmd_degree, "degree factor by coefficient extraction", {
+        "--n": {**_REQUIRED_INT_LIST, "help": "dimensions n_1,..,n_k"},
+        "--delta": {**_REQUIRED_INT_LIST, "help": "codimensions delta_1,..,delta_k"},
+        "--omega": {**_REQUIRED_INT_LIST, "help": "weights omega_1,..,omega_k"},
+        "--deg-z": {"type": _int_list, "default": None, "help": "degrees of the constraint varieties"},
+        "--format": _FORMAT,
+    }),
+    "genfun": (_cmd_genfun, "series coefficients of the generating function", {
+        "--omega": _REQUIRED_INT_LIST,
+        "--caps": {"type": _int_list, "default": None, "help": "per-variable bounds on n"},
+        "--y-cap": {"type": int, "default": 0, "help": "bound on delta"},
+        "--show-h": {"action": "store_true", "help": "print the generating polynomial both ways and exit"},
+        "--format": _FORMAT,
+    }),
+    "isotropic": (_cmd_isotropic, "degree of the totally isotropic variety", {
+        "--n": _REQUIRED_INT_LIST,
+        "--omega": _REQUIRED_INT_LIST,
+        "--format": _FORMAT,
+    }),
+    "codim": (_cmd_codim, "codimension of repeated-singular-tuple varieties", {
+        "--n": {"type": int, "required": True},
+        "--k": {"type": int, "required": True},
+        "--parts": {"type": int, "default": None, "help": "number of parts of the repetition partition"},
+        "--format": _FORMAT,
+    }),
+    "asympt": (_cmd_asympt, "hypercubical asymptotic estimate and critical-point checks", {
+        "--k": {"type": int, "required": True},
+        "--omega": {"type": int, "required": True},
+        "--delta": {"type": int, "default": 0},
+        "--n": {"type": int, "default": None},
+        "--compare": {"action": "store_true", "help": "also compute the exact value and the ratio"},
+        "--verify": {"action": "store_true", "help": "check the critical-point identities exactly"},
+        "--constants": {"action": "store_true", "help": "print the closed-form constants"},
+        "--format": _FORMAT,
+    }),
+    "table": (_cmd_table, "sweep tables (CSV or JSON lines)", {
+        "--kind": {"choices": ("matrix-ed", "hypercubical-compare", "isotropic-sym"), "required": True},
+        "--max-n": {"type": int, "default": 5},
+        "--max-omega": {"type": int, "default": 4},
+        "--k": {"type": int, "default": 3},
+        "--omega": {"type": int, "default": 1},
+        "--delta": {"type": int, "default": 0},
+        "--n-min": {"type": int, "default": 2},
+        "--n-max": {"type": int, "default": 8},
+        "--format": {"choices": ("csv", "json"), "default": "csv"},
+    }),
+}
+
+
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The full parser and its subcommand map (name to subparser, the ``choices`` of the
-    action ``add_subparsers`` returns), built on first use and shared by every later
-    call; modify neither."""
+def build_parser() -> argparse.ArgumentParser:
+    """The full argument parser, built from ``_COMMANDS`` on first use and shared by every
+    later call, so no caller may modify it.  It parses every call ``_match`` leaves."""
     parser = argparse.ArgumentParser(
         prog="kalmandeg",
         description="Exact degrees, generating functions and asymptotics for Kalman varieties of partially symmetric tensors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("degree", help="degree factor by coefficient extraction")
-    p.add_argument("--n", type=_int_list, required=True, help="dimensions n_1,..,n_k")
-    p.add_argument("--delta", type=_int_list, required=True, help="codimensions delta_1,..,delta_k")
-    p.add_argument("--omega", type=_int_list, required=True, help="weights omega_1,..,omega_k")
-    p.add_argument("--deg-z", type=_int_list, default=None, help="degrees of the constraint varieties")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_degree)
-
-    p = sub.add_parser("genfun", help="series coefficients of the generating function")
-    p.add_argument("--omega", type=_int_list, required=True)
-    p.add_argument("--caps", type=_int_list, default=None, help="per-variable bounds on n")
-    p.add_argument("--y-cap", type=int, default=0, help="bound on delta")
-    p.add_argument("--show-h", action="store_true", help="print the generating polynomial both ways and exit")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_genfun)
-
-    p = sub.add_parser("isotropic", help="degree of the totally isotropic variety")
-    p.add_argument("--n", type=_int_list, required=True)
-    p.add_argument("--omega", type=_int_list, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_isotropic)
-
-    p = sub.add_parser("codim", help="codimension of repeated-singular-tuple varieties")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--parts", type=int, default=None, help="number of parts of the repetition partition")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_codim)
-
-    p = sub.add_parser("asympt", help="hypercubical asymptotic estimate and critical-point checks")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--omega", type=int, required=True)
-    p.add_argument("--delta", type=int, default=0)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--compare", action="store_true", help="also compute the exact value and the ratio")
-    p.add_argument("--verify", action="store_true", help="check the critical-point identities exactly")
-    p.add_argument("--constants", action="store_true", help="print the closed-form constants")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_asympt)
-
-    p = sub.add_parser("table", help="sweep tables (CSV or JSON lines)")
-    p.add_argument("--kind", choices=("matrix-ed", "hypercubical-compare", "isotropic-sym"), required=True)
-    p.add_argument("--max-n", type=int, default=5)
-    p.add_argument("--max-omega", type=int, default=4)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--omega", type=int, default=1)
-    p.add_argument("--delta", type=int, default=0)
-    p.add_argument("--n-min", type=int, default=2)
-    p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=_cmd_table)
-
-    return parser, sub.choices
+    for name, (handler, help_line, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag, spec in options.items():
+            p.add_argument(flag, **spec)
+        p.set_defaults(func=handler)
+    return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The full argument parser, which parses every call the subcommand map cannot."""
-    return _parsers()[0]
+def _match(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace the full parser gives for ``argv``, or None where only argparse can tell.
+
+    ``argv`` must name a subcommand first; every later argument is then an exact
+    flag of it, a switch (``store_true``) alone or any other flag followed by
+    one value that neither is empty nor starts with ``-``.  The value goes
+    through the flag's ``type`` and its ``choices``.  No flag may repeat, and
+    every required one must be given; the defaults fill in the rest.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, _, options = _COMMANDS[argv[0]]
+    given = {}
+    i, end = 1, len(argv)
+    while i < end:
+        flag = argv[i]
+        spec = options.get(flag)
+        if spec is None or flag in given:
+            return None
+        if "action" in spec:  # store_true, the table's only action
+            given[flag] = True
+            i += 1
+            continue
+        if i + 1 == end or argv[i + 1][:1] in ("", "-"):
+            return None
+        try:
+            value = spec.get("type", str)(argv[i + 1])
+        except (argparse.ArgumentTypeError, TypeError, ValueError):  # what argparse reports as invalid
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[flag] = value
+        i += 2
+    args = argparse.Namespace(command=argv[0], func=handler)
+    for flag, spec in options.items():
+        if flag in given:
+            value = given[flag]
+        elif spec.get("required"):
+            return None
+        else:
+            value = spec.get("default", False if "action" in spec else None)
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return args
 
 
 def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
-    """The namespace the full parser gives for ``argv``, parsed once where the subcommand's parser suffices."""
+    """The namespace the full parser gives for ``argv`` (``sys.argv[1:]`` when None).
+
+    ``_match`` answers the calls it can read off ``_COMMANDS``; every other call
+    goes to the full parser, which writes every usage text, help text and
+    argument error itself and exits 0 or 2: no argument, an unknown
+    subcommand, ``-h``, an abbreviated flag, ``--flag=value``, a stray
+    argument, a repeated flag, a missing required flag, a missing value, an
+    empty value or one starting with ``-`` (a negative number), and a value
+    that fails its conversion or its choices.
+    """
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, subparsers = _parsers()
-    if argv and argv[0] in subparsers:
-        args, rest = subparsers[argv[0]].parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    # The full parser reports leftovers, and writes every usage text and error itself.
-    return parser.parse_args(argv)
+    args = _match(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -28,7 +28,9 @@ MacMahon's small boxes: never taking the column path made the first three
 1.1-1.2x, 2.1-2.6x and 2.0x slower, and always taking it made MacMahon's
 boxes 1.3-1.7x slower and the others 0.95-1.17x.  Cutoffs from 8 to 32 lie
 within noise of each other: in 10 alternating pairs, 8 took 0.87, 0.95, 0.98
-and 1.00 of the time 16 took, in that order.
+and 1.00 of the time 16 took, in that order, and over 10 alternating pairs of
+15 s benchmark runs 8 read 1.01x (``extract``) and 1.04x (``cli``) of 16's
+median throughput, inside the spread of either's runs, so the cutoff is 8.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ ExponentVec = tuple[int, ...]
 
 # Terms in the larger operand from which poly_mul works on exponent columns;
 # measured on extraction and MacMahon's small boxes (see the module docstring).
-COLUMN_CUTOFF = 16
+COLUMN_CUTOFF = 8
 
 
 def _merge_caps(a: tuple[int, ...] | None, b: tuple[int, ...] | None) -> tuple[int, ...] | None:

@@ -42,6 +42,25 @@ def test_denominators_never_vanish_on_grid():
             assert cc.c > 0 and cc.det_hessian > 0 and cc.l0 > 0 and cc.minus_ck_dk > 0
 
 
+def _chained_constants(k, w, delta):
+    """The constants as a chain of Fraction operations, the reference for the one-gcd build."""
+    wk = w * k
+    return (
+        Fraction(1, wk - 1),
+        Fraction((wk - 2) ** (k - 1), w) / Fraction(wk) ** (k - 2),
+        Fraction(wk - 1) ** (k - delta - 1) / (Fraction(w) ** (delta + 1) * Fraction(wk) ** (k - delta - 2) * (wk - 2) ** k),
+        w * Fraction(wk) ** (k - 2) * (wk - 2) ** k / Fraction(wk - 1) ** (2 * k - 1),
+    )
+
+
+def test_constants_match_the_fraction_chain():
+    # 4,675 triples; l0's exponents turn negative once delta > k - 2.
+    grid = [(k, w, d) for k in range(2, 41) for w in range(1, 6) if w * k >= 3 for d in range(k + 3)]
+    assert len(grid) == 4675
+    for k, w, d in grid:
+        assert tuple(critical_constants(k, w, d)) == _chained_constants(k, w, d), (k, w, d)
+
+
 def test_amplitude_consistent_with_numerator_over_slope():
     # l0 must equal F_N(c) / slope^(delta+1) with F_N evaluated symbolically
     for k, w in VALID_GRID:

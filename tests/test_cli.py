@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -592,8 +593,10 @@ def test_exit_codes_fuzz(argv):
     assert code == 0 or out.getvalue() == "", shown
 
 
-# Calls the parser's fast path must answer exactly as the full parser does: usage and help
-# texts, an unknown subcommand, a stray argument left over, a bad value, a missing flag.
+# Calls the direct match must leave to argparse, or answer exactly as argparse does: usage and
+# help texts, an unknown subcommand, a stray argument left over, a bad value, a missing flag or
+# value, the forms only argparse reads (--opt=value, an abbreviation, a repeated option, a value
+# starting with "-", an empty value) and a switch followed by a value.
 PARSE_EDGES = [
     [],
     ["-h"],
@@ -604,6 +607,15 @@ PARSE_EDGES = [
     ["degree", "--n", "4,x", "--delta", "2,1", "--omega", "1,1"],
     ["degree", "--n", "4,4", "--omega", "1,1"],
     ["table", "--kind", "matrix-ed", "--format", "text"],
+    ["table", "--kind", "nope"],
+    ["codim", "--n", "3", "--k"],
+    ["asympt", "--k", "3", "--omega=1"],
+    ["asympt", "--k", "3", "--om", "1"],
+    ["codim", "--n", "3", "--k", "2", "--n", "4"],
+    ["asympt", "--k", "3", "--omega", "1", "--delta", "-1", "--constants"],
+    ["genfun", "--omega", "1", "--show-h", "--show-h"],
+    ["degree", "--n", "", "--delta", "", "--omega", ""],
+    ["asympt", "--k", "3", "--omega", "1", "--verify", "1"],
 ]
 
 
@@ -623,6 +635,14 @@ def _parse_outcome(parse, argv):
     return result, out.getvalue(), err.getvalue()
 
 
+def test_plain_calls_skip_argparse():
+    # Every golden and README call is read off the option table; argparse parses none of them.
+    argvs = [list(argv) for argv, _ in GOLDEN] + [shlex.split(command)[1:] for command, _ in README_EXAMPLES]
+    expected = [cli.build_parser().parse_args(argv) for argv in argvs]
+    with mock.patch.object(argparse.ArgumentParser, "parse_known_args", side_effect=AssertionError("argparse ran")):
+        assert [cli._parse(argv) for argv in argvs] == expected
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_cli_argv())
 @_seeded_with(PARSE_EDGES)
@@ -631,3 +651,123 @@ def test_parse_fast_path_matches_full_parser(argv):
     assert _parse_outcome(cli._parse, argv) == expected
     with mock.patch.object(sys, "argv", ["kalmandeg", *argv]):  # the console script passes no argv
         assert _parse_outcome(cli._parse, None) == expected
+
+
+# Help and usage texts as argparse writes them at 80 columns (CPython 3.11), so that a help
+# string, a default or the order of options lost on the way to the parser shows here.
+_DEGREE_USAGE = """\
+usage: kalmandeg degree [-h] --n N --delta DELTA --omega OMEGA [--deg-z DEG_Z]
+                        [--format {text,json}]
+"""
+HELP = {
+    "-h": """\
+usage: kalmandeg [-h] {degree,genfun,isotropic,codim,asympt,table} ...
+
+Exact degrees, generating functions and asymptotics for Kalman varieties of
+partially symmetric tensors.
+
+positional arguments:
+  {degree,genfun,isotropic,codim,asympt,table}
+    degree              degree factor by coefficient extraction
+    genfun              series coefficients of the generating function
+    isotropic           degree of the totally isotropic variety
+    codim               codimension of repeated-singular-tuple varieties
+    asympt              hypercubical asymptotic estimate and critical-point
+                        checks
+    table               sweep tables (CSV or JSON lines)
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "degree -h": _DEGREE_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --n N                 dimensions n_1,..,n_k
+  --delta DELTA         codimensions delta_1,..,delta_k
+  --omega OMEGA         weights omega_1,..,omega_k
+  --deg-z DEG_Z         degrees of the constraint varieties
+  --format {text,json}
+""",
+    "genfun -h": """\
+usage: kalmandeg genfun [-h] --omega OMEGA [--caps CAPS] [--y-cap Y_CAP]
+                        [--show-h] [--format {text,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --omega OMEGA
+  --caps CAPS           per-variable bounds on n
+  --y-cap Y_CAP         bound on delta
+  --show-h              print the generating polynomial both ways and exit
+  --format {text,json}
+""",
+    "isotropic -h": """\
+usage: kalmandeg isotropic [-h] --n N --omega OMEGA [--format {text,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --omega OMEGA
+  --format {text,json}
+""",
+    "codim -h": """\
+usage: kalmandeg codim [-h] --n N --k K [--parts PARTS] [--format {text,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --k K
+  --parts PARTS         number of parts of the repetition partition
+  --format {text,json}
+""",
+    "asympt -h": """\
+usage: kalmandeg asympt [-h] --k K --omega OMEGA [--delta DELTA] [--n N]
+                        [--compare] [--verify] [--constants]
+                        [--format {text,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --k K
+  --omega OMEGA
+  --delta DELTA
+  --n N
+  --compare             also compute the exact value and the ratio
+  --verify              check the critical-point identities exactly
+  --constants           print the closed-form constants
+  --format {text,json}
+""",
+    "table -h": """\
+usage: kalmandeg table [-h] --kind
+                       {matrix-ed,hypercubical-compare,isotropic-sym}
+                       [--max-n MAX_N] [--max-omega MAX_OMEGA] [--k K]
+                       [--omega OMEGA] [--delta DELTA] [--n-min N_MIN]
+                       [--n-max N_MAX] [--format {csv,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --kind {matrix-ed,hypercubical-compare,isotropic-sym}
+  --max-n MAX_N
+  --max-omega MAX_OMEGA
+  --k K
+  --omega OMEGA
+  --delta DELTA
+  --n-min N_MIN
+  --n-max N_MAX
+  --format {csv,json}
+""",
+}
+
+
+@pytest.mark.parametrize("command", HELP)
+def test_help_text(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command.split())
+    assert (exc.value.code, capsys.readouterr()) == (0, (HELP[command], ""))
+
+
+def test_usage_error_text(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["degree", "--n", "4,4", "--omega", "1,1"])
+    error = "kalmandeg degree: error: the following arguments are required: --delta\n"
+    assert (exc.value.code, capsys.readouterr()) == (2, ("", _DEGREE_USAGE + error))
