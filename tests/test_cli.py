@@ -521,6 +521,17 @@ def test_asympt_compare_at_the_largest_accepted_k(capsys):
     assert (code, err) == (0, "") and "\nexact = 1\n" in out
 
 
+def test_isotropic_at_the_largest_accepted_n(capsys):
+    # n = 4660 is refused; n = 4659 takes its one factor by Horner's rule and must stay quick.
+    from kalmandeg.isotropic import isotropic_degree_symmetric
+
+    start = time.perf_counter()
+    code, out, err = run(capsys, "isotropic", "--n", "4659", "--omega", "3")
+    assert time.perf_counter() - start < 0.5
+    assert (code, err) == (0, "")
+    assert out == f"degree = {isotropic_degree_symmetric(4659, 3)}\ncomponents = 1\n"
+
+
 def _decimal(n):
     """str(n) for any n: the interpreter writes at most 4300 digits by default."""
     limit = sys.get_int_max_str_digits()

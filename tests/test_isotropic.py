@@ -1,6 +1,7 @@
 import random
 import time
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
+from math import comb, factorial, perm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -106,14 +107,44 @@ def test_against_class_formula_property(data):
     assert isotropic_degree(TensorFormat(n, omega)).degree == oracle_isotropic_chow(n, omega)
 
 
+def _convolved_degree(n, omega):
+    """The polar-class sum as the convolution of every factor's list, the reference for the Horner route."""
+    coeffs, scale = [1], 1
+    for ni, wi in zip(n, omega):
+        m = ni - 2
+        beta = list(accumulate((comb(ni, a) for a in range(m + 1)), lambda s, c: -2 * s + c))
+        out = [0] * (len(coeffs) + m)
+        for i, c in enumerate(coeffs):
+            for a in range(m + 1):
+                out[i + a] += c * perm(m, a) * wi ** (m - a) * beta[a]
+        coeffs = out
+        scale *= factorial(m)
+    n_dim = len(coeffs) - 1
+    total = 2 ** len(n) * sum((-1) ** j * factorial(n_dim + 1 - j) * c for j, c in enumerate(coeffs))
+    degree, rest = divmod(total, scale)
+    assert rest == 0
+    return degree
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.data())
+def test_horner_route_matches_the_convolved_sum(data):
+    # Beyond the oracles' n <= 7: the last factor by Horner's rule against the full convolution.
+    k = data.draw(st.integers(1, 3), label="k")
+    n = data.draw(st.tuples(*[st.integers(2, 60)] * k), label="n")
+    omega = data.draw(st.tuples(*[st.one_of(st.integers(1, 5), st.integers(1, 10**30))] * k), label="omega")
+    assert isotropic_degree(TensorFormat(n, omega)).degree == _convolved_degree(n, omega)
+
+
 def test_integrality_and_positivity_guards(monkeypatch):
-    # the true sum always passes both checks, so feed it impossible factors
-    monkeypatch.setattr(isotropic, "_factor_poly", lambda ni, wi: [0, 0, 0, 1])
-    with pytest.raises(ArithmeticError, match="not integral"):
-        isotropic_degree(TensorFormat((5,), (1,)))
-    monkeypatch.setattr(isotropic, "_factor_poly", lambda ni, wi: [0, 0, 0])
-    with pytest.raises(ArithmeticError, match="not positive"):
-        isotropic_degree(TensorFormat((4,), (1,)))
+    # The true sum always passes both checks, so fake the list of the factor that is convolved;
+    # in (6, 6) either factor may go last, and the other's scale is 4! = 24.
+    monkeypatch.setattr(isotropic, "_factor_poly", lambda ni, wi: [1])
+    with pytest.raises(ArithmeticError, match="not integral: 4/24"):
+        isotropic_degree(TensorFormat((6, 6), (1, 1)))
+    monkeypatch.setattr(isotropic, "_factor_poly", lambda ni, wi: [-6])
+    with pytest.raises(ArithmeticError, match="not positive: -1"):
+        isotropic_degree(TensorFormat((6, 6), (1, 1)))
 
 
 def test_work_budget_counts_word_products(monkeypatch):
@@ -139,9 +170,8 @@ def _estimate(monkeypatch, n, omega):
 
 
 def test_work_budget_ranks_inputs_by_cost(monkeypatch):
-    # On CPython 3.11 (shared 2-core machine) (3000,), omega = 3 ran in about
-    # 0.35 s and (309, 309), omega = (1000, 1000) in about 1.2 s.  Charging the
-    # factor lists their old from-scratch binomials refused the first and
+    # (3000,), omega = 3 costs less than (309, 309), omega = (1000, 1000).  Charging
+    # the factor lists their old from-scratch binomials refused the first and
     # accepted the second; the incremental build's cost puts them in order.
     fast, slow = ((3000,), (3,)), ((309, 309), (1000, 1000))
     assert _estimate(monkeypatch, *fast) < _estimate(monkeypatch, *slow)
