@@ -40,9 +40,8 @@ import sys
 from collections import namedtuple
 from collections.abc import Sequence
 
-from . import genfun
 from .degrees import CodimVec, TensorFormat, _check_extraction_work, _ring_work, extract_degree
-from .genfun import InputError, _check_subsets, _num, split_H
+from .genfun import InputError, _check_subsets, _num, _refuse_over, split_H
 
 _FLOAT_LOG10_MAX = math.log10(sys.float_info.max)
 _LOG10_2 = math.log10(2)
@@ -78,12 +77,8 @@ def critical_constants(k: int, omega: int, delta: int) -> CriticalConstants:
     if delta < 0:
         raise InputError("delta must be >= 0")
     bits = _constants_bits(k, omega, delta)
-    if (bits // 64) ** 2 > genfun.MAX_WORD_PRODUCTS:
-        raise InputError(
-            f"the critical-point constants have up to about {_num(bits)} bits, and normalizing and writing them "
-            f"takes about {_num((bits // 64) ** 2)} products of 64-bit words, over the limit of "
-            f"{genfun.MAX_WORD_PRODUCTS}; use smaller k, omega or delta"
-        )
+    what = "normalizing and writing the critical-point constants of up to about {} bits"
+    _refuse_over((bits // 64) ** 2, what, "use smaller k, omega or delta", bits)
     return _constants(k, omega, delta)
 
 
@@ -147,12 +142,8 @@ def _check_evaluation_work(k: int, omega: int, q: int) -> None:
     a_words = 1 + (k * omega).bit_length() // 64
     p_words = 1 + (k + 1) * q.bit_length() // 64
     work = 3 * (a_words * p_words << k) + p_words * p_words + (_constants_bits(k, omega, 0) // 64) ** 2
-    if work > genfun.MAX_WORD_PRODUCTS:
-        raise InputError(
-            f"evaluating H2's {1 << k} terms at the critical point and normalizing the constants takes about "
-            f"{_num(work)} products of 64-bit words, over the limit of {genfun.MAX_WORD_PRODUCTS}; "
-            "use smaller k or omega"
-        )
+    what = "evaluating H2's {} terms at the critical point and normalizing the constants"
+    _refuse_over(work, what, "use smaller k or omega", 1 << k)
 
 
 def verify_critical_point(k: int, omega: int) -> CriticalPointReport:
@@ -268,10 +259,8 @@ def compare_exact_asymptotic(
     k: int, omega: int, delta: int, n_range: Sequence[int]
 ) -> list[ComparisonRow]:
     """Exact degree factor (by extraction) next to the estimate for each n."""
-    if _ring_work(k) > genfun.MAX_SERIES_WORK:  # before any k-tuple exists
-        raise InputError(
-            f"extracting with k = {_num(k)} factors is over the limit of {genfun.MAX_SERIES_WORK}; use smaller k"
-        )
+    _check_regime(k, omega)
+    _refuse_over(_ring_work(k), "extracting with k = {} factors", "use smaller k", k)  # before any k-tuple exists
     cv = CodimVec((delta,) + (0,) * (k - 1))
     _check_extraction_work((TensorFormat((n,) * k, (omega,) * k), cv) for n in n_range)
     rows = []

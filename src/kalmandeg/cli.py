@@ -58,6 +58,8 @@ def _emit(args: argparse.Namespace, records: list[dict], lines: list[str]) -> No
 def _cmd_degree(args: argparse.Namespace) -> None:
     fmt = degrees.TensorFormat(args.n, args.omega)
     cv = degrees.CodimVec(args.delta)
+    degrees._check_codim(fmt, cv)  # a bad delta is reported first, then a bad deg_z, both before extraction
+    scale = None if args.deg_z is None else degrees._deg_z_product(fmt, args.deg_z)
     factor = degrees.extract_degree(fmt, cv)
     digits = str(factor)
     record = {
@@ -68,9 +70,9 @@ def _cmd_degree(args: argparse.Namespace) -> None:
         "provenance": "coefficient extraction from the capped geometric-factor product",
     }
     lines = [f"degree_factor = {digits}"]
-    if args.deg_z is not None:
+    if scale is not None:
         # kalman_degree would extract again; scale the factor already found.
-        total = str(factor * degrees._deg_z_product(fmt, args.deg_z))
+        total = str(factor * scale)
         record["inputs"]["deg_z"] = list(args.deg_z)
         record["kalman_degree"] = total
         record["result"] = total

@@ -85,7 +85,7 @@ def _ring(k: int) -> tuple[str, ...]:
 
 
 def _extraction_work(fmt: TensorFormat, d: CodimVec) -> int:
-    """A bound on the term pairs extraction visits, each weighted by its coefficients' size.
+    """A bound on the term pairs extraction visits, weighted by coefficient size, in word products.
 
     Every Horner total is homogeneous and each step raises its degree by one,
     so the n_i - 1 steps of factor i multiply totals of distinct degrees.  The
@@ -97,8 +97,9 @@ def _extraction_work(fmt: TensorFormat, d: CodimVec) -> int:
     the homogeneous halves at most slab; plus 2 sum(n_i - 1) calls.  A
     coefficient has at most sum_i ((n_i - 1) bitlen(sum omega) + bitlen(n_i))
     bits, the factors' product at all ones, and a pair multiplies it by a
-    weight: one more pair's cost per 2^20 products of their bits.  Setting up
-    the k bases of k + 1 terms over k + 1 variables adds ``_ring_work(k)``.
+    weight: one more pair's cost per 2^20 products of their bits.  Each pair
+    and call is a series step of ``genfun.STEP_WORDS`` word products.  Setting
+    up the k bases of k + 1 terms over k + 1 variables adds ``_ring_work(k)``.
     """
     _check_codim(fmt, d)
     k = fmt.k
@@ -107,24 +108,20 @@ def _extraction_work(fmt: TensorFormat, d: CodimVec) -> int:
     sides = [n - di for n, di in zip(fmt.n, d.delta)] + [d.total + 1]
     longest = max(sides)
     pairs = prod(sides) // longest * ((k + 2) * sum(min(n - 1, longest) for n in fmt.n) + 1)
-    return pairs * (1 + (bits * max(fmt.omega).bit_length() >> 20)) + 2 * steps + _ring_work(k)
+    return genfun.STEP_WORDS * (pairs * (1 + (bits * max(fmt.omega).bit_length() >> 20)) + 2 * steps) + _ring_work(k)
 
 
 def _ring_work(k: int) -> int:
-    """k^3 / 64: each of k bases has k + 1 terms whose exponent tuples are k + 1 long."""
-    return k**3 >> 6
+    """k^3 / 64 series steps: each of k bases has k + 1 terms whose exponent tuples are k + 1 long."""
+    return genfun.STEP_WORDS * (k**3 >> 6)
 
 
 def _check_extraction_work(cells: Iterable[tuple[TensorFormat, CodimVec]]) -> None:
-    """Refuse extractions whose work, summed over the (format, codimension) cells, is over the limit."""
+    """Refuse extractions whose work, summed over the (format, codimension) cells, exceeds the limit."""
     work = 0
-    for fmt, d in cells:
+    for fmt, d in cells:  # stops at the first cell past the limit
         work += _extraction_work(fmt, d)
-        if work > genfun.MAX_SERIES_WORK:
-            raise InputError(
-                f"the extraction work estimate reaches {_num(work)} term pairs, weighted by coefficient size, "
-                f"over the limit of {genfun.MAX_SERIES_WORK}; use smaller n or omega"
-            )
+        genfun._refuse_over(work, "coefficient extraction", "use smaller n or omega")
 
 
 def extract_degree(fmt: TensorFormat, d: CodimVec) -> int:

@@ -54,17 +54,29 @@ from operator import floordiv, mul, sub
 
 from .polycore import ExponentVec, TPoly, poly_mul
 
-# Work budgets, one limit per cost unit, each read from here when checked.  Each
-# keeps the slowest accepted call, CLI output included, to about 2 s on one core.
-MAX_SUBSETS = 1 << 15  # 2^(k+1) subsets of H's variables, 2^m of an m x m MacMahon matrix
-MAX_SERIES_WORK = 400_000  # padded series cells times (denominator terms + coefficient words); MacMahon, extraction pairs
-# Products of 64-bit words, big-int arithmetic and decimal output alike (CPython
-# writes an int in decimal in time quadratic in its words).
+# The one work limit, in products of 64-bit words, the unit of big-int arithmetic and
+# of decimal output (CPython writes an int in decimal in time quadratic in its words).
+# Every budget estimates its work in it before the work starts, and only ``_refuse_over``
+# compares the two.  Each keeps the slowest accepted call, CLI output included, to about 2 s.
 MAX_WORD_PRODUCTS = 10**9
+# A series step (a padded cell times a denominator term or coefficient word, or a MacMahon
+# or extraction term pair) takes about 1 us; at 2500 word products the limit allows 400,000.
+STEP_WORDS = 2500
+# A subset takes 0.3-4 us; 30517 * 2^15 <= 10^9 < 30517 * 2^16, so 2^15 of them are allowed.
+SUBSET_WORDS = 30_517
 
 
 class InputError(ValueError):
     """An input refused: invalid, or over a work budget.  The CLI exits 2 on it and only on it."""
+
+
+def _refuse_over(work: int, what: str, hint: str, *numbers: int) -> None:
+    """Refuse ``what`` if its estimated ``work`` exceeds the limit; only then fill its fields with ``numbers``."""
+    if work > MAX_WORD_PRODUCTS:
+        what = what.format(*map(_num, numbers))
+        raise InputError(
+            f"{what} takes about {_num(work)} products of 64-bit words, over the limit of {MAX_WORD_PRODUCTS}; {hint}"
+        )
 
 
 def _num(n: int) -> str:
@@ -122,10 +134,9 @@ def _bordered_a(omega: tuple[int, ...]) -> list[list[int]]:
 
 
 def _check_subsets(n: int) -> None:
-    if n >= MAX_SUBSETS.bit_length():  # 2^n > MAX_SUBSETS, without building 2^n
-        raise InputError(
-            f"{_num(n)} variables give 2^{_num(n)} subsets, over the limit of {MAX_SUBSETS}; use fewer variables"
-        )
+    # Past 2^20 variables, far beyond the limit, the charge is 2^20's: 2^n itself is never built.
+    what = "visiting the 2^{0} subsets of {0} variables"
+    _refuse_over(SUBSET_WORDS << min(n, 1 << 20), what, "use fewer variables", n)
 
 
 def _principal_minors(a: Sequence[Sequence[int]]) -> list[int]:
@@ -146,11 +157,8 @@ def _principal_minors(a: Sequence[Sequence[int]]) -> list[int]:
     # to t + 1 of W = 1 + (t + 1) bitlen(c) // 64 words each.  Two products and an exact division,
     # which CPython takes digit by digit, cost about 5 W^2 word products per entry.
     work = sum(5 * (m - t - 1) ** 2 * (1 + (t + 1) * c.bit_length() // 64) ** 2 << t for t in range(m))
-    if work > MAX_WORD_PRODUCTS:
-        raise InputError(
-            f"the principal minors of a {m} x {m} matrix with entries of up to {c.bit_length()} bits take about "
-            f"{_num(work)} products of 64-bit words, over the limit of {MAX_WORD_PRODUCTS}; use smaller entries or weights"
-        )
+    what = "taking the principal minors of a {0} x {0} matrix with entries of up to {1} bits"
+    _refuse_over(work, what, "use smaller entries or weights", m, c.bit_length())
     block = [[[x + c * (i == l)] for l, x in enumerate(row)] for i, row in enumerate(a)]
     dets = [1]
     while block:  # decide the last undecided index j: drop its row and column
@@ -266,20 +274,15 @@ def _divide(
     # of degree, the bits of the sum of the tail's absolute coefficients.
     growth = (max(1, sum(abs(c) for _, c in tail)) - 1).bit_length()
     bits = max([0] + [abs(c).bit_length() for c in numerator.values()]) + sum(caps) * growth
-    if size * (len(tail) + 1 + bits // 64) > MAX_SERIES_WORK:
-        raise InputError(
-            f"the series box has {_num(size)} cells with padding, the denominator {len(tail) + 1} terms within "
-            f"the caps and the coefficients up to about {_num(bits)} bits; "
-            f"{_num(size)} x ({len(tail) + 1} + {_num(bits // 64)}) "
-            f"is over the limit of {MAX_SERIES_WORK}, so lower the caps"
-        )
+    terms, words = len(tail) + 1, bits // 64
+    what = (
+        "expanding a series box of {} cells with padding by {} denominator terms within the caps"
+        " and {} words of coefficients of up to about {} bits"
+    )
+    _refuse_over(STEP_WORDS * size * (terms + words), what, "lower the caps", size, terms, words, bits)
     # Every cell is charged the largest coefficient, about three times the true decimal cost along one axis.
-    decimal_work = prod(m + 1 for m in caps) * (bits // 64) ** 2
-    if decimal_work > MAX_WORD_PRODUCTS:
-        raise InputError(
-            f"writing the series' coefficients of up to about {_num(bits)} bits in decimal takes about "
-            f"{_num(decimal_work)} products of 64-bit words, over the limit of {MAX_WORD_PRODUCTS}, so lower the caps"
-        )
+    what = "writing the series' coefficients of up to about {} bits in decimal"
+    _refuse_over(prod(m + 1 for m in caps) * words * words, what, "lower the caps", bits)
     cells = [0]
     for m, stride in zip(caps, strides):
         cells = [i + j * stride for i in cells for j in range(m + 1)]
@@ -343,11 +346,7 @@ def macmahon_check(a: Sequence[Sequence[int]], cap: Sequence[int] | int) -> bool
     # matrices, m <= 7) it visits at most half of the bound.
     boxes = [(c + 1) * (c + 2) // 2 for c in caps]
     pairs = m * sum(c * (c + 1) * (c + 2) // 3 * prod(boxes[:i] + boxes[i + 1 :]) for i, c in enumerate(caps))
-    if pairs > MAX_SERIES_WORK:
-        raise InputError(
-            f"the MacMahon product side visits up to {_num(pairs)} term pairs, "
-            f"over the limit of {MAX_SERIES_WORK}, so lower the cap"
-        )
+    _refuse_over(STEP_WORDS * pairs, "visiting the MacMahon product side's up to {} term pairs", "lower the cap", pairs)
     rhs = series.expand()
 
     units = [tuple(int(t == j) for t in range(m)) for j in range(m)]

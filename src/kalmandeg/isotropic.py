@@ -39,7 +39,7 @@ from operator import mul
 
 from . import genfun
 from .degrees import TensorFormat
-from .genfun import InputError, _num
+from .genfun import InputError
 
 
 class IsotropicResult(namedtuple("IsotropicResult", "degree components ambient_dim")):
@@ -77,8 +77,8 @@ def _convolve(p: list[int], q: list[int]) -> list[int]:
     return out
 
 
-def _check_work(n: tuple[int, ...], omega: tuple[int, ...]) -> None:
-    """Refuse a format whose polar-class sum would multiply too many 64-bit words.
+def _check_work(n: tuple[int, ...], omega: tuple[int, ...]) -> int:
+    """Refuse a format whose polar-class sum would multiply too many 64-bit words; else return K.
 
     Factor l's list holds m + 1 integers, m = n_l - 2, of at most
     m (bitlen(m) + bitlen(omega_l)) + 2 n_l bits, W_l words each.  Its entry a
@@ -90,20 +90,25 @@ def _check_work(n: tuple[int, ...], omega: tuple[int, ...]) -> None:
     Measured on CPython 3.11 (shared 2-core Linux machine), this build takes
     about twice as long per word product as the convolution, so it is charged
     twice.  Convolving the list into the running list of L integers of W words
-    costs L (m + 1) W W_l.  Horner's rule then takes one small factor per entry
-    into a sum that also carries (N + 1)!, and writing that sum in decimal is
-    quadratic in its words, at about the cost of four word products per pair
-    of words.
+    costs L (m + 1) W W_l.
 
-    The costliest factor K is neither built nor convolved.  Its Horner steps in
-    omega_K and their inner one-word Horner passes over C' took at most the
-    time of the list and convolution charged for it (same machine): 0.02-0.56
-    of it on 40 random formats, and as long for one factor with a 3300-bit
-    weight.  So for K the estimate is an upper bound.  It is kept unchanged,
-    and no input moved between accepted and refused.
+    The costliest factor K, the first with the largest m_l bitlen(omega_l), is
+    neither built nor convolved.  Horner's rule takes it in m + 1 steps,
+    m = m_K.  In each, acc runs M' + 1 one-word steps over its A words: C''s W
+    and M' + 1 factors of up to bitlen(N + 1) bits.  Then total = total *
+    omega_K + t * acc, where t has up to 2 n_K bits, S words, and total grows
+    by bitlen(omega_K) bits a step from A + S words; for a one-word omega_K
+    those products cost about m^2 bitlen(omega_K) / 128.  The binomial, of
+    B = 1 + n_K / 64 words, takes a one-word product and an exact division by
+    one word, which CPython takes digit by digit in about eight products' time
+    (same machine): 9 B a step, and t's update 2 S.  Writing total's T words
+    in decimal, quadratic in them, costs about four word products per pair.
     """
+    last = max(range(len(n)), key=lambda l: (n[l] - 2) * omega[l].bit_length())
     work, length, words = 0, 1, 1
-    for ni, wi in zip(n, omega):
+    for l, (ni, wi) in enumerate(zip(n, omega)):
+        if l == last:
+            continue
         m, lm, lw = ni - 2, (ni - 2).bit_length(), wi.bit_length()
         w_l = 1 + (m * (lm + lw) + 2 * ni) // 64
         # Sums over a = 0..m, with sum_a a = sum_a (m - a) = tri and sum_a a (m - a) = (m - 1) tri / 3.
@@ -115,24 +120,23 @@ def _check_work(n: tuple[int, ...], omega: tuple[int, ...]) -> None:
         work += 2 * build + (m + 1) * w_l * length * words
         length += m
         words += w_l + 1  # a word more covers the carries of summing the products
-    n_dim = sum(n) - 2 * len(n)
-    words += (n_dim + 1) * (n_dim + 1).bit_length() // 64
-    work += length * words + 4 * words * words  # Horner's rule, then the result's decimal digits
-    if work > genfun.MAX_WORD_PRODUCTS:
-        raise InputError(
-            f"the polar-class sum needs about {_num(work)} products of 64-bit words, "
-            f"over the limit of {genfun.MAX_WORD_PRODUCTS}; use smaller n or omega"
-        )
+    ni, lw = n[last], omega[last].bit_length()
+    m, s = ni - 2, 1 + 2 * ni // 64
+    a_words = words + length * (sum(n) - 2 * len(n) + 1).bit_length() // 64
+    steps = (m + 1) * (a_words + s) + lw * (m * (m + 1) // 2) // 64  # total's words, summed over the steps
+    t_words = a_words + s + m * lw // 64
+    work += (m + 1) * ((length + s) * a_words + 9 * (1 + ni // 64) + 2 * s) + steps * (1 + lw // 64)
+    genfun._refuse_over(work + 4 * t_words * t_words, "the polar-class sum", "use smaller n or omega")
+    return last
 
 
 def isotropic_degree(fmt: TensorFormat) -> IsotropicResult:
     """Degree and component count of the totally isotropic variety for ``fmt``."""
     if any(ni < 2 for ni in fmt.n):
         raise InputError("all dimensions n_i must be >= 2 (each factor needs a smooth quadric)")
-    _check_work(fmt.n, fmt.omega)
+    last = _check_work(fmt.n, fmt.omega)
     k = fmt.k
     n_dim = sum(fmt.n) - 2 * k
-    last = max(range(k), key=lambda l: (fmt.n[l] - 2) * fmt.omega[l].bit_length())
 
     # coeffs[j] is C'_j times (-1)^j: the signed alpha-sum of layer j over the other factors, times their m_l!.
     coeffs = [1]
@@ -165,19 +169,15 @@ def isotropic_degree(fmt: TensorFormat) -> IsotropicResult:
 
 
 def _check_symmetric_work(n: int, omega: int, cells: int = 1) -> None:
-    """Refuse ``cells`` single-factor degrees, none larger than the one at (n, omega), over the limit.
+    """Refuse ``cells`` single-factor degrees, none larger than the one at (n, omega), past the limit.
 
     That degree has at most n bitlen(omega - 1) + bitlen(n) bits, W words:
     its power, product and exact division and its decimal digits cost about
     5 W^2 word products, and its table row about 3000 more.
     """
     words = 1 + (n * (omega - 1).bit_length() + n.bit_length()) // 64
-    work = cells * (3000 + 5 * words * words)
-    if work > genfun.MAX_WORD_PRODUCTS:
-        raise InputError(
-            f"{_num(cells)} single-factor isotropic degrees of up to {_num(words)} 64-bit words take about "
-            f"{_num(work)} products of 64-bit words, over the limit of {genfun.MAX_WORD_PRODUCTS}; use smaller n or omega"
-        )
+    what = "computing {} single-factor isotropic degrees of up to {} 64-bit words"
+    genfun._refuse_over(cells * (3000 + 5 * words * words), what, "use smaller n or omega", cells, words)
 
 
 def isotropic_degree_symmetric(n: int, omega: int) -> int:

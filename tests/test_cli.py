@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from kalmandeg import cli
 from kalmandeg.degrees import CodimVec, TensorFormat, extract_degree
 from kalmandeg.genfun import InputError
+from test_genfun import REFUSAL
 from test_readme import EXAMPLES as README_EXAMPLES
 
 
@@ -92,8 +93,8 @@ def test_genfun_show_h(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (("genfun", "--omega", "1,1", "--caps", "100000,100000"), "lower the caps"),
-    (("genfun", "--omega", ",".join(["1"] * 15), "--show-h"), "subsets, over the limit"),
-    (("asympt", "--k", "15", "--omega", "1", "--verify"), "subsets, over the limit"),
+    (("genfun", "--omega", ",".join(["1"] * 15), "--show-h"), "subsets of 16 variables takes about"),
+    (("asympt", "--k", "15", "--omega", "1", "--verify"), "subsets of 16 variables takes about"),
 ])
 def test_work_budgets_exit_two(capsys, argv, message):
     # refused before the work starts; the first series box would be ~10^10 cells
@@ -130,7 +131,7 @@ def test_isotropic_result_beyond_int_str_digit_limit(capsys):
 
 def test_isotropic_over_budget_exits_two_at_once(capsys):
     start = time.perf_counter()
-    code, out, err = run(capsys, "isotropic", "--n", "20000", "--omega", "3")
+    code, out, err = run(capsys, "isotropic", "--n", "200000", "--omega", "3")
     assert time.perf_counter() - start < 0.1
     assert (code, out) == (2, "") and "over the limit of 1000000000" in err
 
@@ -156,7 +157,7 @@ def test_extraction_over_budget_exits_two_at_once(capsys, argv):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 0.2
-    assert (code, out) == (2, "") and "over the limit of 400000" in err
+    assert (code, out) == (2, "") and "over the limit of 1000000000" in err
 
 
 def test_isotropic_rejects_small_n(capsys):
@@ -408,6 +409,23 @@ def _refused(message, *argv):
 
 
 BIG = "1" + "0" * 400
+# One argv per budget, then user numbers beyond index range that a budget refuses.
+BUDGET_REFUSED = [
+    _refused("visiting the 2^16 subsets of 16 variables", "genfun", "--omega", ",".join(["1"] * 15), "--show-h"),
+    _refused("cells with padding", "genfun", "--omega", "1,1", "--caps", "100000,100000"),
+    _refused("in decimal takes about", "genfun", "--omega", "1" + "0" * 10000, "--caps", "18"),
+    _refused("the polar-class sum takes about", "isotropic", "--n", "200000", "--omega", "3"),
+    _refused("coefficient extraction takes about", "degree", "--n", "3000,3000", "--delta", "0,0", "--omega", "1,1"),
+    _refused("extracting with k = 295 factors", "asympt", "--k", "295", "--omega", "1", "--n", "1", "--compare"),
+    _refused("principal minors of a 9 x 9 matrix", "genfun", "--omega", ",".join(["1" + "0" * 3000] * 8), "--show-h"),
+    _refused("single-factor isotropic degrees", "table", "--kind", "isotropic-sym", "--max-n", "1000000"),
+    _refused("single-factor isotropic degrees", "table", "--kind", "isotropic-sym", "--max-n", "2", "--max-omega", BIG),
+    _refused("critical-point constants", "asympt", "--k", "100000000000000000000", "--omega", "1", "--constants"),
+    _refused("critical-point constants", "asympt", "--k", "3", "--omega", "1", "--delta", "1" + "0" * 20, "--constants"),
+    _refused("evaluating H2's 16384 terms at the critical point", "asympt", "--k", "14", "--omega", "1" + "0" * 1000, "--verify"),
+    _refused("subsets of 100000000000000000001 variables", "asympt", "--k", "100000000000000000000", "--omega", "1", "--verify"),
+    _refused("extracting with k = 1000", "asympt", "--k", "100000000000000000000", "--omega", "1", "--n", "5", "--compare"),
+]
 EXIT_CODES = [
     *[(argv, 0, "") for argv, _ in GOLDEN],
     *[(tuple(shlex.split(command)[1:]), 0, "") for command, _ in README_EXAMPLES],
@@ -441,23 +459,16 @@ EXIT_CODES = [
     _refused("--max-n must be >= 1 for matrix-ed", "table", "--kind", "matrix-ed", "--max-n", "0"),
     _refused("need 1 <= --n-min <= --n-max", "table", "--kind", "hypercubical-compare", "--n-min", "0"),
     _refused("need --max-n >= 2 and --max-omega >= 1", "table", "--kind", "isotropic-sym", "--max-n", "1"),
-    # one argv per budget
-    _refused("subsets, over the limit of 32768", "genfun", "--omega", ",".join(["1"] * 15), "--show-h"),
-    _refused("cells with padding", "genfun", "--omega", "1,1", "--caps", "100000,100000"),
-    _refused("in decimal takes about", "genfun", "--omega", "1" + "0" * 10000, "--caps", "18"),
-    _refused("the polar-class sum needs about", "isotropic", "--n", "20000", "--omega", "3"),
-    _refused("the extraction work estimate", "degree", "--n", "3000,3000", "--delta", "0,0", "--omega", "1,1"),
-    _refused("extracting with k = 295 factors", "asympt", "--k", "295", "--omega", "1", "--n", "1", "--compare"),
-    _refused("principal minors of a 9 x 9 matrix", "genfun", "--omega", ",".join(["1" + "0" * 3000] * 8), "--show-h"),
-    _refused("single-factor isotropic degrees", "table", "--kind", "isotropic-sym", "--max-n", "1000000"),
-    _refused("single-factor isotropic degrees", "table", "--kind", "isotropic-sym", "--max-n", "2", "--max-omega", BIG),
-    _refused("critical-point constants", "asympt", "--k", "100000000000000000000", "--omega", "1", "--constants"),
-    _refused("critical-point constants", "asympt", "--k", "3", "--omega", "1", "--delta", "1" + "0" * 20, "--constants"),
-    _refused("evaluating H2's 16384 terms at the critical point", "asympt", "--k", "14", "--omega", "1" + "0" * 1000, "--verify"),
-    # user numbers beyond float or index range
+    # invalid input is refused before the budgeted work: an extraction of about 1 s, or one over the limit
+    _refused("all deg_z entries must be >= 1", "degree", "--n", "80000", "--delta", "0", "--omega", "3", "--deg-z", "0"),
+    _refused("need k >= 3, or k = 2 with omega >= 2", "table", "--kind", "hypercubical-compare", "--k", "2",
+             "--omega", "1", "--n-min", "250", "--n-max", "250"),
+    _refused("need k >= 2 and omega >= 1", "table", "--kind", "hypercubical-compare", "--k", "1",
+             "--n-min", "40000", "--n-max", "40000"),
+    (("isotropic", "--n", "20000", "--omega", "3"), 0, ""),  # far below the budget: about 0.2 s
+    *BUDGET_REFUSED,
+    # user numbers beyond float range
     _refused("beyond float range", "asympt", "--k", BIG, "--omega", "1", "--n", "5"),
-    _refused("subsets, over the limit of 32768", "asympt", "--k", "100000000000000000000", "--omega", "1", "--verify"),
-    _refused("extracting with k = 1000", "asympt", "--k", "100000000000000000000", "--omega", "1", "--n", "5", "--compare"),
 ]
 
 
@@ -487,18 +498,18 @@ def test_internal_failures_exit_three(capsys, monkeypatch, exc):
 
 
 # The first input each budget refuses, one family per line; the inputs one below run for up to
-# 1.9 s in process (CPython 3.11 on a shared 2-core Linux machine).
+# 2 s as CLI processes (CPython 3.11 on a shared 2-core Linux machine).
 FIRST_REFUSED = [
-    ("genfun", "--omega", ",".join(["1"] * 15), "--show-h"),  # MAX_SUBSETS
+    ("genfun", "--omega", ",".join(["1"] * 15), "--show-h"),  # subsets
     ("asympt", "--k", "15", "--omega", "1", "--verify"),
-    ("genfun", "--omega", "1,1", "--caps", "315,315"),  # MAX_SERIES_WORK: series box
+    ("genfun", "--omega", "1,1", "--caps", "315,315"),  # series steps: series box
     ("table", "--kind", "matrix-ed", "--max-n", "315"),
-    ("degree", "--n", "80001", "--delta", "0", "--omega", "3"),  # MAX_SERIES_WORK: extraction
+    ("degree", "--n", "80001", "--delta", "0", "--omega", "3"),  # series steps: extraction
     ("table", "--kind", "hypercubical-compare", "--k", "3", "--n-max", "18"),
     ("asympt", "--k", "295", "--omega", "1", "--n", "1", "--compare"),
-    ("genfun", "--omega", "1" + "0" * 7766, "--caps", "18"),  # MAX_WORD_PRODUCTS: decimal series
+    ("genfun", "--omega", "1" + "0" * 7766, "--caps", "18"),  # word products: decimal series
     ("genfun", "--omega", ",".join(["1" + "0" * 1321] * 8), "--show-h"),  # principal minors
-    ("isotropic", "--n", "4660", "--omega", "3"),
+    ("isotropic", "--n", "58023", "--omega", "3"),
     ("table", "--kind", "isotropic-sym", "--max-n", "3642"),
     ("asympt", "--k", "16063", "--omega", "1", "--constants"),
     ("asympt", "--k", "14", "--omega", "1" + "0" * 693, "--verify"),
@@ -513,6 +524,17 @@ def test_first_refused_inputs_exit_two_at_once(capsys, argv):
     assert (code, out) == (2, "") and "over the limit" in err
 
 
+BUDGET_ARGVS = list(dict.fromkeys(FIRST_REFUSED + [argv for argv, _, _ in BUDGET_REFUSED]))
+
+
+@pytest.mark.parametrize("argv", BUDGET_ARGVS, ids=[" ".join(argv)[:80] for argv in BUDGET_ARGVS])
+def test_budget_refusals_share_one_shape(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error: ") and err.endswith("\n")
+    refusal = REFUSAL.fullmatch(err[len("error: ") : -1])
+    assert refusal and refusal[3] == "1000000000", err
+
+
 def test_asympt_compare_at_the_largest_accepted_k(capsys):
     # k = 295 is refused; k = 294 builds 2k bases over 295 variables and must stay quick.
     start = time.perf_counter()
@@ -522,7 +544,7 @@ def test_asympt_compare_at_the_largest_accepted_k(capsys):
 
 
 def test_isotropic_at_the_largest_accepted_n(capsys):
-    # n = 4660 is refused; n = 4659 takes its one factor by Horner's rule and must stay quick.
+    # n = 4659 takes its one factor by Horner's rule and must stay quick; the budget refuses n = 58023.
     from kalmandeg.isotropic import isotropic_degree_symmetric
 
     start = time.perf_counter()

@@ -27,6 +27,19 @@ from kalmandeg.isotropic import isotropic_degree, isotropic_degree_symmetric
 from kalmandeg.polycore import TPoly, det, poly_mul
 
 
+# Every budget's refusal: what, the estimated work (written as ~2^x past 14,000 bits), the limit and a hint.
+REFUSAL = re.compile(r"(.+) takes about (\d+|~2\^[\d.]+) products of 64-bit words, over the limit of (\d+); (.+)")
+
+
+def estimate(call, *args):
+    """The work the first budget on ``call(*args)``'s path charges, read from its refusal at a zero limit."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(genfun, "MAX_WORD_PRODUCTS", 0)
+        with pytest.raises(genfun.InputError) as refused:
+            call(*args)
+    return int(REFUSAL.fullmatch(str(refused.value))[2])
+
+
 def _xvars(k):
     return tuple(f"x{i + 1}" for i in range(k))
 
@@ -189,24 +202,28 @@ def test_determinant_route_reads_only_a(monkeypatch):
 
 
 def test_subset_budget_refuses_before_work():
-    with pytest.raises(ValueError, match="2\\^16 subsets, over the limit of 32768"):
+    # 30517 word products a subset: 2^16 of them are over the limit, 2^15 are not.
+    with pytest.raises(ValueError, match="the 2\\^16 subsets of 16 variables takes about 1999962112 products"):
         build_H((1,) * 15)
-    with pytest.raises(ValueError, match="subsets, over the limit"):
+    with pytest.raises(ValueError, match="subsets of 16 variables takes about"):
         build_H_via_determinant((1,) * 15)
-    with pytest.raises(ValueError, match="subsets, over the limit"):
+    with pytest.raises(ValueError, match="subsets of 16 variables takes about"):
         expand_series((1,) * 15, (0,) * 15, 0)
     with pytest.raises(ValueError, match="2\\^16 subsets"):
         macmahon_check([[int(i == j) for j in range(16)] for i in range(16)], 0)
     assert build_H((1,) * 14).constant_term == 1  # 2^15 subsets: at the limit, accepted
+    assert estimate(build_H, (1,) * 14) == 30517 << 15
 
 
 def test_principal_minors_budget_counts_entry_words(monkeypatch):
     # omega = (1,): A = [[0, 1], [1, 0]], c = 2; deciding the first index
-    # updates one list of one entry of one word, at 5 word products.
+    # updates one list of one entry of one word, at 5 word products.  The
+    # subsets, checked on their own, are charged nothing here.
+    monkeypatch.setattr(genfun, "SUBSET_WORDS", 0)
     monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 5)
     assert build_H_via_determinant((1,)) == build_H((1,))
     monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 4)
-    with pytest.raises(genfun.InputError, match="2 x 2 matrix with entries of up to 2 bits take about 5 products"):
+    with pytest.raises(genfun.InputError, match="2 x 2 matrix with entries of up to 2 bits takes about 5 products"):
         build_H_via_determinant((1,))
     monkeypatch.undo()
     # Eight weights of 10^3000 took 5 s, eleven over 35 s; refused before the elimination.
@@ -220,24 +237,27 @@ def test_principal_minors_budget_counts_entry_words(monkeypatch):
 
 def test_series_budget_counts_padded_cells_times_terms(monkeypatch):
     # H = 1 - x1*y for omega = (1,); each axis gets one pad cell, so the box
-    # (3 + 2) * (1 + 2) = 15 cells times 2 terms is 30 units of work.
-    monkeypatch.setattr(genfun, "MAX_SERIES_WORK", 30)
+    # (3 + 2) * (1 + 2) = 15 cells times 2 terms is 30 series steps, at 2500
+    # word products each.  H's subsets, checked on their own, are charged nothing here.
+    monkeypatch.setattr(genfun, "SUBSET_WORDS", 0)
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 2500 * 30)
     assert expand_series((1,), (3,), 1) == {((1,), 0): 1, ((2,), 0): 1, ((2,), 1): 1, ((3,), 0): 1, ((3,), 1): 1}
-    monkeypatch.setattr(genfun, "MAX_SERIES_WORK", 29)
-    with pytest.raises(ValueError, match="15 cells with padding, the denominator 2 terms"):
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 2500 * 30 - 1)
+    with pytest.raises(ValueError, match="15 cells with padding by 2 denominator terms .* takes about 75000 products"):
         expand_series((1,), (3,), 1)
 
 
 def test_series_budget_counts_coefficient_bits(monkeypatch):
     # omega = 10^30: the tail of H = 1 + (1 - omega) x1 - x1*y sums to omega in
     # absolute value, 100 bits per unit of degree; degree 3 + 1 bounds the
-    # coefficients by 1 + 400 bits, 6 words, so 15 cells cost 15 * (3 + 6).
+    # coefficients by 1 + 400 bits, 6 words, so 15 cells cost 15 * (3 + 6) series steps.
     omega = 10**30
-    monkeypatch.setattr(genfun, "MAX_SERIES_WORK", 135)
+    monkeypatch.setattr(genfun, "SUBSET_WORDS", 0)
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 2500 * 135)
     series = expand_series((omega,), (3,), 1)
     assert max(abs(c).bit_length() for c in series.values()) <= 401
-    monkeypatch.setattr(genfun, "MAX_SERIES_WORK", 134)
-    with pytest.raises(ValueError, match="about 401 bits; 15 x \\(3 \\+ 6\\)"):
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 2500 * 135 - 1)
+    with pytest.raises(ValueError, match="15 cells .* 3 denominator terms .* 6 words of coefficients of up to about 401 bits"):
         expand_series((omega,), (3,), 1)
     monkeypatch.undo()
     with pytest.raises(ValueError, match="lower the caps"):  # accepted by cells and terms alone
@@ -246,6 +266,9 @@ def test_series_budget_counts_coefficient_bits(monkeypatch):
 
 def test_series_budget_counts_decimal_conversion(monkeypatch):
     # The omega = 10^30 box above: 4 * 2 cells, each charged 6 words squared.
+    # The subsets and the series steps, checked on their own, are charged nothing here.
+    monkeypatch.setattr(genfun, "SUBSET_WORDS", 0)
+    monkeypatch.setattr(genfun, "STEP_WORDS", 0)
     monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 288)
     expand_series((10**30,), (3,), 1)
     monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 287)
@@ -269,7 +292,7 @@ def test_series_budget_refuses_huge_boxes():
         expand_series((1, 1), (100000, 100000), 0)
     ring = ("z1", "z2")
     denominator = TPoly.one(ring) - TPoly.variable(ring, "z1")
-    with pytest.raises(ValueError, match="over the limit of 400000"):
+    with pytest.raises(ValueError, match="over the limit of 1000000000"):
         RationalSeries(TPoly.one(ring), denominator, (10**5, 10**5)).expand()
 
 
@@ -289,11 +312,11 @@ def test_budgets_write_huge_estimates_without_decimal_conversion():
         sys.set_int_max_str_digits(4300)
     huge = 10**5000
     cases = [
-        (expand_series, ((1,), (huge,), 0), "the series box has ~2^16610.6 cells"),
-        (isotropic_degree_symmetric, (huge, 3), "of up to ~2^16604.6 64-bit words take about ~2^"),
-        (isotropic_degree, (TensorFormat((huge,), (1,)),), "the polar-class sum needs about ~2^"),
-        (macmahon_check, ([[1]], huge), "visits up to ~2^"),
-        (extract_degree, (TensorFormat((huge,), (1,)), CodimVec((0,))), "estimate reaches ~2^"),
+        (expand_series, ((1,), (huge,), 0), "a series box of ~2^16610.6 cells"),
+        (isotropic_degree_symmetric, (huge, 3), "of up to ~2^16604.6 64-bit words takes about ~2^"),
+        (isotropic_degree, (TensorFormat((huge,), (1,)),), "the polar-class sum takes about ~2^"),
+        (macmahon_check, ([[1]], huge), "side's up to ~2^"),
+        (extract_degree, (TensorFormat((huge,), (1,)), CodimVec((0,))), "coefficient extraction takes about ~2^"),
         (extract_degree, (TensorFormat((2,), (1,)), CodimVec((huge,))), "delta_1 = ~2^16609.6 exceeds n_1 - 1 = 1"),
         (critical_constants, (3, 1, huge), "up to about ~2^"),
         (verify_critical_point, (huge, 1), "~2^16609.6 variables"),
@@ -550,10 +573,10 @@ def test_macmahon_product_budget(monkeypatch):
     # summed over the box one point at a time.
     caps = (3, 2)
     pairs = sum(sum(p) * 2 * (p[0] + 1) * (p[1] + 1) for p in product(range(4), range(3)))
-    monkeypatch.setattr(genfun, "MAX_SERIES_WORK", pairs)
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 2500 * pairs)
     assert macmahon_check([[1, 2], [3, 4]], caps)
-    monkeypatch.setattr(genfun, "MAX_SERIES_WORK", pairs - 1)
-    with pytest.raises(ValueError, match=f"up to {pairs} term pairs, over the limit of {pairs - 1}, so lower the cap"):
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 2500 * pairs - 1)
+    with pytest.raises(ValueError, match=f"up to {pairs} term pairs takes about {2500 * pairs} products .*; lower the cap"):
         macmahon_check([[1, 2], [3, 4]], caps)
     monkeypatch.undo()
     start = time.perf_counter()

@@ -17,6 +17,7 @@ from kalmandeg.isotropic import (
     symmetric_tuple_codim,
 )
 from oracles import oracle_isotropic, oracle_isotropic_chow
+from test_genfun import estimate
 
 # Frozen from the naive full-box summation oracle in oracles.py.
 FROZEN_ISO = {
@@ -148,41 +149,39 @@ def test_integrality_and_positivity_guards(monkeypatch):
 
 
 def test_work_budget_counts_word_products(monkeypatch):
-    # n = 4, omega = 3: m = 2 and every integer fits one word.  Building the
-    # list of m + 1 = 3 entries costs 3 for the F_a P_a, (3 + 3) * 1 for the
-    # (F_a + P_a) S and 2 for the powers, charged twice: 22.  Convolving it into
-    # [1] costs 3 * 1 * 1 * 1; the summed list then has 3 words, and Horner's 3
-    # steps plus 4 * 3^2 for the digits bring the work to 22 + 3 + 9 + 36 = 70.
-    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 70)
+    # n = 4, omega = 3: m = 2, the one factor goes by Horner's rule and every
+    # integer fits one word.  C' = [1] has M' + 1 = 1 entry of 1 word, and acc
+    # adds 1 factor of bitlen(N + 1) = 2 bits: A = 1.  t has S = 1 word, and
+    # total ends at A + S + 2 * 2 // 64 = 2.  Each of the 3 steps costs
+    # (1 + 1) * 1 for acc's step and t * acc, 9 * 1 for the binomial and 2 * 1
+    # for t; total * omega costs 3 * (1 + 1) + 2 * 3 // 64 over the steps.  With
+    # 4 * 2^2 for the digits the work is 3 * 13 + 6 + 16 = 61.
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 61)
     assert isotropic_degree(TensorFormat((4,), (3,))).degree == FROZEN_ISO[((4,), (3,))]
-    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 69)
-    with pytest.raises(ValueError, match="about 70 products of 64-bit words, over the limit of 69; use smaller n"):
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 60)
+    with pytest.raises(ValueError, match="about 61 products of 64-bit words, over the limit of 60; use smaller n"):
         isotropic_degree(TensorFormat((4,), (3,)))
 
 
-def _estimate(monkeypatch, n, omega):
-    """The work ``_check_work`` charges for a format, read from its message at a zero limit."""
-    with monkeypatch.context() as patch:
-        patch.setattr(genfun, "MAX_WORD_PRODUCTS", 0)
-        with pytest.raises(InputError) as refused:
-            isotropic._check_work(n, omega)
-    return int(str(refused.value).split("about ")[1].split()[0])
-
-
-def test_work_budget_ranks_inputs_by_cost(monkeypatch):
-    # (3000,), omega = 3 costs less than (309, 309), omega = (1000, 1000).  Charging
-    # the factor lists their old from-scratch binomials refused the first and
-    # accepted the second; the incremental build's cost puts them in order.
+def test_work_budget_ranks_inputs_by_cost():
+    # In process (CPython 3.11, shared 2-core Linux machine): (4660,), omega = 3
+    # took 9.9 ms, (3000,) about 3 ms and (309, 309), omega = (1000, 1000), 37 ms;
+    # (3000, 3000), omega = (3, 3), took 17.9 s.  Charging the Horner factor its
+    # list's build and convolution refused (4660,) and accepted (3000, 3000) at
+    # 5 * 10^12; its Horner steps put them in order.
     fast, slow = ((3000,), (3,)), ((309, 309), (1000, 1000))
-    assert _estimate(monkeypatch, *fast) < _estimate(monkeypatch, *slow)
-    for n, omega in (fast, slow):
-        isotropic._check_work(n, omega)  # both accepted
+    assert estimate(isotropic._check_work, *fast) < estimate(isotropic._check_work, *slow)
+    assert estimate(isotropic._check_work, (4660,), (3,)) < estimate(isotropic._check_work, *slow)
+    for n, omega in (fast, slow, ((4660,), (3,))):
+        isotropic._check_work(n, omega)  # accepted
+    with pytest.raises(InputError, match="the polar-class sum takes about"):
+        isotropic._check_work((3000, 3000), (3, 3))
 
 
 def test_work_budget_refuses_before_work():
     huge = 10**400000
     start = time.perf_counter()
-    for n, omega in (((20000,), (3,)), ((5000,), (3,)), ((300, 300, 300), (3, 3, 3)), ((3,), (huge,))):
+    for n, omega in (((200000,), (3,)), ((3000, 3000), (3, 3)), ((400, 400, 400), (3, 3, 3)), ((3,), (huge,))):
         with pytest.raises(ValueError, match="over the limit of 1000000000"):
             isotropic_degree(TensorFormat(n, omega))
     assert time.perf_counter() - start < 0.1
@@ -212,7 +211,7 @@ def test_symmetric_budget_counts_cells_and_words(monkeypatch):
     monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 3005)
     assert isotropic_degree_symmetric(3, 2) == 6
     monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 3004)
-    with pytest.raises(InputError, match="1 single-factor isotropic degrees of up to 1 64-bit words take about 3005"):
+    with pytest.raises(InputError, match="1 single-factor isotropic degrees of up to 1 64-bit words takes about 3005"):
         isotropic_degree_symmetric(3, 2)
     monkeypatch.undo()
     start = time.perf_counter()
