@@ -45,12 +45,7 @@ from .isotropic import (
     partition_tuple_codim,
     symmetric_tuple_codim,
 )
-from .polycore import (
-    ExponentVec,
-    TPoly,
-    det,
-    poly_mul,
-)
+from .polycore import TPoly
 
 __version__ = "0.1.0"
 
@@ -60,7 +55,6 @@ __all__ = [
     "ComparisonRow",
     "CriticalConstants",
     "CriticalPointReport",
-    "ExponentVec",
     "IsotropicResult",
     "RationalSeries",
     "StabilizationReport",
@@ -74,7 +68,6 @@ __all__ = [
     "check_stabilization",
     "compare_exact_asymptotic",
     "critical_constants",
-    "det",
     "expand_series",
     "extract_degree",
     "isotropic_degree",
@@ -82,7 +75,6 @@ __all__ = [
     "kalman_degree",
     "macmahon_check",
     "partition_tuple_codim",
-    "poly_mul",
     "ratio_to_exact",
     "split_H",
     "symmetric_degree",

@@ -9,10 +9,11 @@ later arguments are exact flags, each a switch or followed by one value, off
 the same table.  Every other call goes to the full parser (``_parse`` lists
 them), so usage texts, help texts and argument errors are argparse's.  Results
 go to stdout (text, JSON records, or CSV for tables), diagnostics to stderr.
-Each subcommand converts every exact value to decimal once, builds both its
-JSON records and its text lines from those strings and hands them to the
-single emitter ``_emit``, the one place the output format is decided.  It
-prints one line at a time; JSON records are encoded by one sorted-key encoder,
+Each subcommand converts every exact value to decimal once and hands its JSON
+records and its text lines, built from those strings, to the single emitter
+``_emit``, the one place the output format is decided.  Where there are many,
+both come as generators, so only the requested format is built.  It prints
+one line at a time; JSON records are encoded by one sorted-key encoder,
 built by the first JSON call, so text output never imports ``json``.  Exit
 codes: 0 success, 2 input refused, invalid or over a budget (exactly
 ``genfun.InputError``, or argparse's usage error), 3 internal failure (any
@@ -25,7 +26,8 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
+from itertools import chain
 
 from . import asympt, degrees, genfun, isotropic
 
@@ -44,7 +46,7 @@ def _json_encoder():
     return json.JSONEncoder(sort_keys=True)
 
 
-def _emit(args: argparse.Namespace, records: list[dict], lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, records: Iterable[dict], lines: Iterable[str]) -> None:
     """Print ``records`` as sorted-key JSON lines under ``--format json``, else ``lines``."""
     if args.format == "json":
         encode = _json_encoder().encode
@@ -95,19 +97,16 @@ def _cmd_genfun(args: argparse.Namespace) -> None:
         return
     if args.caps is None:
         raise genfun.InputError("--caps is required unless --show-h is given")
-    coeffs = genfun.expand_series(args.omega, args.caps, args.y_cap)
-    keys = sorted(coeffs)
-    digits = [str(coeffs[key]) for key in keys]
+    coeffs = genfun.expand_series(args.omega, args.caps, args.y_cap)  # keys in box order, which is sorted order
+    digits = list(map(str, coeffs.values()))
     header = {
         "command": "genfun",
         "inputs": {"omega": list(args.omega), "caps": list(args.caps), "y_cap": args.y_cap},
         "provenance": "capped series expansion of the reciprocal generating polynomial",
     }
-    records = [header] + [
-        {"n": list(n_vec), "delta": delta, "coefficient": d} for (n_vec, delta), d in zip(keys, digits)
-    ]
-    lines = [f"n={','.join(map(str, n_vec))} delta={delta} d={d}" for (n_vec, delta), d in zip(keys, digits)]
-    _emit(args, records, lines)
+    records = ({"n": list(n_vec), "delta": delta, "coefficient": d} for (n_vec, delta), d in zip(coeffs, digits))
+    lines = (f"n={','.join(map(str, n_vec))} delta={delta} d={d}" for (n_vec, delta), d in zip(coeffs, digits))
+    _emit(args, chain([header], records), lines)
 
 
 def _cmd_isotropic(args: argparse.Namespace) -> None:
@@ -229,7 +228,7 @@ def _cmd_table(args: argparse.Namespace) -> None:
     header, rows = _table_rows(args)
     # Cells are integers, digit strings and float reprs: none holds a comma,
     # quote or newline, so plain joining is valid CSV.
-    _emit(args, [dict(zip(header, row)) for row in rows], [",".join(map(str, row)) for row in [header, *rows]])
+    _emit(args, (dict(zip(header, row)) for row in rows), (",".join(map(str, row)) for row in chain([header], rows)))
 
 
 _FORMAT = {"choices": ("text", "json"), "default": "text"}

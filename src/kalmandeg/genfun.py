@@ -207,9 +207,9 @@ def split_H(omega: Sequence[int]) -> tuple[TPoly, TPoly]:
     for e, c in h.terms.items():
         if e[-1] > 1:
             raise ArithmeticError("generating polynomial is not multilinear in y")
-        by_y_power[e[-1]][e[:-1]] = c
+        by_y_power[e[-1]][e[:-1]] = -c if e[-1] else c
     x_ring = h.vars[:-1]
-    return -TPoly._raw(x_ring, by_y_power[1], None), TPoly._raw(x_ring, by_y_power[0], None)
+    return TPoly._raw(x_ring, by_y_power[1], None), TPoly._raw(x_ring, by_y_power[0], None)
 
 
 class RationalSeries(namedtuple("RationalSeries", "numerator denominator caps")):

@@ -1,4 +1,4 @@
-"""Exact sparse multivariate polynomial arithmetic with per-variable degree caps.
+"""Exact sparse multivariate polynomials with per-variable degree caps.
 
 Degree extraction and the product side of the MacMahon check reduce to
 sums, products and coefficient lookups of polynomials with arbitrary-precision
@@ -6,6 +6,11 @@ integer coefficients; the generating function and the critical-point check
 read the term maps directly.  A polynomial is a term map from exponent tuples
 to nonzero ints over a fixed, ordered tuple of variable names; coefficients
 never touch floating point.
+
+``TPoly`` offers only what the package calls: a validating constructor,
+``one`` and ``variable``, coefficient queries, equality, a deterministic text
+form and ``+``.  Products go through ``poly_mul``; ``det`` is the tests'
+cofactor route to a determinant.
 
 Optional per-variable exponent caps truncate arithmetic as it happens: a
 monomial over a cap is dropped, so every term lies within its own caps.
@@ -20,24 +25,17 @@ that operand is transposed into exponent columns once, and each term of the
 smaller one is applied to whole columns by ``map``/``zip``/``compress``, which
 leaves only the dict accumulation per pair in Python.  That pays on
 extraction's Horner steps, where the larger operand has hundreds of terms and
-the smaller one at most k + 1: about twice as fast on CPython 3.11 (shared
-2-core Linux machine).  Below the cutoff the column setup costs more than it
-saves.  Timed on the same machine over the benchmark pools' small callers,
-the ``hypercubical-compare`` table, ``asympt --compare``, ``degree`` and
-MacMahon's small boxes: never taking the column path made the first three
-1.1-1.2x, 2.1-2.6x and 2.0x slower, and always taking it made MacMahon's
-boxes 1.3-1.7x slower and the others 0.95-1.17x.  Cutoffs from 8 to 32 lie
-within noise of each other: in 10 alternating pairs, 8 took 0.87, 0.95, 0.98
-and 1.00 of the time 16 took, in that order, and over 10 alternating pairs of
-15 s benchmark runs 8 read 1.01x (``extract``) and 1.04x (``cli``) of 16's
-median throughput, inside the spread of either's runs, so the cutoff is 8.
+the smaller one at most k + 1: about twice as fast on CPython 3.11.  Below the
+cutoff the column setup costs more than it saves, as on MacMahon's small
+boxes.  The cutoff depends on that setup cost against the per-pair saving, so
+it is a measured value; cutoffs from 8 to 32 timed within noise of each other.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from itertools import compress
-from operator import add, le
+from itertools import compress, repeat
+from operator import add, le, mul
 
 # One exponent per ring variable, all >= 0.
 ExponentVec = tuple[int, ...]
@@ -103,10 +101,6 @@ class TPoly:
         return self
 
     @classmethod
-    def zero(cls, vars: Sequence[str], caps: Sequence[int] | None = None) -> TPoly:
-        return cls(vars, {}, caps)
-
-    @classmethod
     def one(cls, vars: Sequence[str], caps: Sequence[int] | None = None) -> TPoly:
         return cls(vars, {(0,) * len(tuple(vars)): 1}, caps)
 
@@ -160,25 +154,6 @@ class TPoly:
         if caps is not None and not caps == self.caps == other.caps:
             out = {e: c for e, c in out.items() if all(map(le, e, caps))}
         return TPoly._raw(self.vars, out, caps)
-
-    def __neg__(self) -> TPoly:
-        return TPoly._raw(self.vars, {e: -c for e, c in self.terms.items()}, self.caps)
-
-    def __sub__(self, other: TPoly) -> TPoly:
-        return self + (-other)
-
-    def __mul__(self, other: TPoly | int) -> TPoly:
-        if isinstance(other, int):
-            return self.scaled(other)
-        return poly_mul(self, other)
-
-    def __rmul__(self, other: int) -> TPoly:
-        return self.scaled(other)
-
-    def scaled(self, factor: int) -> TPoly:
-        if factor == 0:
-            return TPoly._raw(self.vars, {}, self.caps)
-        return TPoly._raw(self.vars, {e: factor * c for e, c in self.terms.items()}, self.caps)
 
     # -- serialization ----------------------------------------------------
 
@@ -244,7 +219,7 @@ def poly_mul(a: TPoly, b: TPoly) -> TPoly:
     for e1, c1 in small.items():
         pairs = zip(
             zip(*[map(s.__add__, col) if s else col for s, col in zip(e1, cols)]),
-            map(c1.__mul__, coeffs) if c1 != 1 else coeffs,
+            map(mul, repeat(c1), coeffs) if c1 != 1 else coeffs,
         )
         if caps is not None:
             # A column can pass its cap only if its largest entry, shifted, does.
@@ -290,7 +265,7 @@ def det(rows: Sequence[Sequence[TPoly]]) -> TPoly:
         if cached is not None:
             return cached
         row = n - bin(mask).count("1")
-        acc = TPoly.zero(vars)
+        acc = TPoly._raw(vars, {}, None)
         sign = 1
         col = 0
         rest = mask
@@ -299,7 +274,9 @@ def det(rows: Sequence[Sequence[TPoly]]) -> TPoly:
                 entry = rows[row][col]
                 if entry:
                     prod = poly_mul(entry, expand(mask ^ (1 << col)))
-                    acc = acc + prod if sign > 0 else acc - prod
+                    if sign < 0:
+                        prod = TPoly._raw(vars, {e: -c for e, c in prod.terms.items()}, prod.caps)
+                    acc = acc + prod
                 sign = -sign
             rest >>= 1
             col += 1

@@ -26,7 +26,7 @@ from kalmandeg.isotropic import (
     partition_tuple_codim,
     symmetric_tuple_codim,
 )
-from kalmandeg.polycore import TPoly, det
+from kalmandeg.polycore import TPoly, det, poly_mul
 from test_genfun import last_row_minors
 
 
@@ -87,19 +87,20 @@ def test_criterion_4_determinant_identities():
             if build_H(omega) != build_H_via_determinant(omega):
                 ok = False
             first, second = last_row_minors(omega)
+            zero = (0,) * (k + 1)
             tail = TPoly.one(ring)
             for i in range(1, k):
-                tail = tail * (TPoly.one(ring) + TPoly.variable(ring, ring[i]))
-            want_first = (TPoly.variable(ring, "x1") * tail).scaled((-1) ** k)
+                tail = poly_mul(tail, TPoly.one(ring) + TPoly.variable(ring, ring[i]))
+            want_first = poly_mul(TPoly(ring, {(1,) + zero[1:]: (-1) ** k}), tail)
             want_second = TPoly.one(ring)
             for i in range(k):
-                want_second = want_second * (TPoly.one(ring) + TPoly.variable(ring, ring[i]))
+                want_second = poly_mul(want_second, TPoly.one(ring) + TPoly.variable(ring, ring[i]))
             for j in range(k):
                 others = TPoly.one(ring)
                 for i in range(k):
                     if i != j:
-                        others = others * (TPoly.one(ring) + TPoly.variable(ring, ring[i]))
-                want_second = want_second - omega[j] * (TPoly.variable(ring, ring[j]) * others)
+                        others = poly_mul(others, TPoly.one(ring) + TPoly.variable(ring, ring[i]))
+                want_second = want_second + poly_mul(TPoly(ring, {zero[:j] + (1,) + zero[j + 1 :]: -omega[j]}), others)
             if det(first) != want_first or det(second) != want_second:
                 ok = False
     _report(4, ok, "H = det route and both minor determinant identities, k <= 5, 20 draws each")

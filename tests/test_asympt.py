@@ -97,8 +97,9 @@ def test_f_d_vanishes_at_critical_point():
         _, h2 = split_H((w,) * k)
         ring = h2.vars
         f_d = h2
-        for name in ring:
-            f_d = poly_mul(f_d, TPoly.one(ring) - TPoly.variable(ring, name))
+        zero = (0,) * len(ring)
+        for i in range(len(ring)):
+            f_d = poly_mul(f_d, TPoly(ring, {zero: 1, zero[:i] + (1,) + zero[i + 1 :]: -1}))
         c = Fraction(1, w * k - 1)
         point = {name: c for name in ring}
         assert evaluate(f_d, point) == 0

@@ -32,11 +32,13 @@ def full_product_degree(fmt, d):
     k = fmt.k
     ring = _ring(k)
     caps = tuple(n - di - 1 for n, di in zip(fmt.n, d.delta)) + (d.total,)
-    one, zero = TPoly.one(ring, caps), TPoly.zero(ring, caps)
+    one, zero = TPoly.one(ring, caps), TPoly(ring, {}, caps)
     variables = [TPoly.variable(ring, v, caps) for v in ring]
+    units = [tuple(int(j == i) for j in range(k + 1)) for i in range(k + 1)]
     factors = []
     for i, n in enumerate(fmt.n):
-        base = sum(((w - (j == i)) * v for j, (w, v) in enumerate(zip(fmt.omega + (1,), variables))), zero)
+        # that_i + h = sum_j (omega_j - [j == i]) t_j + h; the constructor drops terms past the caps.
+        base = TPoly(ring, {u: w - (j == i) for j, (w, u) in enumerate(zip(fmt.omega + (1,), units))}, caps)
         powers = [reduce(poly_mul, [base] * (n - 1 - j) + [variables[i]] * j, one) for j in range(n)]
         factors.append(sum(powers, zero))
     return reduce(poly_mul, factors).coefficient(caps)

@@ -73,8 +73,8 @@ def test_keyword_construction_hash_and_properties():
     (lambda: CodimVec((-1, 0)), "codimensions must be nonnegative"),
     (lambda: RationalSeries(TPoly.one(RING), TPoly.one(("w",)), (-1, 0)), "numerator and denominator live in different rings"),
     (lambda: RationalSeries(TPoly.one(RING), TPoly.one(RING), (-1, 0)), "caps length does not match variable count"),
-    (lambda: RationalSeries(TPoly.one(RING), TPoly.zero(RING), (-1,)), "caps must be nonnegative"),
-    (lambda: RationalSeries(TPoly.one(RING), TPoly.zero(RING), (1,)), "denominator must have constant term 1"),
+    (lambda: RationalSeries(TPoly.one(RING), TPoly(RING), (-1,)), "caps must be nonnegative"),
+    (lambda: RationalSeries(TPoly.one(RING), TPoly(RING), (1,)), "denominator must have constant term 1"),
     (lambda: AsymptoticEstimate(float("inf"), None), "log10_value must be finite"),
     (lambda: AsymptoticEstimate(log10_value=float("nan"), value_if_representable=None), "log10_value must be finite"),
 ])
