@@ -218,7 +218,7 @@ def _table_rows(args: argparse.Namespace) -> tuple[list[str], list[list]]:
         raise genfun.InputError("need --max-n >= 2 and --max-omega >= 1 for isotropic-sym")
     isotropic._check_symmetric_work(args.max_n, args.max_omega, (args.max_n - 1) * args.max_omega)
     return ["n", "omega", "degree"], [
-        [n, w, str(isotropic.isotropic_degree_symmetric(n, w))]
+        [n, w, str(isotropic._symmetric_degree(n, w))]
         for n in range(2, args.max_n + 1)
         for w in range(1, args.max_omega + 1)
     ]

@@ -42,6 +42,14 @@ tail term d, so a zero cell, which is most of the box when the weights are
 radix, with zero pads after each axis, so e + d is one int addition.  The
 degree-factor series is N/H with N = x_1...x_k, which needs only H's at most
 2^(k+1) terms; dividing that by each 1 - x_i is a running sum along axis i.
+
+The MacMahon check compares 1/det(I - TA) within a cap box against products
+of the linear forms sum_l a_jl z_l.  Its product side uses the division's
+layout, not its values: each product is a flat array with the same strides
+and pads, and multiplying by form j adds c * a_jl from cell i to cell
+i + stride_l, so a term past its cap falls on a pad cell, which is never
+read.  Every product it multiplies is homogeneous, so each step scans only
+the box cells of one total degree.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ from itertools import compress, product as iter_product
 from math import log2, prod
 from operator import floordiv, mul, sub
 
-from .polycore import ExponentVec, TPoly, poly_mul
+from .polycore import ExponentVec, TPoly
 
 # The one work limit, in products of 64-bit words, the unit of big-int arithmetic and
 # of decimal output (CPython writes an int in decimal in time quadratic in its words).
@@ -335,35 +343,40 @@ def macmahon_check(a: Sequence[Sequence[int]], cap: Sequence[int] | int) -> bool
     caps = (cap,) * m if isinstance(cap, int) else tuple(cap)
     if len(caps) != m:
         raise InputError("cap length does not match matrix size")
-    ring = tuple(f"z{i + 1}" for i in range(m))
-    series = RationalSeries(TPoly.one(ring), _det_identity_minus_ta(a, ring), caps)
+    if any(c < 0 for c in caps):  # an empty box would compare nothing
+        raise InputError("caps must be nonnegative")
+    det_terms = _det_identity_minus_ta(a, tuple(f"z{i + 1}" for i in range(m))).terms
     # The bound takes each p on its own: sum(p) forms of at most m terms
     # multiplied into a product capped at p visit at most
     # sum_p sum(p) * m * prod(p_i + 1) term pairs; per axis,
     # sum_{p<=C} p (p + 1) = C (C + 1) (C + 2) / 3 and
-    # sum_{p<=C} (p + 1) = (C + 1) (C + 2) / 2.  The walk below shares its
-    # products along prefixes of p; on the accepted boxes tried (dense
-    # matrices, m <= 7) it visits at most half of the bound.
+    # sum_{p<=C} (p + 1) = (C + 1) (C + 2) / 2.  The walk below scans one
+    # degree slice of the box per p, one truth test and at most m products a
+    # cell, which stays within the bound (a test pins this).
     boxes = [(c + 1) * (c + 2) // 2 for c in caps]
     pairs = m * sum(c * (c + 1) * (c + 2) // 3 * prod(boxes[:i] + boxes[i + 1 :]) for i, c in enumerate(caps))
     _refuse_over(STEP_WORDS * pairs, "visiting the MacMahon product side's up to {} term pairs", "lower the cap", pairs)
-    rhs = series.expand()
+    coeffs, cells, strides = _divide({(0,) * m: 1}, det_terms, caps)
 
-    units = [tuple(int(t == j) for t in range(m)) for j in range(m)]
-    linear_forms = [[(j, units[j], a[i][j]) for j in range(m) if a[i][j]] for i in range(m)]
-    # prods[i] = prod_{l < i} (form l)^(p_l) for the current p.  The next p in
+    # prods[i] = prod_{l < i} (form l)^(p_l) for the current p, on the
+    # division's layout (see the module docstring).  The next p in
     # lexicographic order raises its last nonzero p_j by one and zeroes the
-    # rest, so one product by form j updates prods[j + 1:].  prods[j + 1] may
-    # still take form j up to caps[j] times, so the product is capped at
-    # p[:j] + caps[j:].  Those caps go on form j, less its variables capped at 0:
-    # prods[j + 1]'s own caps are never tighter, but some of its terms lie beyond them.
-    prods = [TPoly.one(ring)] * (m + 1)
-    for p in _box(caps):
+    # rest, so one product by form j updates prods[j + 1:].  The product it
+    # multiplies is homogeneous of degree sum(p) - 1: only that slice is scanned.
+    forms = [[(strides[l], x) for l, x in enumerate(row) if x] for row in a]
+    slices: list[list[int]] = [[] for _ in range(sum(caps) + 1)]
+    for p, i in zip(_box(caps), cells):
+        slices[sum(p)].append(i)
+    prods = [[1] + [0] * (len(coeffs) - 1)] * (m + 1)
+    for p, cell in zip(_box(caps), cells):
         if any(p):
             j = max(i for i, x in enumerate(p) if x)
-            cap = p[:j] + caps[j:]
-            form = TPoly._raw(ring, {e: c for l, e, c in linear_forms[j] if cap[l]}, cap)
-            prods[j + 1 :] = [poly_mul(prods[j + 1], form)] * (m - j)
-        if prods[m].terms.get(p, 0) != rhs.get(p, 0):
+            src, out = prods[j + 1], [0] * len(coeffs)
+            for i in slices[sum(p) - 1]:
+                if c := src[i]:
+                    for o, x in forms[j]:
+                        out[i + o] += c * x
+            prods[j + 1 :] = [out] * (m - j)
+        if prods[m][cell] != coeffs[cell]:
             return False
     return True

@@ -192,6 +192,11 @@ def isotropic_degree_symmetric(n: int, omega: int) -> int:
     if omega < 1:
         raise InputError("omega must be >= 1")
     _check_symmetric_work(n, omega)
+    return _symmetric_degree(n, omega)
+
+
+def _symmetric_degree(n: int, omega: int) -> int:
+    """``isotropic_degree_symmetric`` without its checks, for a caller that has charged their work."""
     m, x = n - 2, omega - 1
     if x == 1:
         return (m + 1) * (m + 2)

@@ -1,16 +1,15 @@
 """Exact sparse multivariate polynomials with per-variable degree caps.
 
-Degree extraction and the product side of the MacMahon check reduce to
-sums, products and coefficient lookups of polynomials with arbitrary-precision
-integer coefficients; the generating function and the critical-point check
-read the term maps directly.  A polynomial is a term map from exponent tuples
-to nonzero ints over a fixed, ordered tuple of variable names; coefficients
-never touch floating point.
+Degree extraction reduces to sums, products and coefficient lookups of
+polynomials with arbitrary-precision integer coefficients; the generating
+function and the critical-point check read the term maps directly.  A
+polynomial is a term map from exponent tuples to nonzero ints over a fixed,
+ordered tuple of variable names; coefficients never touch floating point.
 
 ``TPoly`` offers only what the package calls: a validating constructor,
 ``one`` and ``variable``, coefficient queries, equality, a deterministic text
-form and ``+``.  Products go through ``poly_mul``; ``det`` is the tests'
-cofactor route to a determinant.
+form and ``+``.  Products go through ``poly_mul``, whose one caller in the
+package is extraction; ``det`` is the tests' cofactor route to a determinant.
 
 Optional per-variable exponent caps truncate arithmetic as it happens: a
 monomial over a cap is dropped, so every term lies within its own caps.
@@ -26,9 +25,10 @@ smaller one is applied to whole columns by ``map``/``zip``/``compress``, which
 leaves only the dict accumulation per pair in Python.  That pays on
 extraction's Horner steps, where the larger operand has hundreds of terms and
 the smaller one at most k + 1: about twice as fast on CPython 3.11.  Below the
-cutoff the column setup costs more than it saves, as on MacMahon's small
-boxes.  The cutoff depends on that setup cost against the per-pair saving, so
-it is a measured value; cutoffs from 8 to 32 timed within noise of each other.
+cutoff the column setup costs more than it saves, as on the first Horner
+steps of an extraction.  The cutoff depends on that setup cost against the
+per-pair saving, so it is a measured value; cutoffs from 8 to 32 timed within
+noise of each other.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from operator import add, le, mul
 ExponentVec = tuple[int, ...]
 
 # Terms in the larger operand from which poly_mul works on exponent columns;
-# measured on extraction and MacMahon's small boxes (see the module docstring).
+# measured on extraction's products (see the module docstring).
 COLUMN_CUTOFF = 8
 
 

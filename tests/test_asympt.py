@@ -18,8 +18,10 @@ from kalmandeg.asympt import (
     verify_critical_point,
 )
 from kalmandeg import genfun
+from kalmandeg.degrees import CodimVec, TensorFormat
 from kalmandeg.genfun import InputError, split_H
 from kalmandeg.polycore import TPoly, poly_mul
+from test_degrees import closed_form_degree
 from test_polycore import evaluate, partial
 
 VALID_GRID = [(k, w) for k in range(2, 6) for w in range(1, 4) if w * k >= 3]
@@ -329,3 +331,89 @@ def test_compare_table_shape():
     rows = compare_exact_asymptotic(2, 2, 0, [3, 4, 5])
     assert [r.n for r in rows] == [3, 4, 5]
     assert all(r.exact > 0 and r.ratio > 0 for r in rows)
+
+
+def _nullspace(rows, width):
+    """A basis of the rational nullspace of the integer ``rows``, by Gauss-Jordan elimination in Fractions."""
+    rows = [list(map(Fraction, row)) for row in rows]
+    pivots = []
+    for col in range(width):
+        top = len(pivots)
+        pivot = next((i for i in range(top, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        lead = rows[top][col]
+        rows[top] = [x / lead for x in rows[top]]
+        for i, row in enumerate(rows):
+            if i != top and row[col]:
+                factor = row[col]
+                rows[i] = [x - factor * y for x, y in zip(row, rows[top])]
+        pivots.append(col)
+    basis = []
+    for free in (col for col in range(width) if col not in pivots):
+        vector = [Fraction(0)] * width
+        vector[free] = Fraction(1)
+        for row, col in zip(rows, pivots):
+            vector[col] = -row[free]
+        basis.append(vector)
+    return basis
+
+
+def _guess_recurrence(terms, n0):
+    """(r, d, P) with sum_{i<=r} P_i(n) a(n + i) = 0 for every a(n) = terms[n - n0] it reaches.
+
+    P_i has degree at most d, and P[i][e] is its n^e coefficient.  The
+    smallest order + degree (then the smallest order) whose coefficients
+    have a one-dimensional nullspace over ``terms`` wins.
+    """
+    for size in range(1, 12):
+        for r in range(1, size + 1):
+            d = size - r
+            rows = [[n**e * terms[n - n0 + i] for i in range(r + 1) for e in range(d + 1)]
+                    for n in range(n0, n0 + len(terms) - r)]
+            basis = _nullspace(rows, (r + 1) * (d + 1))
+            if len(basis) == 1:
+                return r, d, [basis[0][i * (d + 1) : (i + 1) * (d + 1)] for i in range(r + 1)]
+    raise AssertionError("no recurrence of order + degree below 12")
+
+
+@pytest.mark.parametrize(
+    "omega, delta, order, degree, roots",
+    [(2, 0, 3, 1, (1, 1, 9)), (2, 1, 3, 2, (1, 1, 9)), (3, 0, 4, 1, (1, 1, -7, 25))],
+)
+def test_k2_recurrence_gives_growth_rate_and_exponent(omega, delta, order, degree, roots):
+    # The degree factors d((n, n), (delta, 0), (omega, omega)) are a diagonal of a
+    # rational function, so they satisfy a linear recurrence with polynomial
+    # coefficients (Lipshitz, J. Algebra 1989), guessed here from exact terms
+    # (Kauers & Paule, The Concrete Tetrahedron, 2011).  With a_i and b_i the
+    # top two coefficients of P_i, a(n) ~ C rho^n n^alpha needs sum_i a_i rho^i = 0
+    # and alpha = -sum_i b_i rho^i / sum_i i a_i rho^i.  That checks the
+    # estimate's growth rate (omega k - 1)^k and exponent -((k - 1)/2 - delta)
+    # without the critical point.
+    k, n0 = 2, delta + 1
+    terms = [closed_form_degree(TensorFormat((n, n), (omega, omega)), CodimVec((delta, 0))) for n in range(n0, n0 + 60)]
+    r, d, p = _guess_recurrence(terms[:45], n0)
+    assert (r, d) == (order, degree)
+    for n in range(n0, n0 + len(terms) - r):  # also on the 15 terms the guess did not see
+        assert sum(sum(c * n**e for e, c in enumerate(p_i)) * terms[n - n0 + i] for i, p_i in enumerate(p)) == 0, n
+    top = [p_i[d] for p_i in p]
+    second = [p_i[d - 1] for p_i in p]
+    expected = [Fraction(1)]  # prod (z - root), lowest coefficient first
+    for root in roots:
+        expected = [a - root * b for a, b in zip([Fraction(0)] + expected, expected + [Fraction(0)])]
+    assert [c / top[-1] for c in top] == expected
+    rho = (omega * k - 1) ** k
+    # Horner's rule at rho gives the quotient by z - rho, highest coefficient first, and the remainder last.
+    horner = [top[-1]]
+    for c in reversed(top[:-1]):
+        horner.append(horner[-1] * rho + c)
+    *quotient, remainder = horner
+    assert remainder == 0
+    value = 0
+    for c in quotient:
+        value = value * rho + c
+    assert value != 0  # rho is a simple root
+    assert 1 + max((abs(c / quotient[0]) for c in quotient[1:]), default=0) < rho  # Cauchy: every other root is smaller
+    alpha = -sum(b * rho**i for i, b in enumerate(second)) / sum(i * a * rho**i for i, a in enumerate(top))
+    assert alpha == -(Fraction(k - 1, 2) - delta)

@@ -16,17 +16,17 @@ bench_trajectory = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_trajectory)
 
 
-def _lines(seed, metrics, correct, commit, src_lines, trace):
+def _lines(seed, metrics, correct, commit, src_lines, trace, attempted=400):
     meta = {"workload": "series", "seed": seed, "trace": trace, "python": "3.11.7", "nproc": 2, "commit": commit,
-            "src_lines": src_lines, "src_sha256": "ff", "samples": 400}
-    result = {"correct": correct, "attempted": 400, "failed": 0,
+            "src_lines": src_lines, "src_sha256": "ff", "samples": attempted}
+    result = {"correct": correct, "attempted": attempted, "failed": 0,
               "metrics": {name: {"value": value, "unit": unit} for name, (value, unit) in metrics.items()}}
     return f"some earlier line\n{json.dumps({'meta': meta})}\n{json.dumps(result)}\n"
 
 
-def _stdout(seed, qps, p90, correct=True, commit="abc123", src_lines=1500):
+def _stdout(seed, qps, p90, correct=True, commit="abc123", src_lines=1500, attempted=400):
     metrics = {"throughput_qps": (qps, "1/s"), "latency_p90_ms": (p90, "ms")}
-    return _lines(seed, metrics, correct, commit, src_lines, trace=0)
+    return _lines(seed, metrics, correct, commit, src_lines, trace=0, attempted=attempted)
 
 
 def _traced_stdout(seed, mul_self_s, main_self_s, pairs, overhead, correct=True, commit="abc123"):
@@ -51,13 +51,15 @@ def _traced(seeds, **kwargs):
 
 def test_medians_and_meta():
     runs = {
-        "series": [bench_trajectory.parse_run(_stdout(s, q, p)) for s, q, p in ((1, 900.0, 2.0), (2, 700.0, 4.0), (3, 800.0, 9.0))],
+        "series": [bench_trajectory.parse_run(_stdout(s, q, p, attempted=n))
+                   for s, q, p, n in ((1, 900.0, 2.0, 13500), (2, 700.0, 4.0, 10500), (3, 800.0, 9.0, 12000))],
         "cli": [bench_trajectory.parse_run(_stdout(s, q, 1.0, correct=s != 2)) for s, q in ((1, 10.0), (2, 30.0))],
     }
     bench = bench_trajectory.assemble(runs, {"series": _traced((1, 2, 3)), "cli": _traced((1, 2))})
     assert bench["meta"] == {"python": "3.11.7", "nproc": 2, "commit": "abc123", "src_lines": 1500}
     series = bench["workloads"]["series"]
     assert series["seeds"] == [1, 2, 3] and series["correct"] is True
+    assert series["attempted"] == 12000  # the untraced runs' median; the traced runs attempted 400 each
     assert series["metrics"] == {
         "throughput_qps": {"median": 800.0, "unit": "1/s"},
         "latency_p90_ms": {"median": 4.0, "unit": "ms"},
@@ -65,6 +67,7 @@ def test_medians_and_meta():
     cli = bench["workloads"]["cli"]
     assert cli["correct"] is False  # one run of two was not correct
     assert cli["metrics"]["throughput_qps"]["median"] == 20.0  # even count: mean of the middle two
+    assert cli["attempted"] == 400
 
 
 def test_layers_are_medians_of_the_traced_runs():

@@ -2,6 +2,7 @@ import random
 import re
 import sys
 import time
+from collections import Counter
 from itertools import combinations, compress, product
 from operator import le, mul
 
@@ -602,19 +603,39 @@ def test_macmahon_product_budget(monkeypatch):
 
 def test_macmahon_walk_compares_every_p(monkeypatch):
     # The product side is shared along prefixes of p; a wrong right-hand
-    # coefficient at any one p must still be caught.
-    a, caps = [[1, 2, 0], [3, 1, 1], [0, 2, 3]], (2, 1, 2)
-    assert macmahon_check(a, caps)
-    expand = RationalSeries.expand
-    for p in product(*(range(c + 1) for c in caps)):
+    # coefficient at any one p must still be caught.  Cases: m = 3, m = 1,
+    # and an axis capped at 0.
+    divide = genfun._divide
+    for a, caps in (([[1, 2, 0], [3, 1, 1], [0, 2, 3]], (2, 1, 2)), ([[-2]], (4,)), ([[1, 2], [-1, 3]], (3, 0))):
+        assert macmahon_check(a, caps)
+        for n, p in enumerate(product(*(range(c + 1) for c in caps))):
 
-        def off_by_one(self, p=p):
-            rhs = expand(self)
-            rhs[p] = rhs.get(p, 0) + 1
-            return rhs
+            def off_by_one(*args, n=n):
+                coeffs, cells, strides = divide(*args)
+                coeffs[cells[n]] += 1
+                return coeffs, cells, strides
 
-        monkeypatch.setattr(RationalSeries, "expand", off_by_one)
-        assert not macmahon_check(a, caps), p
+            monkeypatch.setattr(genfun, "_divide", off_by_one)
+            assert not macmahon_check(a, caps), (a, caps, p)
+            monkeypatch.undo()
+
+
+def test_macmahon_estimate_covers_the_slice_walk(monkeypatch):
+    # Each p != 0 scans the box cells of degree sum(p) - 1, at one truth test
+    # and up to m products a cell.  At a limit one step below that work the
+    # product side's estimate must refuse, so the estimate is at least the work.
+    monkeypatch.setattr(genfun, "SUBSET_WORDS", 0)
+    rng = random.Random(1915)
+    for _ in range(100):
+        m = rng.randint(1, 4)
+        caps = [rng.randint(1, 5)] + [rng.randint(0, 5) for _ in range(m - 1)]
+        rng.shuffle(caps)
+        box = list(product(*(range(c + 1) for c in caps)))
+        by_degree = Counter(map(sum, box))
+        scanned = sum(by_degree[sum(p) - 1] for p in box if any(p))
+        monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", genfun.STEP_WORDS * scanned * (1 + m) - 1)
+        with pytest.raises(genfun.InputError, match="MacMahon product side"):
+            macmahon_check([[1] * m] * m, caps)
 
 
 def test_macmahon_random_matrices():

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 from math import prod
@@ -307,3 +309,8 @@ def test_tpoly_keeps_only_the_arithmetic_the_package_calls():
         assert not hasattr(TPoly, name), name
     assert not {"poly_mul", "det", "ExponentVec"} & set(kalmandeg.__all__)
     assert not any(hasattr(kalmandeg, name) for name in ("poly_mul", "det", "ExponentVec"))
+    # The extraction engine is poly_mul's one caller in the package (__main__ runs the CLI when imported).
+    modules = [importlib.import_module(f"kalmandeg.{info.name}") for info in pkgutil.iter_modules(kalmandeg.__path__)
+               if info.name != "__main__"]
+    binders = {mod.__name__ for mod in modules if any(v is poly_mul for v in vars(mod).values())}
+    assert binders <= {"kalmandeg.polycore", "kalmandeg.degrees"}

@@ -7,15 +7,16 @@ workload) pair is one ``perfbench/run.py --trace 0 --seconds 15`` process
 followed by one ``--trace 1`` process of the same length, run one after
 another, seed by seed; every file uses the same run length, so files stay
 comparable.  The file holds, per workload, the median of every end-to-end
-metric over the untraced runs, the number of runs and whether every run was
-correct, and ``layers``, the medians over the traced runs of each target's
-share of the summed ``self_s``, of ``polycore.poly_mul.pairs``, of those
-pairs per query (a faster engine runs more queries, so the run total alone
-can rise as the work per query falls) and of ``trace_overhead_frac``, so a
-change can show which layer it moved.  ``meta``
-holds the Python version, nproc, commit and ``src/`` line count, taken from
-the runs' own metadata lines, which must all agree.  Successive files form the
-benchmark trajectory of the repository.
+metric over the untraced runs, the median number of queries those runs
+attempted (the runner keeps some state per query, so ``peak_rss_mb`` is read
+against it), the seeds and whether every run was correct, and ``layers``,
+the medians over the traced runs of each target's share of the summed
+``self_s``, of ``polycore.poly_mul.pairs``, of those pairs per query (a
+faster engine runs more queries, so the run total alone can rise as the work
+per query falls) and of ``trace_overhead_frac``, so a change can show which
+layer it moved.  ``meta`` holds the Python version, nproc, commit and
+``src/`` line count, taken from the runs' own metadata lines, which must all
+agree.  Successive files form the benchmark trajectory of the repository.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ def assemble(runs: dict[str, list[tuple[dict, dict]]], traced: dict[str, list[tu
         traced_results = [result for _, result in traced[name]]
         workloads[name] = {
             "seeds": [meta["seed"] for meta, _ in pairs],
+            "attempted": statistics.median(result["attempted"] for result in results),
             "correct": all(result["correct"] for result in results + traced_results),
             "layers": layers(traced_results),
             "metrics": {
