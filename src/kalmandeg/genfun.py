@@ -48,8 +48,9 @@ of the linear forms sum_l a_jl z_l.  Its product side uses the division's
 layout, not its values: each product is a flat array with the same strides
 and pads, and multiplying by form j adds c * a_jl from cell i to cell
 i + stride_l, so a term past its cap falls on a pad cell, which is never
-read.  Every product it multiplies is homogeneous, so each step scans only
-the box cells of one total degree.
+read.  Every product it multiplies is homogeneous, so each step scans one
+degree slice of the box, which meets each line along the longest side at
+most once, and fills a new padded array; 2 x 2 boxes pass up to cap 49.
 """
 
 from __future__ import annotations
@@ -184,8 +185,8 @@ def _principal_minors(a: Sequence[Sequence[int]]) -> list[int]:
     return dets
 
 
-def _det_identity_minus_ta(a: Sequence[Sequence[int]], ring: tuple[str, ...]) -> TPoly:
-    """det(I - T A) for an integer matrix A, T = diag(ring), by principal minors.
+def _det_identity_minus_ta(a: Sequence[Sequence[int]]) -> dict[ExponentVec, int]:
+    """The terms of det(I - T A) for an integer matrix A, T = diag(t), by principal minors.
 
     det(I - T A) = sum over subsets S of t^S det(-A[S, S]), so the monomial
     t^S carries one principal minor of -A.  They all come from one
@@ -195,13 +196,13 @@ def _det_identity_minus_ta(a: Sequence[Sequence[int]], ring: tuple[str, ...]) ->
     """
     _check_subsets(len(a))
     minors = _principal_minors([[-x for x in row] for row in a])
-    return TPoly._raw(ring, dict(compress(zip(iter_product((0, 1), repeat=len(a)), minors), minors)), None)
+    return dict(compress(zip(iter_product((0, 1), repeat=len(a)), minors), minors))
 
 
 def build_H_via_determinant(omega: Sequence[int]) -> TPoly:
     """H computed as det(I - TA) from the entries of A; must equal build_H exactly."""
     omega = _check_omega(omega)
-    return _det_identity_minus_ta(_bordered_a(omega), _xy_ring(len(omega)))
+    return TPoly._raw(_xy_ring(len(omega)), _det_identity_minus_ta(_bordered_a(omega)), None)
 
 
 def split_H(omega: Sequence[int]) -> tuple[TPoly, TPoly]:
@@ -345,17 +346,12 @@ def macmahon_check(a: Sequence[Sequence[int]], cap: Sequence[int] | int) -> bool
         raise InputError("cap length does not match matrix size")
     if any(c < 0 for c in caps):  # an empty box would compare nothing
         raise InputError("caps must be nonnegative")
-    det_terms = _det_identity_minus_ta(a, tuple(f"z{i + 1}" for i in range(m))).terms
-    # The bound takes each p on its own: sum(p) forms of at most m terms
-    # multiplied into a product capped at p visit at most
-    # sum_p sum(p) * m * prod(p_i + 1) term pairs; per axis,
-    # sum_{p<=C} p (p + 1) = C (C + 1) (C + 2) / 3 and
-    # sum_{p<=C} (p + 1) = (C + 1) (C + 2) / 2.  The walk below scans one
-    # degree slice of the box per p, one truth test and at most m products a
-    # cell, which stays within the bound (a test pins this).
-    boxes = [(c + 1) * (c + 2) // 2 for c in caps]
-    pairs = m * sum(c * (c + 1) * (c + 2) // 3 * prod(boxes[:i] + boxes[i + 1 :]) for i, c in enumerate(caps))
-    _refuse_over(STEP_WORDS * pairs, "visiting the MacMahon product side's up to {} term pairs", "lower the cap", pairs)
+    det_terms = _det_identity_minus_ta(a)
+    # Per p != 0: <= volume // (max(caps) + 1) cells at 1 + m steps each, and prod(c + 2) new cells at a word each.
+    volume = prod(c + 1 for c in caps)
+    pairs = (1 + m) * volume * (volume // (max(caps) + 1))
+    work = STEP_WORDS * pairs + volume * prod(c + 2 for c in caps)
+    _refuse_over(work, "visiting the MacMahon product side's up to {} term pairs", "lower the cap", pairs)
     coeffs, cells, strides = _divide({(0,) * m: 1}, det_terms, caps)
 
     # prods[i] = prod_{l < i} (form l)^(p_l) for the current p, on the

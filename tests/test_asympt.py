@@ -326,6 +326,21 @@ def test_ratio_trend_positive_codimension():
     assert abs(rows[1].ratio - 1) < abs(rows[0].ratio - 1)
 
 
+@pytest.mark.parametrize("k, omega, delta", [(3, 1, 0), (3, 1, 1), (4, 1, 0), (5, 1, 0), (4, 2, 2), (3, 2, 1), (2, 2, 0)])
+def test_richardson_limit_of_the_ratio_is_one(k, omega, delta):
+    # Richardson extrapolation: r(n) = R + a_1/n + ... + a_5/n^5 through the
+    # estimate/exact ratios at n = 20, 40, ..., 120, fitted exactly in
+    # Fractions; R is the fit's value at 1/n = 0 (Lagrange's formula).  The
+    # estimate's constant, its delta factor and its n exponent must all be
+    # right for R to be 1; a wrong exponent sends R to 0 or to infinity.
+    ns = range(20, 121, 20)
+    fmt, cv = lambda n: TensorFormat((n,) * k, (omega,) * k), CodimVec((delta,) + (0,) * (k - 1))
+    ratios = [Fraction(ratio_to_exact(asymptotic_degree(k, omega, delta, n), closed_form_degree(fmt(n), cv))) for n in ns]
+    h = [Fraction(1, n) for n in ns]
+    limit = sum(r * math.prod(hj / (hj - hi) for hj in h if hj != hi) for hi, r in zip(h, ratios))
+    assert abs(limit - 1) < 1e-4, float(limit - 1)
+
+
 def test_compare_table_shape():
     assert compare_exact_asymptotic(3, 1, 0, []) == []
     rows = compare_exact_asymptotic(2, 2, 0, [3, 4, 5])

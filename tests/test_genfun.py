@@ -161,7 +161,7 @@ def test_principal_minors_against_cofactor_det():
             for row in a:
                 row[0] = 0
         ring = tuple(f"z{i + 1}" for i in range(m))
-        assert _det_identity_minus_ta(a, ring) == det(_identity_minus_ta(a, ring)), (trial, a)
+        assert _det_identity_minus_ta(a) == det(_identity_minus_ta(a, ring)).terms, (trial, a)
 
 
 _entries = st.one_of(st.integers(-3, 3), st.integers(-(10**40), 10**40))
@@ -584,21 +584,39 @@ def test_macmahon_small_cases():
 
 
 def test_macmahon_product_budget(monkeypatch):
-    # The bound on the product side's term pairs, sum_p sum(p) * m * prod(p_i + 1),
-    # summed over the box one point at a time.
-    caps = (3, 2)
-    pairs = sum(sum(p) * 2 * (p[0] + 1) * (p[1] + 1) for p in product(range(4), range(3)))
-    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 2500 * pairs)
+    # Each p != 0 scans a degree slice of at most 12 // 4 = 3 of the box's 12
+    # cells at 1 + m steps a cell, 108 term pairs over the box, and fills a new
+    # array of the division's 5 x 4 padded cells, one word product each.
+    caps, pairs, work = (3, 2), 3 * 12 * 3, 2500 * 108 + 12 * 20
+    assert (pairs, work) == (108, 270_240)
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", work)
     assert macmahon_check([[1, 2], [3, 4]], caps)
-    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 2500 * pairs - 1)
-    with pytest.raises(ValueError, match=f"up to {pairs} term pairs takes about {2500 * pairs} products .*; lower the cap"):
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", work - 1)
+    with pytest.raises(ValueError, match=f"up to {pairs} term pairs takes about {work} products .*; lower the cap"):
         macmahon_check([[1, 2], [3, 4]], caps)
     monkeypatch.undo()
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="lower the cap"):
-        macmahon_check([[1, 1], [1, 1]], 40)
-    assert time.perf_counter() - start < 0.1
+    assert macmahon_check([[1, 1], [1, 1]], 49)  # 2500 * 3 * 50^2 * 50 + 50^2 * 51^2 <= 10^9
+    # A 1 x 1 box's slices hold one cell, so there the array fills dominate: without
+    # their charge cap 29,220 would run for about 2 s and 199,998, the division's edge, 66 s.
+    for a, cap in (([[1, 1], [1, 1]], 50), ([[1]], 29_220), ([[1]], 199_998)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="MacMahon product side.*; lower the cap"):
+            macmahon_check(a, cap)
+        assert time.perf_counter() - start < 0.1
     assert macmahon_check([[1, 1], [1, 1]], 4) and macmahon_check([[1, 1, 1]] * 3, 2)  # the benchmark's sizes
+
+
+def test_macmahon_check_builds_no_tpoly(monkeypatch):
+    # The check runs on term maps and flat arrays; no step builds a polynomial object.
+    def refuse(*args, **kwargs):
+        raise AssertionError("macmahon_check built a TPoly")
+
+    monkeypatch.setattr(TPoly, "__init__", refuse)
+    monkeypatch.setattr(TPoly, "_raw", refuse)
+    for a, caps in (([[1, 2], [3, 4]], (3, 3)), ([[-2]], 4), ([[1, 2, 0], [3, 1, 1], [0, 2, 3]], (2, 1, 2))):
+        assert macmahon_check(a, caps), a
+    with pytest.raises(genfun.InputError, match="MacMahon product side"):
+        macmahon_check([[1, 1], [1, 1]], 50)
 
 
 def test_macmahon_walk_compares_every_p(monkeypatch):
