@@ -16,8 +16,9 @@ in the polynomial
 Each quotient is the geometric sum sum_{j<n_i} (that_i + h)^(n_i-1-j) t_i^j.
 The first k // 2 factors make a half P and the rest a half Q, each taken in
 by Horner's rule on the running half, so every product is by the k + 1 terms
-of that_i + h or by t_i; d is the dot product sum_e P[e] * Q[caps - e], with
-caps the target exponents, and the full k-fold product is never formed.
+of that_i + h (a power times t_i is a shift); d is the dot product
+sum_e P[e] * Q[caps - e], with caps the target exponents, and the full k-fold
+product is never formed.
 Everything here is capped integer polynomial arithmetic without division.
 Exponents only add under multiplication, hence truncating at the target
 exponents from the start, and after every Horner step, is exact.  A work
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from math import comb, prod
+from math import prod
 from operator import sub
 
 from . import genfun
@@ -93,13 +94,14 @@ def _extraction_work(fmt: TensorFormat, d: CodimVec) -> int:
     each line along its longest side L at most once, so it holds at most
     slab = prod(sides) / L terms.  Factor i thus visits at most
     (k + 2) slab min(n_i - 1, L) pairs, k + 1 per term of a total (by
-    that_i + h) and one per term of a power (by t_i), and the dot product of
-    the homogeneous halves at most slab; plus 2 sum(n_i - 1) calls.  A
-    coefficient has at most sum_i ((n_i - 1) bitlen(sum omega) + bitlen(n_i))
-    bits, the factors' product at all ones, and a pair multiplies it by a
-    weight: one more pair's cost per 2^20 products of their bits.  Each pair
-    and call is a series step of ``genfun.STEP_WORDS`` word products.  Setting
-    up the k bases of k + 1 terms over k + 1 variables adds ``_ring_work(k)``.
+    that_i + h) and one per term of a power (shifted by t_i), and the dot
+    product of the homogeneous halves at most slab; plus 2 sum(n_i - 1) calls
+    (a product and a shift a step).  A coefficient has at most
+    sum_i ((n_i - 1) bitlen(sum omega) + bitlen(n_i)) bits, the factors'
+    product at all ones, and a pair multiplies it by a weight: one more pair's
+    cost per 2^20 products of their bits.  Each pair and call is a series step
+    of ``genfun.STEP_WORDS`` word products.  Setting up the k bases of k + 1
+    terms over k + 1 variables adds ``_ring_work(k)``.
     """
     _check_codim(fmt, d)
     k = fmt.k
@@ -124,34 +126,39 @@ def _check_extraction_work(cells: Iterable[tuple[TensorFormat, CodimVec]]) -> No
         genfun._refuse_over(work, "coefficient extraction", "use smaller n or omega")
 
 
+def _shift(terms: dict, i: int, cap: int) -> dict:
+    """The term map times t_i: exponent i of each term raised by one, dropping the terms already at ``cap``."""
+    return {e[:i] + (e[i] + 1,) + e[i + 1 :]: c for e, c in terms.items() if e[i] < cap}
+
+
 def extract_degree(fmt: TensorFormat, d: CodimVec) -> int:
     """The degree factor for the given format and codimension vector.
 
     The coefficient at the caps (n_i - delta_i - 1 on t_i, total delta on h)
     of the product of the factors, as the dot product of the halves P and Q.
-    A half starts from acc = 1, and factor i sets total = acc, then
-    total = total * (that_i + h) + acc * t_i^j for j = 1..n_i-1, then acc = total.
+    A half starts from acc = 1; factor i, starting from acc = a, repeats
+    acc = acc * (that_i + h) + a * t_i^j for j = 1..n_i-1.  The power a * t_i^j
+    is the previous one shifted by t_i, added into the product's fresh map.
     """
     _check_extraction_work([(fmt, d)])
     k = fmt.k
     ring = _ring(k)
     caps = tuple(fmt.n[i] - d.delta[i] - 1 for i in range(k)) + (d.total,)
-    units = [(0,) * j + (1,) + (0,) * (k - j) for j in range(k + 1)]
     weights = fmt.omega + (1,)
     halves = []
     for lo, hi in ((0, k // 2), (k // 2, k)):
         acc = TPoly.one(ring, caps)
         for i in range(lo, hi):
             # Coefficients of t_1..t_k and h in that_i + h, less zeros and the units over a cap of 0.
-            base = TPoly._raw(
-                ring, {u: c for j, (u, w) in enumerate(zip(units, weights)) if (c := w - (j == i)) and caps[j]}, caps
-            )
-            t_i = TPoly._raw(ring, {units[i]: 1} if caps[i] else {}, caps)
-            total = power = acc
+            linear = {(0,) * j + (1,) + (0,) * (k - j): c for j, w in enumerate(weights) if (c := w - (j == i)) and caps[j]}
+            base = TPoly._raw(ring, linear, caps)
+            power = acc.terms
             for _ in range(1, fmt.n[i]):
-                power = poly_mul(power, t_i)
-                total = poly_mul(total, base) + power
-            acc = total
+                power = _shift(power, i, caps[i])
+                terms = poly_mul(acc, base).terms
+                for e, c in power.items():  # every coefficient is positive, so no sum cancels
+                    terms[e] = terms.get(e, 0) + c
+                acc = TPoly._raw(ring, terms, caps)
         halves.append(acc.terms)
     small, large = sorted(halves, key=len)
     return sum(c * large.get(tuple(map(sub, caps, e)), 0) for e, c in small.items())
@@ -179,7 +186,8 @@ def symmetric_degree(n: int, delta: int, omega: int) -> int:
     """Closed form for a single symmetric factor (k = 1).
 
     d(n, delta, omega) = sum_{j=0}^{n-delta-1} C(delta+j, j) (omega-1)^j,
-    with the convention (omega-1)^0 = 1 even for omega = 1.
+    with the convention (omega-1)^0 = 1 even for omega = 1; term j is term j - 1
+    times (delta + j) / j, an exact division, and omega - 1.
     """
     if n < 1:
         raise InputError("n must be >= 1")
@@ -187,7 +195,20 @@ def symmetric_degree(n: int, delta: int, omega: int) -> int:
         raise InputError("omega must be >= 1")
     if delta < 0 or delta > n - 1:
         raise InputError(f"delta must lie in [0, {_num(n - 1)}]")
-    return sum(comb(delta + j, j) * (omega - 1) ** j for j in range(n - delta))
+    if omega == 1:
+        return 1  # every term past j = 0 is 0
+    # With x = omega - 1 and T terms, term j has at most W words: C(delta + j, j) has at most
+    # min(n, min(delta, T) bitlen(n)) bits and x^j T ceil(log2 x).  A step multiplies it by
+    # delta + j and x, of N and X words, and divides it by j (~8 W): W (N + X + 8) + 64.
+    terms, x = n - delta, omega - 1
+    words = 1 + (min(n, min(delta, terms) * n.bit_length()) + terms * (x - 1).bit_length()) // 64
+    work = terms * (words * (10 + n.bit_length() // 64 + x.bit_length() // 64) + 64)
+    genfun._refuse_over(work, "the single-factor closed form", "use smaller n or omega")
+    total = term = 1
+    for j in range(1, terms):
+        term = term * (delta + j) // j * x
+        total += term
+    return total
 
 
 def binary_degree(k: int, d: CodimVec, omega: Sequence[int]) -> int:

@@ -6,10 +6,12 @@ function and the critical-point check read the term maps directly.  A
 polynomial is a term map from exponent tuples to nonzero ints over a fixed,
 ordered tuple of variable names; coefficients never touch floating point.
 
-``TPoly`` offers only what the package calls: a validating constructor,
-``one`` and ``variable``, coefficient queries, equality, a deterministic text
-form and ``+``.  Products go through ``poly_mul``, whose one caller in the
-package is extraction; ``det`` is the tests' cofactor route to a determinant.
+``TPoly`` offers a validating constructor, ``one`` and ``variable``,
+coefficient queries, equality, a deterministic text form and ``+``, which only
+``det`` calls.  Products go through ``poly_mul``'s one path, on exponent
+columns; its one caller in the package is extraction, whose products by a
+single variable are shifts in ``degrees``.  ``det`` is the tests' cofactor
+route to a determinant.
 
 Optional per-variable exponent caps truncate arithmetic as it happens: a
 monomial over a cap is dropped, so every term lies within its own caps.
@@ -17,32 +19,16 @@ Exponents are nonnegative and add in a product, so a monomial within the caps
 can only arise from factor monomials that are themselves within the caps; every
 coefficient a truncated product keeps therefore equals the corresponding
 coefficient of the exact, untruncated product, regardless of signs.
-
-``poly_mul`` has two paths with the same terms.  Small products run the
-plain pairwise loop.  From ``COLUMN_CUTOFF`` terms in the larger operand on,
-that operand is transposed into exponent columns once, and each term of the
-smaller one is applied to whole columns by ``map``/``zip``/``compress``, which
-leaves only the dict accumulation per pair in Python.  That pays on
-extraction's Horner steps, where the larger operand has hundreds of terms and
-the smaller one at most k + 1: about twice as fast on CPython 3.11.  Below the
-cutoff the column setup costs more than it saves, as on the first Horner
-steps of an extraction.  The cutoff depends on that setup cost against the
-per-pair saving, so it is a measured value; cutoffs from 8 to 32 timed within
-noise of each other.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from itertools import compress, repeat
-from operator import add, le, mul
+from operator import le, mul
 
 # One exponent per ring variable, all >= 0.
 ExponentVec = tuple[int, ...]
-
-# Terms in the larger operand from which poly_mul works on exponent columns;
-# measured on extraction's products (see the module docstring).
-COLUMN_CUTOFF = 8
 
 
 def _merge_caps(a: tuple[int, ...] | None, b: tuple[int, ...] | None) -> tuple[int, ...] | None:
@@ -192,26 +178,18 @@ def poly_mul(a: TPoly, b: TPoly) -> TPoly:
     coefficients within the caps are exact.  Uncapped operands give the full
     product.
 
-    Below ``COLUMN_CUTOFF`` terms in the larger operand this is the pairwise
-    loop.  From there on the larger operand's exponent tuples are transposed
-    into columns once, and each term of the smaller operand shifts the
-    columns it moves, scales the coefficients (unless it is 1) and masks
-    only the columns whose largest entry, shifted, passes its cap; only the
-    accumulation into the output runs per pair in Python.  The cutoff exists
-    because that setup costs more than it saves on few-term products.  Only
-    the insertion order of the result's terms depends on the path.
+    The larger operand's exponent tuples are transposed into columns once
+    (so the ring needs a variable), and each term of the smaller operand
+    shifts the columns it moves, scales the coefficients (unless it is 1) and
+    masks only the columns whose largest entry, shifted, passes its cap; only
+    the accumulation into the output runs per pair in Python.
     """
     a._check_same_ring(b)
+    if not a.vars:
+        raise ValueError("poly_mul needs a ring with at least one variable")
     caps = _merge_caps(a.caps, b.caps)
     small, large = sorted((a.terms, b.terms), key=len)
     out: dict[ExponentVec, int] = {}
-    if len(large) < COLUMN_CUTOFF:
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                e = tuple(map(add, e1, e2))
-                if caps is None or all(map(le, e, caps)):
-                    out[e] = out.get(e, 0) + c1 * c2
-        return TPoly._raw(a.vars, {e: c for e, c in out.items() if c}, caps)
     coeffs = list(large.values())
     cols = list(zip(*large))
     tops = list(map(max, cols))

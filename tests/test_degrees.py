@@ -21,6 +21,7 @@ from kalmandeg.degrees import (
 )
 from kalmandeg.polycore import TPoly, poly_mul
 from oracles import oracle_binary, oracle_extract
+from test_genfun import estimate
 
 
 def full_product_degree(fmt, d):
@@ -131,6 +132,29 @@ def test_symmetric_equals_extraction():
                 assert symmetric_degree(n, d, w) == extract_degree(
                     TensorFormat((n,), (w,)), CodimVec((d,))
                 )
+
+
+def test_symmetric_degree_budget():
+    # The term recurrence against the sum as defined, binomials and powers apart.
+    for n in range(1, 31):
+        for w in (1, 2, 3, 7, 10**25):
+            for d in range(n):
+                assert symmetric_degree(n, d, w) == sum(comb(d + j, j) * (w - 1) ** j for j in range(n - d))
+    # The first refused input of the family (n, n // 2, 3) goes at once; the one below is accepted.
+    start = time.perf_counter()
+    refusal = "the single-factor closed form takes about .* over the limit of 1000000000"
+    for n, d, w in ((92233, 46116, 3), (10**100, 0, 3), (20000, 0, 10**1000)):
+        with pytest.raises(genfun.InputError, match=refusal):
+            symmetric_degree(n, d, w)
+    assert time.perf_counter() - start < 0.2
+    assert estimate(symmetric_degree, 92232, 46116, 3) <= genfun.MAX_WORD_PRODUCTS
+    # Every input of the tests, the README and the benchmark is accepted, and so is
+    # (8000, 4000, 3), which took seconds by binomials; few or zero terms stay cheap at any n.
+    assert max(estimate(symmetric_degree, 40, d, 10) for d in range(40)) < 10**6  # the estimate grows with n and omega
+    assert estimate(symmetric_degree, 8000, 4000, 3) <= genfun.MAX_WORD_PRODUCTS // 50
+    big = 10**100
+    assert symmetric_degree(big, 0, 1) == 1
+    assert symmetric_degree(big, big - 3, 2) == 1 + (big - 2) + (big - 2) * (big - 1) // 2
 
 
 def test_matrix_ed_degrees_are_min():
@@ -270,31 +294,45 @@ def test_extraction_routes_agree_property(case):
 
 def test_extraction_work_counts(monkeypatch):
     # poly_mul calls and term pairs (|a| * |b| per call) of the Horner steps:
-    # per step, one product of the running total by that_i + h and one of the
-    # running power by t_i, so 2 (n_i - 1) calls per factor.
-    pairs = []
+    # per step, one product of the running total by that_i + h, so n_i - 1
+    # calls per factor.  The running power is shifted by t_i instead, one
+    # shift and one term visited per term of the power per step.
+    pairs, shifted = [], []
 
     def counting(a, b):
         pairs.append(len(a.terms) * len(b.terms))
         return poly_mul(a, b)
 
+    def counting_shift(terms, i, cap):
+        shifted.append(len(terms))
+        return shift(terms, i, cap)
+
+    shift = degrees._shift
     monkeypatch.setattr(degrees, "poly_mul", counting)
+    monkeypatch.setattr(degrees, "_shift", counting_shift)
     assert extract_degree(TensorFormat((8, 8, 8, 8), (1, 1, 1, 1)), CodimVec((1, 0, 0, 0))) == 6660147853056
-    assert (len(pairs), sum(pairs)) == (56, 28672)
+    assert (len(pairs), sum(pairs)) == (28, 26208)
+    assert (len(shifted), sum(shifted)) == (28, 2464)
     pairs.clear()
     assert extract_degree(TensorFormat((40, 40), (1, 1)), CodimVec((1, 0))) == 1560
-    assert len(pairs) == 4 * 39
+    assert len(pairs) == 2 * 39
 
 
 def test_extraction_work_estimate_bounds_the_count(monkeypatch):
-    # Term pairs and calls, counted, never exceed the estimate.
+    # Term pairs, shifted power terms and calls, counted, never exceed the estimate.
     counted = []
 
     def counting(a, b):
         counted.append(len(a.terms) * len(b.terms) + 1)
         return poly_mul(a, b)
 
+    def counting_shift(terms, i, cap):
+        counted.append(len(terms) + 1)
+        return shift(terms, i, cap)
+
+    shift = degrees._shift
     monkeypatch.setattr(degrees, "poly_mul", counting)
+    monkeypatch.setattr(degrees, "_shift", counting_shift)
     rng = random.Random(4242)
     for _ in range(300):
         k = rng.randint(1, 5)

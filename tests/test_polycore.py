@@ -9,7 +9,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import kalmandeg
-from kalmandeg.polycore import COLUMN_CUTOFF, TPoly, det, poly_mul
+from kalmandeg import polycore
+from kalmandeg.polycore import TPoly, det, poly_mul
 
 
 def partial(p, name):
@@ -224,23 +225,25 @@ def _pairwise(a, b):
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(st.data())
 def test_poly_mul_matches_pairwise_product_property(data):
-    # Both paths of the kernel (pairwise below COLUMN_CUTOFF terms in the
-    # larger operand, columns from there on), caps absent, equal or different,
-    # terms of the larger operand beyond the merged caps, and sums that cancel.
+    # Operands of 0 to 16 terms, empty and one-term ones included; caps
+    # absent, equal or different; terms of one operand beyond the merged caps;
+    # and sums that cancel.
     k = data.draw(st.integers(1, 5), label="k")
     ring = tuple(f"x{i + 1}" for i in range(k))
     top = (4, 4, 2, 1, 1)[k - 1]  # dense enough for sums to collide and cancel
     exps = st.tuples(*[st.integers(0, top)] * k)
     coeffs = st.sampled_from((-1, 1, -1, 1, -2, 3 * 10**30))
-    size = data.draw(st.one_of(st.integers(0, COLUMN_CUTOFF - 1), st.integers(COLUMN_CUTOFF, 2 * COLUMN_CUTOFF)))
-    # The larger operand's own caps keep all its terms; the smaller one's may cut them.
+    sizes = [data.draw(st.integers(0, 16), label=f"size {name}") for name in "ab"]
+    # a's own caps keep all its terms; b's may cut them.
     caps_a = st.tuples(*[st.integers(top, 6)] * k)
     caps_b = st.tuples(*[st.integers(0, 6)] * k)
     mode = data.draw(st.sampled_from(("none", "a", "b", "equal", "different")), label="caps")
     ca = data.draw(caps_a) if mode in ("a", "equal", "different") else None
     cb = ca if mode == "equal" else data.draw(caps_b) if mode in ("b", "different") else None
-    a = TPoly(ring, data.draw(st.dictionaries(exps, coeffs, min_size=min(size, (top + 1) ** k), max_size=size)), ca)
-    b = TPoly(ring, data.draw(st.dictionaries(exps, coeffs, max_size=6)), cb)
+    a, b = (
+        TPoly(ring, data.draw(st.dictionaries(exps, coeffs, min_size=min(size, (top + 1) ** k), max_size=size)), c)
+        for size, c in zip(sizes, (ca, cb))
+    )
     for x, y in ((a, b), (b, a)):
         terms, merged = _pairwise(x, y)
         got = poly_mul(x, y)
@@ -251,7 +254,6 @@ def test_poly_mul_matches_pairwise_product_property(data):
 def test_poly_mul_column_path_cases():
     ring = ("x", "y", "z")
     box = {(i, j, 0): 1 for i in range(4) for j in range(4)}
-    assert len(box) >= COLUMN_CUTOFF
     diff = {(1, 0, 0): 1, (0, 1, 0): -1}
     for caps_a, caps_b in ((None, None), ((3, 3, 1), None), ((4, 3, 0), (4, 3, 0)), ((5, 5, 5), (2, 4, 1))):
         a, b = TPoly(ring, box, caps_a), TPoly(ring, diff, caps_b)
@@ -270,6 +272,12 @@ def test_poly_mul_column_path_cases():
     # A term past a cap everywhere contributes nothing; an empty operand gives zero.
     assert poly_mul(wide, TPoly(ring, {(0, 0, 5): 2})).terms == {}
     assert poly_mul(wide, TPoly(ring)).terms == {}
+    # One term by one term, and a ring without variables, which has no columns to shift.
+    assert poly_mul(TPoly(ring, {(1, 0, 2): 3}), TPoly(ring, {(0, 4, 1): -2})).terms == {(1, 4, 3): -6}
+    assert poly_mul(narrow, TPoly(ring, {(1, 0, 0): 5})).terms == {(1, 0, 0): 5}
+    assert poly_mul(narrow, TPoly(ring, {(2, 0, 0): 5})).terms == {}
+    with pytest.raises(ValueError, match="at least one variable"):
+        poly_mul(TPoly((), {(): 2}), TPoly((), {(): 3}))
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -302,11 +310,12 @@ def test_add_matches_validating_constructor_property(data):
         assert 0 not in got.terms.values()
 
 
-def test_tpoly_keeps_only_the_arithmetic_the_package_calls():
-    # Products go through poly_mul and sums through +; the forwarding
-    # operators and the root exports of the engine stay out.
+def test_tpoly_keeps_only_the_arithmetic_the_package_calls(monkeypatch, capsys):
+    # Products go through poly_mul's one path, and only det adds; the
+    # forwarding operators and the root exports of the engine stay out.
     for name in ("zero", "__neg__", "__sub__", "__mul__", "__rmul__", "scaled"):
         assert not hasattr(TPoly, name), name
+    assert not [name for name in vars(polycore) if name.isupper()]  # no tuned cutoff picks a product path
     assert not {"poly_mul", "det", "ExponentVec"} & set(kalmandeg.__all__)
     assert not any(hasattr(kalmandeg, name) for name in ("poly_mul", "det", "ExponentVec"))
     # The extraction engine is poly_mul's one caller in the package (__main__ runs the CLI when imported).
@@ -314,3 +323,30 @@ def test_tpoly_keeps_only_the_arithmetic_the_package_calls():
                if info.name != "__main__"]
     binders = {mod.__name__ for mod in modules if any(v is poly_mul for v in vars(mod).values())}
     assert binders <= {"kalmandeg.polycore", "kalmandeg.degrees"}
+    # No package path adds two polynomials: extraction, the comparison and every golden CLI call run without +.
+    from kalmandeg import cli
+    from kalmandeg.asympt import compare_exact_asymptotic
+    from kalmandeg.degrees import CodimVec, TensorFormat, extract_degree, kalman_degree
+    from test_cli import GOLDEN
+
+    calls = [
+        lambda: extract_degree(TensorFormat((4, 4), (1, 1)), CodimVec((2, 1))),
+        lambda: extract_degree(TensorFormat((8, 8, 8, 8), (1, 1, 1, 1)), CodimVec((1, 0, 0, 0))),
+        lambda: extract_degree(TensorFormat((3, 1, 5), (2, 4, 3)), CodimVec((1, 0, 2))),
+        lambda: kalman_degree(TensorFormat((4, 4), (1, 1)), CodimVec((2, 1)), (3, 2)),
+        lambda: kalman_degree(TensorFormat((6,), (3,)), CodimVec((2,)), (5,)),
+        lambda: compare_exact_asymptotic(3, 1, 0, [4, 5]),
+    ]
+    expected = [call() for call in calls]
+
+    def refused(self, other):
+        raise AssertionError("TPoly.__add__ called")
+
+    monkeypatch.setattr(TPoly, "__add__", refused)
+    with pytest.raises(AssertionError, match="__add__ called"):
+        TPoly.one(("x",)) + TPoly.one(("x",))
+    assert [call() for call in calls] == expected
+    assert expected[:2] == [20, 6660147853056]
+    for argv, out in GOLDEN:
+        assert cli.main(list(argv)) == 0, argv
+        assert capsys.readouterr().out == out, argv
