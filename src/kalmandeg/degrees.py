@@ -19,7 +19,7 @@ by Horner's rule on the running half, so every product is by the k + 1 terms
 of that_i + h (a power times t_i is a shift); d is the dot product
 sum_e P[e] * Q[caps - e], with caps the target exponents, and the full k-fold
 product is never formed.
-Everything here is capped integer polynomial arithmetic without division.
+Extraction is capped integer polynomial arithmetic without division.
 Exponents only add under multiplication, hence truncating at the target
 exponents from the start, and after every Horner step, is exact.  A work
 estimate, taken before any polynomial is built, refuses what would run long.

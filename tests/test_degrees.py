@@ -148,8 +148,8 @@ def test_symmetric_degree_budget():
             symmetric_degree(n, d, w)
     assert time.perf_counter() - start < 0.2
     assert estimate(symmetric_degree, 92232, 46116, 3) <= genfun.MAX_WORD_PRODUCTS
-    # Every input of the tests, the README and the benchmark is accepted, and so is
-    # (8000, 4000, 3), which took seconds by binomials; few or zero terms stay cheap at any n.
+    # Every input of the tests, the README and the benchmark is accepted, and (8000, 4000, 3)
+    # with room to spare; few or zero terms stay cheap at any n.
     assert max(estimate(symmetric_degree, 40, d, 10) for d in range(40)) < 10**6  # the estimate grows with n and omega
     assert estimate(symmetric_degree, 8000, 4000, 3) <= genfun.MAX_WORD_PRODUCTS // 50
     big = 10**100
