@@ -4,8 +4,9 @@ The package computes the degree factors of generalized Kalman varieties by
 multivariate coefficient extraction, the rational generating function of those
 factors, degrees of totally isotropic Kalman varieties, codimensions of
 repeated-singular-tuple varieties, and hypercubical asymptotic estimates.
-Every formula has at least one independent computational path cross-checking
-it in the test suite.
+Each exact-valued public name is checked against independent computational
+routes in the test suite; ``tests/routes.py`` lists them, and the names that
+have fewer than two.
 """
 
 from .asympt import (
@@ -21,10 +22,7 @@ from .asympt import (
 )
 from .degrees import (
     CodimVec,
-    StabilizationReport,
     TensorFormat,
-    binary_degree,
-    check_stabilization,
     extract_degree,
     kalman_degree,
     symmetric_degree,
@@ -38,7 +36,6 @@ from .genfun import (
     split_H,
 )
 from .isotropic import (
-    SYMMETRIC_PAIR_TABLE,
     IsotropicResult,
     isotropic_degree,
     isotropic_degree_symmetric,
@@ -57,15 +54,11 @@ __all__ = [
     "CriticalPointReport",
     "IsotropicResult",
     "RationalSeries",
-    "StabilizationReport",
-    "SYMMETRIC_PAIR_TABLE",
     "TPoly",
     "TensorFormat",
     "asymptotic_degree",
-    "binary_degree",
     "build_H",
     "build_H_via_determinant",
-    "check_stabilization",
     "compare_exact_asymptotic",
     "critical_constants",
     "expand_series",

@@ -210,56 +210,3 @@ def symmetric_degree(n: int, delta: int, omega: int) -> int:
         total += term
     return total
 
-
-def binary_degree(k: int, d: CodimVec, omega: Sequence[int]) -> int:
-    """Degree factor in the all-binary format n = (2,...,2).
-
-    Delegates to extraction on the all-2 format, which is the ground truth;
-    see the discrepancy note in the test suite for why no closed form is used.
-    """
-    if len(d.delta) != k or len(tuple(omega)) != k:
-        raise InputError("k, delta and omega must agree in length")
-    if any(di not in (0, 1) for di in d.delta):
-        raise InputError("binary format requires all delta_i in {0, 1}")
-    return extract_degree(TensorFormat((2,) * k, tuple(omega)), d)
-
-
-class StabilizationReport(namedtuple("StabilizationReport", "factor threshold checked_n values stable")):
-    """Outcome of probing a degree factor for constancy in one growing dimension."""
-
-    __slots__ = ()
-
-    @property
-    def value(self) -> int | None:
-        return self.values[0] if self.stable else None
-
-
-def check_stabilization(fmt: TensorFormat, d: CodimVec, i: int, probes: int) -> StabilizationReport:
-    """Probe whether the degree factor is constant as n_i grows.
-
-    With omega_i = 1 the factor becomes independent of n_i once
-    n_i - 1 >= sum_{j != i} (n_j - 1) + delta_i; this verifies that
-    empirically at n_i, n_i + 1, ..., n_i + probes.  Formats with omega_i > 1
-    are rejected: the property genuinely fails there (already for k = 1).
-    """
-    if not 0 <= i < fmt.k:
-        raise InputError(f"factor index {_num(i)} out of range")
-    if fmt.omega[i] != 1:
-        raise InputError("stabilization requires omega_i = 1 in the growing factor")
-    if probes < 1:
-        raise InputError("probes must be >= 1")
-
-    def grown(m: int) -> TensorFormat:
-        return TensorFormat(fmt.n[:i] + (m,) + fmt.n[i + 1 :], fmt.omega)
-
-    checked = range(fmt.n[i], fmt.n[i] + probes + 1)
-    _check_extraction_work((grown(m), d) for m in checked)
-    threshold = sum(nj - 1 for j, nj in enumerate(fmt.n) if j != i) + d.delta[i] + 1
-    values = tuple(extract_degree(grown(m), d) for m in checked)
-    return StabilizationReport(
-        factor=i,
-        threshold=threshold,
-        checked_n=tuple(checked),
-        values=values,
-        stable=len(set(values)) == 1,
-    )

@@ -227,14 +227,3 @@ def partition_tuple_codim(n: int, k: int, t: int) -> int:
         raise InputError("n must be >= 1")
     return (k - t) * (n - 1)
 
-
-# Codimension and degree of the square-matrix repeated-singular-pair varieties
-# for n = 2..6.  No general degree formula is known; these values are shipped
-# as documented reference data only and are never computed here.
-SYMMETRIC_PAIR_TABLE: dict[int, tuple[int, int]] = {
-    2: (1, 1),
-    3: (2, 7),
-    4: (3, 24),
-    5: (4, 86),
-    6: (5, 314),
-}

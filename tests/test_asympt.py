@@ -21,6 +21,7 @@ from kalmandeg import genfun
 from kalmandeg.degrees import CodimVec, TensorFormat
 from kalmandeg.genfun import InputError, split_H
 from kalmandeg.polycore import TPoly, poly_mul
+from oracles import oracle_extract
 from test_degrees import closed_form_degree
 from test_polycore import evaluate, partial
 
@@ -110,12 +111,27 @@ def test_f_d_vanishes_at_critical_point():
         assert report.slope_product == -c * Fraction(evaluate(partial(f_d, ring[-1]), point)), (k, w)
 
 
-def _phase_v(k, w):
-    """lam = c dF_D/dx_k (c) and V_ij = c^2 d^2F_D/dx_i dx_j (c) / lam, by sympy from split_H's H2."""
+def _sympy_f_d(k, w):
+    """F_D = H2 prod_i (1 - x_i) as a sympy polynomial from split_H's H2, its variables and c = 1/(wk - 1)."""
     _, h2 = split_H((w,) * k)
     xs = sympy.symbols(f"x1:{k + 1}")
     f_d = sympy.Poly.from_dict(h2.terms, *xs) * sympy.prod([sympy.Poly(1 - x, *xs) for x in xs])
-    c = sympy.Rational(1, w * k - 1)
+    return f_d, xs, sympy.Rational(1, w * k - 1)
+
+
+def test_verify_critical_point_against_sympy():
+    # The report reads F_D and its slope off H2's term map; sympy multiplies out and differentiates.
+    for k, w in VALID_GRID:
+        f_d, xs, c = _sympy_f_d(k, w)
+        report = verify_critical_point(k, w)
+        value, slope = f_d.eval([c] * k), -c * f_d.diff(xs[-1]).eval([c] * k)
+        assert report.f_d_at_c == Fraction(int(value.p), int(value.q)), (k, w)
+        assert report.slope_product == Fraction(int(slope.p), int(slope.q)), (k, w)
+
+
+def _phase_v(k, w):
+    """lam = c dF_D/dx_k (c) and V_ij = c^2 d^2F_D/dx_i dx_j (c) / lam, by sympy from split_H's H2."""
+    f_d, xs, c = _sympy_f_d(k, w)
     point = [c] * k
     lam = c * f_d.diff(xs[-1]).eval(point)
     return [[c * c * f_d.diff(xi).diff(xj).eval(point) / lam for xj in xs] for xi in xs]
@@ -339,6 +355,14 @@ def test_richardson_limit_of_the_ratio_is_one(k, omega, delta):
     h = [Fraction(1, n) for n in ns]
     limit = sum(r * math.prod(hj / (hj - hi) for hj in h if hj != hi) for hi, r in zip(h, ratios))
     assert abs(limit - 1) < 1e-4, float(limit - 1)
+
+
+def test_compare_rows_carry_exact_degrees():
+    for k, omega, delta, ns in ((3, 1, 0, [2, 3, 4]), (2, 2, 1, [2, 3, 5]), (2, 3, 0, [1, 2, 3]), (3, 1, 2, [3])):
+        exact = [row.exact for row in compare_exact_asymptotic(k, omega, delta, ns)]
+        cv = CodimVec((delta,) + (0,) * (k - 1))
+        assert exact == [closed_form_degree(TensorFormat((n,) * k, (omega,) * k), cv) for n in ns], (k, omega, delta)
+        assert exact == [oracle_extract((n,) * k, cv.delta, (omega,) * k) for n in ns], (k, omega, delta)
 
 
 def test_compare_table_shape():

@@ -8,13 +8,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kalmandeg import degrees, genfun
+from kalmandeg.asympt import compare_exact_asymptotic
 from kalmandeg.degrees import (
     CodimVec,
     TensorFormat,
     _extraction_work,
     _ring,
-    binary_degree,
-    check_stabilization,
     extract_degree,
     kalman_degree,
     symmetric_degree,
@@ -89,6 +88,20 @@ def test_neutral_deg_z():
     cv = CodimVec((1, 1))
     assert kalman_degree(fmt, cv, (1, 1)) == extract_degree(fmt, cv)
     assert kalman_degree(TensorFormat((2, 2), (1, 1)), CodimVec((0, 0)), (1, 1)) == 2
+
+
+def test_kalman_degree_against_oracles():
+    rng = random.Random(1207)
+    for _ in range(40):
+        k = rng.randint(1, 3)
+        n = tuple(rng.randint(1, 4) for _ in range(k))
+        omega = tuple(rng.randint(1, 3) for _ in range(k))
+        delta = tuple(rng.randint(0, ni - 1) for ni in n)
+        deg_z = tuple(rng.randint(1, 5) for _ in range(k))
+        fmt, d = TensorFormat(n, omega), CodimVec(delta)
+        got = kalman_degree(fmt, d, deg_z)
+        assert got == prod(deg_z) * oracle_extract(n, delta, omega), (n, delta, omega, deg_z)
+        assert got == prod(deg_z) * closed_form_degree(fmt, d), (n, delta, omega, deg_z)
 
 
 def test_extraction_matches_sympy_oracle_on_grid():
@@ -190,17 +203,15 @@ def test_permutation_equivariance():
 
 
 def test_binary_degree_values_and_oracle():
-    assert binary_degree(2, CodimVec((1, 0)), (1, 1)) == 2
-    assert binary_degree(3, CodimVec((0, 0, 0)), (1, 1, 1)) == 6
-    assert binary_degree(3, CodimVec((1, 0, 0)), (1, 1, 1)) == 6
+    assert extract_degree(TensorFormat((2, 2), (1, 1)), CodimVec((1, 0))) == 2
+    assert extract_degree(TensorFormat((2, 2, 2), (1, 1, 1)), CodimVec((0, 0, 0))) == 6
+    assert extract_degree(TensorFormat((2, 2, 2), (1, 1, 1)), CodimVec((1, 0, 0))) == 6
     rng = random.Random(31337)
     for _ in range(20):
         k = rng.randint(1, 4)
         delta = tuple(rng.randint(0, 1) for _ in range(k))
         omega = tuple(rng.randint(1, 3) for _ in range(k))
-        assert binary_degree(k, CodimVec(delta), omega) == oracle_binary(delta, omega)
-    with pytest.raises(ValueError):
-        binary_degree(2, CodimVec((2, 0)), (1, 1))
+        assert extract_degree(TensorFormat((2,) * k, omega), CodimVec(delta)) == oracle_binary(delta, omega)
 
 
 def test_binary_shorthand_binomial_undercounts():
@@ -214,24 +225,34 @@ def test_binary_shorthand_binomial_undercounts():
     assert got != comb(3, 1) * 1
 
 
+def probed_degrees(fmt, d, i, probes):
+    """extract_degree at n_i, n_i + 1, ..., n_i + probes, every other entry of ``fmt`` held."""
+    return [extract_degree(TensorFormat(fmt.n[:i] + (m,) + fmt.n[i + 1 :], fmt.omega), d)
+            for m in range(fmt.n[i], fmt.n[i] + probes + 1)]
+
+
+# With omega_i = 1 the degree factor stops changing in n_i once
+# n_i - 1 >= sum_{j != i} (n_j - 1) + delta_i, that is from n_i = threshold on.
+
+
 def test_stabilization_from_above_threshold():
-    report = check_stabilization(TensorFormat((3, 2), (1, 1)), CodimVec((0, 0)), 0, 3)
-    assert report.checked_n == (3, 4, 5, 6)
-    assert report.stable and report.value == 2
-    assert report.threshold == 2
-    assert report.values == (2, 2, 2, 2)
+    fmt, d = TensorFormat((3, 2), (1, 1)), CodimVec((0, 0))
+    threshold = sum(nj - 1 for nj in fmt.n[1:]) + d.delta[0] + 1
+    assert threshold == 2
+    assert probed_degrees(fmt, d, 0, 3) == [2, 2, 2, 2]  # n_1 = 3, 4, 5, 6
 
 
 def test_stabilization_at_threshold_three_factors():
-    report = check_stabilization(TensorFormat((4, 2, 2), (1, 1, 1)), CodimVec((1, 0, 0)), 0, 2)
-    assert report.threshold == 4
-    assert report.stable and report.value == 24
-    assert report.values == (24, 24, 24)
+    fmt, d = TensorFormat((4, 2, 2), (1, 1, 1)), CodimVec((1, 0, 0))
+    threshold = sum(nj - 1 for nj in fmt.n[1:]) + d.delta[0] + 1
+    assert threshold == 4
+    assert probed_degrees(fmt, d, 0, 2) == [24, 24, 24]
 
 
-def test_stabilization_rejects_symmetric_factor():
-    with pytest.raises(ValueError):
-        check_stabilization(TensorFormat((3, 2), (2, 1)), CodimVec((0, 0)), 0, 2)
+def test_symmetric_factor_does_not_stabilize():
+    # Why stabilization needs omega_i = 1: with omega = 2 the factor grows with n, already for k = 1.
+    assert [symmetric_degree(n, 0, 2) for n in range(1, 12)] == list(range(1, 12))
+    assert probed_degrees(TensorFormat((3, 2), (2, 1)), CodimVec((0, 0)), 0, 2) == [9, 16, 25]
 
 
 def test_stabilization_grid_small_formats():
@@ -242,16 +263,18 @@ def test_stabilization_grid_small_formats():
         delta = (min(delta_i, n1 - 1),) + (0,) * 2
         if delta[0] != delta_i:
             continue
-        report = check_stabilization(TensorFormat(n, (1, 1, 1)), CodimVec(delta), 0, 3)
-        assert report.stable, (n, delta, report.values)
+        values = probed_degrees(TensorFormat(n, (1, 1, 1)), CodimVec(delta), 0, 3)
+        assert len(set(values)) == 1, (n, delta, values)
 
 
 def test_below_threshold_probe_is_honest():
     # (2,3) grows toward the matrix ED limit min(m,3): values change below threshold
-    report = check_stabilization(TensorFormat((2, 3), (1, 1)), CodimVec((0, 0)), 0, 3)
-    assert report.threshold == 3
-    assert not report.stable
-    assert report.values == (2, 3, 3, 3)
+    fmt, d = TensorFormat((2, 3), (1, 1)), CodimVec((0, 0))
+    threshold = sum(nj - 1 for nj in fmt.n[1:]) + d.delta[0] + 1
+    assert threshold == 3
+    values = probed_degrees(fmt, d, 0, 3)
+    assert len(set(values)) > 1
+    assert values == [2, 3, 3, 3]
 
 
 def test_extraction_equals_full_product_on_random_formats():
@@ -356,7 +379,7 @@ def test_extraction_budget_refuses_before_building(monkeypatch):
     ):
         with pytest.raises(ValueError, match="coefficient extraction takes about .* over the limit of 1000000000"):
             extract_degree(fmt, d)
-    # Probes are summed before the first one runs, and stop at the limit.
-    with pytest.raises(ValueError, match="over the limit of 1000000000"):
-        check_stabilization(TensorFormat((30, 30), (1, 1)), CodimVec((0, 0)), 0, 10**9)
+    # A comparison's cells are summed before the first one runs, and stop at the limit.
+    with pytest.raises(ValueError, match="coefficient extraction takes about .* over the limit of 1000000000"):
+        compare_exact_asymptotic(2, 2, 0, range(1, 10**9))
     assert time.perf_counter() - start < 0.1

@@ -116,6 +116,20 @@ def test_H_equals_determinant_route():
     assert build_H(omega) == build_H_via_determinant(omega), omega
 
 
+def _cofactor_H(omega):
+    """det(I - TA) for the bordered matrix A, by cofactor expansion of the polynomial matrix."""
+    omega = tuple(omega)
+    return det(_identity_minus_ta(_bordered_a(omega), _xy_ring(len(omega))))
+
+
+def test_determinant_route_matches_cofactor_expansion():
+    rng = random.Random(3141)
+    for k in range(1, 6):
+        for _ in range(6):
+            omega = tuple(rng.randint(1, 4) for _ in range(k))
+            assert build_H_via_determinant(omega) == _cofactor_H(omega), omega
+
+
 def _cofactor_minors(a):
     """det(A[S, S]) for every subset S in product((0, 1), ...) order, by cofactor expansion."""
     ring = ("z",)
@@ -141,6 +155,10 @@ def test_principal_minors_structured_matrices():
         b[0][0] = b[1][0] = 0  # b_00 = 0 and row 1 = 2 * row 0: every leading block is singular
         cases.append(b)
         cases.append([[rng.choice((-1, 1)) * rng.randint(10**39, 10**40) for _ in range(m)] for _ in range(m)])
+    # Index 0 is decided last, so b_00 never divides; the last index is decided first and
+    # its pivot divides every later update, so there a shift without its + 1 divides by 0.
+    for m in range(3, 6):
+        cases.append([[rng.randint(-3, 3) for _ in range(m)] for _ in range(m - 1)] + [[0] * (m - 1) + [-3 * m]])
     for a in cases:
         assert _principal_minors(a) == _cofactor_minors(a), a
 
@@ -374,6 +392,9 @@ def test_equal_weight_symmetric_rewrite():
             h2 = h2 + poly_mul(TPoly(ring, {zero: 1 - w * i}), elementary_symmetric(ring, ring[:k], i))
         expected = h2 + poly_mul(TPoly(ring, {zero[:-1] + (1,): -1}), h1)
         assert build_H((w,) * k) == expected
+        # H = -y H1 + H2, with both halves over the x-ring
+        split = split_H((w,) * k)
+        assert tuple(TPoly(ring, {e + (0,): c for e, c in half.terms.items()}) for half in split) == (h1, h2)
 
 
 def test_split_H_roundtrip():
@@ -558,6 +579,44 @@ def test_expand_series_matches_leading_pad_oracle():
         y_cap = rng.randint(0, 4)
         got = expand_series(omega, caps, y_cap)
         assert list(got.items()) == list(_leading_pad_series(omega, caps, y_cap).items()), (omega, caps, y_cap)
+
+
+def _substitution_series(omega, caps, y_cap):
+    """``expand_series`` by the substitution u_j = x_j/(1 + x_j), with neither construction of H.
+
+    With P = prod_i (1 + x_i), H = P (1 - sum_j omega_j u_j - y u_1), so the
+    series is G / prod_i (1 - x_i^2) with G = x_1...x_k / (1 - sum_j omega_j u_j - y u_1).
+    In lexicographic order w_j = u_j G has w_j[e] = G[e - 1_j] - w_j[e - 1_j], and
+    G[e] = [e = (1, ..., 1; 0)] + sum_j omega_j w_j[e] + w_1[e - 1_y]; one running
+    sum with step 2 per x-axis then divides by prod_i (1 - x_i^2).
+    """
+    k = len(omega)
+    box = list(product(*(range(c + 1) for c in caps), range(y_cap + 1)))
+    one = (1,) * k + (0,)
+
+    def back(e, axis, step=1):  # a cell off the box is absent, so reads as 0
+        return e[:axis] + (e[axis] - step,) + e[axis + 1 :]
+
+    g, w = {}, [{} for _ in omega]
+    for e in box:
+        for j in range(k):
+            w[j][e] = g.get(back(e, j), 0) - w[j].get(back(e, j), 0)
+        g[e] = (e == one) + sum(wj * w[j][e] for j, wj in enumerate(omega)) + w[0].get(back(e, k), 0)
+    for axis in range(k):
+        for e in box:
+            g[e] += g.get(back(e, axis, 2), 0)
+    return {(e[:k], e[k]): c for e, c in g.items() if c}
+
+
+def test_expand_series_matches_substitution_route():
+    rng = random.Random(2626)
+    for trial in range(300):
+        k = rng.randint(1, 4)
+        omega = tuple(rng.randint(1, 4) for _ in range(k))
+        caps = tuple(rng.randint(0, 6) for _ in range(k))
+        y_cap = rng.randint(0, 4)
+        got = expand_series(omega, caps, y_cap)
+        assert list(got.items()) == list(_substitution_series(omega, caps, y_cap).items()), (trial, omega, caps, y_cap)
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)

@@ -11,7 +11,6 @@ from kalmandeg import (
     TensorFormat,
     TPoly,
     asymptotic_degree,
-    check_stabilization,
     compare_exact_asymptotic,
     critical_constants,
     isotropic_degree,
@@ -26,7 +25,6 @@ def _records():
     return [
         fmt,
         cv,
-        check_stabilization(fmt, cv, 0, 2),
         RationalSeries(TPoly.one(RING), TPoly.one(RING), (2,)),
         critical_constants(3, 1, 0),
         verify_critical_point(3, 1),
@@ -60,8 +58,6 @@ def test_keyword_construction_hash_and_properties():
     series = RationalSeries(numerator=TPoly.one(RING), denominator=TPoly.one(RING), caps=[2])
     assert series.caps == (2,) and series.expand() == {(0,): 1}
     assert AsymptoticEstimate(log10_value=1.0, value_if_representable=10.0).value_if_representable == 10.0
-    report = check_stabilization(TensorFormat((3, 2), (1, 1)), CodimVec((0, 0)), 0, 2)
-    assert report.stable and report.value == report.values[0]
 
 
 @pytest.mark.parametrize("build, message", [
