@@ -82,7 +82,7 @@ ROUTES = {
     ),
     "build_H_via_determinant": (
         ("test_genfun::test_H_equals_determinant_route", "kalmandeg.genfun.build_H"),
-        ("test_genfun::test_determinant_route_matches_cofactor_expansion", "test_genfun._cofactor_H"),
+        ("test_genfun::test_H_equals_determinant_route", "test_genfun._cofactor_H"),
     ),
     "split_H": (
         ("test_genfun::test_split_H_roundtrip", "kalmandeg.genfun.build_H"),

@@ -238,14 +238,14 @@ def probed_degrees(fmt, d, i, probes):
 def test_stabilization_from_above_threshold():
     fmt, d = TensorFormat((3, 2), (1, 1)), CodimVec((0, 0))
     threshold = sum(nj - 1 for nj in fmt.n[1:]) + d.delta[0] + 1
-    assert threshold == 2
+    assert fmt.n[0] > threshold  # every probe lies above it
     assert probed_degrees(fmt, d, 0, 3) == [2, 2, 2, 2]  # n_1 = 3, 4, 5, 6
 
 
 def test_stabilization_at_threshold_three_factors():
     fmt, d = TensorFormat((4, 2, 2), (1, 1, 1)), CodimVec((1, 0, 0))
     threshold = sum(nj - 1 for nj in fmt.n[1:]) + d.delta[0] + 1
-    assert threshold == 4
+    assert fmt.n[0] == threshold  # the first probe sits on it
     assert probed_degrees(fmt, d, 0, 2) == [24, 24, 24]
 
 
@@ -271,9 +271,10 @@ def test_below_threshold_probe_is_honest():
     # (2,3) grows toward the matrix ED limit min(m,3): values change below threshold
     fmt, d = TensorFormat((2, 3), (1, 1)), CodimVec((0, 0))
     threshold = sum(nj - 1 for nj in fmt.n[1:]) + d.delta[0] + 1
-    assert threshold == 3
     values = probed_degrees(fmt, d, 0, 3)
-    assert len(set(values)) > 1
+    at = threshold - fmt.n[0]  # index of the probe n_1 = threshold
+    assert at > 0 and len(set(values[at:])) == 1
+    assert len(set(values[:at + 1])) > 1
     assert values == [2, 3, 3, 3]
 
 

@@ -1,23 +1,24 @@
 """Re-runnable mutation checks: each row breaks one line of the package, and the tests it names must fail.
 
-    python3 tools/mutants.py                 # every mutant
-    python3 tools/mutants.py shift-cap-filter ...   # the named ones
+    python3 tools/mutants.py
 
 Run from anywhere.  The named tests are first run once on an unmutated copy
-and must all pass there.  Then, for each mutant, ``src/`` and ``tests/`` are
-copied to a temporary directory, the row's old snippet (which must occur
-exactly once in its file) is replaced by the new one, and the row's tests run
-there in one pytest subprocess, stopped after TIMEOUT seconds.  A mutant is
+and must all pass there, with pytest exiting 0.  Then, for each mutant,
+``src/`` and ``tests/`` are copied to a temporary directory, the row's old
+snippet (which must occur exactly once in its file) is replaced by the new
+one, and the row's tests run there in one pytest subprocess, stopped after
+TIMEOUT seconds.  A mutant is
 killed when every named test fails (or the run times out), partly killed
-when only some fail, and survives when none does.  The exit status is 0
-when every mutant is killed, 1 when one is not, and 2 when a named test
-already fails unmutated.
+when only some fail, and survives when none does.  A run that names no
+failing test but exits with pytest's collection or usage status (2 to 4: a
+module that no longer imports, a test id not found) is a broken run, its own
+verdict.  The exit status is 0 when every mutant is killed, 1 when one is
+not, and 2 when the unmutated run fails.
 Standard library only, apart from the pytest the tests themselves need.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import shutil
@@ -149,16 +150,16 @@ MUTANTS = [
 _OUTCOME = re.compile(r"^(FAILED|ERROR) (\S+)", re.MULTILINE)
 
 
-def _pytest(folder: Path, tests: list[str]) -> tuple[str, set[str]]:
-    """Run ``tests`` in ``folder``; ("ran" or "timeout", the named tests that failed or errored)."""
+def _pytest(folder: Path, tests: list[str]) -> tuple[int | None, set[str]]:
+    """Run ``tests`` in ``folder``; (pytest's exit status or None on timeout, the named tests that failed or errored)."""
     env = {**os.environ, "PYTHONPATH": str(folder / "src")}
     argv = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests]
     try:
         run = subprocess.run(argv, cwd=folder, env=env, capture_output=True, text=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
-        return "timeout", set(tests)
+        return None, set(tests)
     failed = {node for _, node in _OUTCOME.findall(run.stdout)}
-    return "ran", {t for t in tests if any(node == t or node.startswith(t + "[") for node in failed)}
+    return run.returncode, {t for t in tests if any(node == t or node.startswith(t + "[") for node in failed)}
 
 
 def _copy(folder: Path) -> None:
@@ -176,39 +177,33 @@ def _apply(mutant: Mutant, folder: Path) -> None:
     path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("ids", nargs="*", help="mutant ids to run (default: all)")
-    args = parser.parse_args(argv)
-    chosen = [m for m in MUTANTS if not args.ids or m.id in args.ids]
-    if unknown := set(args.ids) - {m.id for m in MUTANTS}:
-        parser.error(f"unknown mutant ids: {', '.join(sorted(unknown))}")
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         base = Path(tmp) / "base"
         _copy(base)
-        named = sorted({t for m in chosen for t in m.tests})
-        status, failed = _pytest(base, named)
-        if status != "ran" or failed:
-            print(f"unmutated run: {status}, failing: {sorted(failed)}")
+        status, failed = _pytest(base, sorted({t for m in MUTANTS for t in m.tests}))
+        if status != 0:
+            print(f"unmutated run: exit status {status}, failing: {sorted(failed)}")
             return 2
         killed = 0
-        for mutant in chosen:
+        for mutant in MUTANTS:
             folder = Path(tmp) / mutant.id
             _copy(folder)
             _apply(mutant, folder)
             status, failed = _pytest(folder, list(mutant.tests))
-            if status == "timeout" or len(failed) == len(mutant.tests):
-                verdict = "killed" if status == "ran" else "killed (timeout)"
+            if status is None or len(failed) == len(mutant.tests):
+                verdict = "killed" if status is not None else "killed (timeout)"
                 killed += 1
             elif failed:
                 verdict = f"partly killed; passed: {sorted(set(mutant.tests) - failed)}"
+            elif status in (2, 3, 4):
+                verdict = f"BROKEN RUN (pytest exit status {status})"
             else:
                 verdict = "SURVIVED"
             print(f"{mutant.id}: {verdict}", flush=True)
             shutil.rmtree(folder)
-        print(f"{killed} of {len(chosen)} mutants killed")
-    return 0 if killed == len(chosen) else 1
-
+        print(f"{killed} of {len(MUTANTS)} mutants killed")
+    return 0 if killed == len(MUTANTS) else 1
 
 if __name__ == "__main__":
     sys.exit(main())
