@@ -45,12 +45,12 @@ degree-factor series is N/H with N = x_1...x_k, which needs only H's at most
 
 The MacMahon check compares 1/det(I - TA) within a cap box against products
 of the linear forms sum_l a_jl z_l.  Its product side uses the division's
-layout, not its values: each product is a flat array with the same strides
-and pads, and multiplying by form j adds c * a_jl from cell i to cell
-i + stride_l, so a term past its cap falls on a pad cell, which is never
-read.  Every product it multiplies is homogeneous, so each step scans one
-degree slice of the box, which meets each line along the longest side at
-most once, and fills a new padded array; 2 x 2 boxes pass up to cap 49.
+layout, not its values: each product maps flat indices to coefficients, and
+multiplying by form j adds c * a_jl from cell i to cell i + stride_l, so a
+term past its cap falls on a pad cell and goes no further.  Every product it
+multiplies is homogeneous, so each step walks the live terms of one degree
+slice of the box, which meets each line along the longest side at most once;
+2 x 2 boxes pass up to cap 50.
 """
 
 from __future__ import annotations
@@ -347,32 +347,30 @@ def macmahon_check(a: Sequence[Sequence[int]], cap: Sequence[int] | int) -> bool
     if any(c < 0 for c in caps):  # an empty box would compare nothing
         raise InputError("caps must be nonnegative")
     det_terms = _det_identity_minus_ta(a)
-    # Per p != 0: <= volume // (max(caps) + 1) cells at 1 + m steps each, and prod(c + 2) new cells at a word each.
+    # Per p != 0: <= volume // (max(caps) + 1) live terms at 1 + m steps each.
     volume = prod(c + 1 for c in caps)
     pairs = (1 + m) * volume * (volume // (max(caps) + 1))
-    work = STEP_WORDS * pairs + volume * prod(c + 2 for c in caps)
-    _refuse_over(work, "visiting the MacMahon product side's up to {} term pairs", "lower the cap", pairs)
+    _refuse_over(STEP_WORDS * pairs, "visiting the MacMahon product side's up to {} term pairs", "lower the cap", pairs)
     coeffs, cells, strides = _divide({(0,) * m: 1}, det_terms, caps)
 
-    # prods[i] = prod_{l < i} (form l)^(p_l) for the current p, on the
-    # division's layout (see the module docstring).  The next p in
-    # lexicographic order raises its last nonzero p_j by one and zeroes the
-    # rest, so one product by form j updates prods[j + 1:].  The product it
-    # multiplies is homogeneous of degree sum(p) - 1: only that slice is scanned.
+    # prods[i] = prod_{l < i} (form l)^(p_l) for the current p, as a map from
+    # the division's flat indices to coefficients (see the module docstring).
+    # The next p in lexicographic order raises its last nonzero p_j by one and
+    # zeroes the rest, so one product by form j updates prods[j + 1:].  A term
+    # past its cap sits on a pad cell and goes no further, so each map holds
+    # the live terms of one degree slice and a few pad terms.
     forms = [[(strides[l], x) for l, x in enumerate(row) if x] for row in a]
-    slices: list[list[int]] = [[] for _ in range(sum(caps) + 1)]
-    for p, i in zip(_box(caps), cells):
-        slices[sum(p)].append(i)
-    prods = [[1] + [0] * (len(coeffs) - 1)] * (m + 1)
+    box = set(cells)
+    prods = [{0: 1}] * (m + 1)
     for p, cell in zip(_box(caps), cells):
         if any(p):
             j = max(i for i, x in enumerate(p) if x)
-            src, out = prods[j + 1], [0] * len(coeffs)
-            for i in slices[sum(p) - 1]:
-                if c := src[i]:
+            out: dict[int, int] = {}
+            for i, c in prods[j + 1].items():
+                if i in box:
                     for o, x in forms[j]:
-                        out[i + o] += c * x
+                        out[i + o] = out.get(i + o, 0) + c * x
             prods[j + 1 :] = [out] * (m - j)
-        if prods[m][cell] != coeffs[cell]:
+        if prods[m].get(cell, 0) != coeffs[cell]:
             return False
     return True

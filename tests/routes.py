@@ -88,7 +88,10 @@ ROUTES = {
         ("test_genfun::test_split_H_roundtrip", "kalmandeg.genfun.build_H"),
         ("test_genfun::test_equal_weight_symmetric_rewrite", "test_genfun.elementary_symmetric"),
     ),
-    "macmahon_check": (),
+    "macmahon_check": (
+        ("test_genfun::test_macmahon_sides_by_independent_routes", "test_genfun._macmahon_product_side"),
+        ("test_genfun::test_macmahon_sides_by_independent_routes", "test_genfun._macmahon_series_side"),
+    ),
     "isotropic_degree": (
         ("test_isotropic::test_against_live_oracle_property", "oracles.oracle_isotropic"),
         ("test_isotropic::test_against_class_formula_property", "oracles.oracle_isotropic_chow"),
@@ -98,8 +101,14 @@ ROUTES = {
         ("test_isotropic::test_single_factor_specializes_to_closed_form", "kalmandeg.isotropic.isotropic_degree"),
         ("test_isotropic::test_symmetric_closed_form_matches_the_sum", "test_isotropic._symmetric_sum"),
     ),
-    "symmetric_tuple_codim": (),
-    "partition_tuple_codim": (),
+    "symmetric_tuple_codim": (
+        ("test_isotropic::test_tuple_codims_are_jacobian_coranks", "test_isotropic._partition_diagonal_codim"),
+        ("test_isotropic::test_partition_codim_sums_the_symmetric_codims_of_its_parts", "kalmandeg.isotropic.partition_tuple_codim"),
+    ),
+    "partition_tuple_codim": (
+        ("test_isotropic::test_tuple_codims_are_jacobian_coranks", "test_isotropic._partition_diagonal_codim"),
+        ("test_isotropic::test_partition_codim_sums_the_symmetric_codims_of_its_parts", "kalmandeg.isotropic.symmetric_tuple_codim"),
+    ),
     "critical_constants": (
         ("test_asympt::test_constants_match_the_fraction_chain", "test_asympt._chained_constants"),
         ("test_asympt::test_det_hessian_matches_phase_hessian_of_f_d", "test_asympt._phase_v", "test_asympt._phase_hessian_det"),
@@ -114,8 +123,4 @@ ROUTES = {
     ),
 }
 
-# macmahon_check returns True on every valid input, so no second computation
-# can disagree with it; its tests inject wrong coefficients into its walk
-# instead.  The two codimension formulas are checked against literal values
-# only.
-SINGLE_ROUTE = frozenset({"macmahon_check", "partition_tuple_codim", "symmetric_tuple_codim"})
+SINGLE_ROUTE = frozenset()

@@ -7,6 +7,7 @@ from itertools import combinations, compress, product
 from operator import le, mul
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 import kalmandeg.genfun as genfun
@@ -637,26 +638,36 @@ def test_macmahon_small_cases():
 
 
 def test_macmahon_product_budget(monkeypatch):
-    # Each p != 0 scans a degree slice of at most 12 // 4 = 3 of the box's 12
-    # cells at 1 + m steps a cell, 108 term pairs over the box, and fills a new
-    # array of the division's 5 x 4 padded cells, one word product each.
-    caps, pairs, work = (3, 2), 3 * 12 * 3, 2500 * 108 + 12 * 20
-    assert (pairs, work) == (108, 270_240)
+    # Each p != 0 walks the live terms of one degree slice, at most 12 // 4 = 3
+    # of the box's 12 cells, at 1 + m steps a term: 108 term pairs over the box.
+    caps, pairs, work = (3, 2), 3 * 12 * 3, 2500 * 108
+    assert (pairs, work) == (108, 270_000)
     monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", work)
     assert macmahon_check([[1, 2], [3, 4]], caps)
     monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", work - 1)
     with pytest.raises(ValueError, match=f"up to {pairs} term pairs takes about {work} products .*; lower the cap"):
         macmahon_check([[1, 2], [3, 4]], caps)
     monkeypatch.undo()
-    assert macmahon_check([[1, 1], [1, 1]], 49)  # 2500 * 3 * 50^2 * 50 + 50^2 * 51^2 <= 10^9
-    # A 1 x 1 box's slices hold one cell, so there the array fills dominate: without
-    # their charge cap 29,220 would run for about 2 s and 199,998, the division's edge, 66 s.
-    for a, cap in (([[1, 1], [1, 1]], 50), ([[1]], 29_220), ([[1]], 199_998)):
+    assert macmahon_check([[1, 1], [1, 1]], 50)  # 2500 * 3 * 51^2 * 51 <= 10^9
+    # A 1 x 1 box's slices hold one cell, so its walk is charged 2 (cap + 1) pairs, exactly
+    # the limit at cap 199,999; there the series division's own budget refuses first.
+    for a, cap, refusal in (([[1, 1], [1, 1]], 51, "MacMahon product side"), ([[1]], 199_999, "expanding a series box")):
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="MacMahon product side.*; lower the cap"):
+        with pytest.raises(ValueError, match=f"{refusal}.*; lower the cap"):
             macmahon_check(a, cap)
         assert time.perf_counter() - start < 0.1
     assert macmahon_check([[1, 1], [1, 1]], 4) and macmahon_check([[1, 1, 1]] * 3, 2)  # the benchmark's sizes
+
+
+def test_macmahon_walk_keeps_to_live_terms():
+    # A 1 x 1 box at cap 29,220 does about 58,000 term pairs; with a padded array
+    # per p it took about 2.4 s.  On a 2 x 2 box capped at 0 on one axis every
+    # slice holds one cell, and only dropping the terms past that cap keeps the
+    # walk from carrying p_1 + 1 terms at step p, about 4.5 million in all.
+    for a, caps in (([[1]], 29_220), ([[1, 1], [1, 1]], (3000, 0))):
+        start = time.perf_counter()
+        assert macmahon_check(a, caps)
+        assert time.perf_counter() - start < 0.5, (a, caps)
 
 
 def test_macmahon_check_builds_no_tpoly(monkeypatch):
@@ -669,7 +680,7 @@ def test_macmahon_check_builds_no_tpoly(monkeypatch):
     for a, caps in (([[1, 2], [3, 4]], (3, 3)), ([[-2]], 4), ([[1, 2, 0], [3, 1, 1], [0, 2, 3]], (2, 1, 2))):
         assert macmahon_check(a, caps), a
     with pytest.raises(genfun.InputError, match="MacMahon product side"):
-        macmahon_check([[1, 1], [1, 1]], 50)
+        macmahon_check([[1, 1], [1, 1]], 51)
 
 
 def test_macmahon_walk_compares_every_p(monkeypatch):
@@ -692,8 +703,8 @@ def test_macmahon_walk_compares_every_p(monkeypatch):
 
 
 def test_macmahon_estimate_covers_the_slice_walk(monkeypatch):
-    # Each p != 0 scans the box cells of degree sum(p) - 1, at one truth test
-    # and up to m products a cell.  At a limit one step below that work the
+    # Each p != 0 walks the live terms of degree sum(p) - 1, at one membership
+    # test and up to m products a term.  At a limit one step below that work the
     # product side's estimate must refuse, so the estimate is at least the work.
     monkeypatch.setattr(genfun, "SUBSET_WORDS", 0)
     rng = random.Random(1915)
@@ -715,6 +726,69 @@ def test_macmahon_random_matrices():
         m = rng.randint(1, 3)
         a = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
         assert macmahon_check(a, (3,) * m), (trial, a)
+
+
+def _macmahon_product_side(a, caps):
+    """The coefficient of z^p in prod_i (a_i1 z_1 + ... + a_im z_m)^(p_i) for every p within caps, by poly_mul."""
+    ring = _xvars(len(a))
+    units = [tuple(int(i == l) for i in range(len(a))) for l in range(len(a))]
+    powers = []
+    for row, cap in zip(a, caps):
+        form = TPoly(ring, {e: x for e, x in zip(units, row) if x}, caps)
+        powers.append([TPoly.one(ring, caps)])
+        for _ in range(cap):
+            powers[-1].append(poly_mul(powers[-1][-1], form))
+    side = {}
+    for p in product(*(range(c + 1) for c in caps)):
+        term = TPoly.one(ring, caps)
+        for power, e in zip(powers, p):
+            term = poly_mul(term, power[e])
+        side[p] = term.coefficient(p)
+    return side
+
+
+def _macmahon_series_side(a, caps):
+    """The coefficient of w^p in 1/det(I - TA) for every p within caps, by a sympy series of ``det``'s determinant.
+
+    Every w_l is scaled by s, so the series in s to order sum(caps) holds
+    every p within the box.
+    """
+    ring = _xvars(len(a))
+    w, s = sympy.symbols(ring), sympy.Symbol("s")
+
+    def monomial(e):
+        return sympy.prod([x**k for x, k in zip(w, e)]) * s ** sum(e)
+
+    determinant = sum(c * monomial(e) for e, c in det(_identity_minus_ta(a, ring)).terms.items())
+    series = sympy.Poly(sympy.series(1 / determinant, s, 0, sum(caps) + 1).removeO(), *w, s)
+    return {p: int(series.coeff_monomial(monomial(p))) for p in product(*(range(c + 1) for c in caps))}
+
+
+def test_macmahon_sides_by_independent_routes(monkeypatch):
+    # Both sides of the identity without _divide or the walk agree at every p.
+    # Fed the sympy series on the division's real layout, the walk accepts it,
+    # and rejects it once one coefficient is off by one.
+    divide = genfun._divide
+    rng = random.Random(2727)
+    for trial in range(20):
+        m = rng.randint(1, 3)
+        a = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
+        caps = tuple(rng.randint(0, 3) for _ in range(m))
+        series = _macmahon_series_side(a, caps)
+        assert _macmahon_product_side(a, caps) == series, (trial, a, caps)
+        wrong = rng.choice(sorted(series))
+        for off in (0, 1):
+
+            def fed(*args, off=off):
+                coeffs, cells, strides = divide(*args)
+                coeffs = [0] * len(coeffs)
+                for p, i in zip(product(*(range(c + 1) for c in caps)), cells):
+                    coeffs[i] = series[p] + off * (p == wrong)
+                return coeffs, cells, strides
+
+            monkeypatch.setattr(genfun, "_divide", fed)
+            assert macmahon_check(a, caps) is (off == 0), (trial, a, caps, wrong)
+            monkeypatch.undo()
 
 
 def test_box_summation_identity():

@@ -1,9 +1,10 @@
 import random
 import time
-from itertools import accumulate, permutations, product
+from itertools import accumulate, combinations, permutations, product
 from math import comb, factorial, perm
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from kalmandeg import genfun, isotropic
@@ -269,6 +270,49 @@ def test_symmetric_tuple_codim():
     assert symmetric_tuple_codim(2, 2) == 1
     for n in range(2, 7):
         assert symmetric_tuple_codim(n, 1) == 0
+
+
+def _partition_diagonal_codim(n, parts, rng):
+    """k(n - 1) minus the exact rank of the Jacobian of the partition-diagonal map, k = len(parts).
+
+    The map (P^(n-1))^t -> (P^(n-1))^k sends (x_0, ..., x_(t-1)) to
+    (x_parts[0], ..., x_parts[k-1]), where ``parts`` maps onto range(t).  Each
+    source factor is read in the chart x_0 = 1 and each target factor in the
+    chart of a seeded coordinate c, so a target coordinate is x_l / x_c.  sympy
+    takes the Jacobian at a seeded rational point and its rank.
+    """
+    xs = [(1, *sympy.symbols(f"x{j}_1:{n}")) for j in range(max(parts) + 1)]
+    point = {x: sympy.Rational(rng.randint(1, 9), rng.randint(1, 9)) for x_j in xs for x in x_j[1:]}
+    jacobian = sympy.zeros(len(parts) * (n - 1), len(xs) * (n - 1))
+    for i, j in enumerate(parts):  # target factor i depends on source factor j's coordinates only
+        c = rng.randrange(n)
+        image = [xs[j][l] / xs[j][c] for l in range(n) if l != c]
+        for r, v in product(range(n - 1), repeat=2):
+            jacobian[i * (n - 1) + r, j * (n - 1) + v] = image[r].diff(xs[j][v + 1]).xreplace(point)
+    return len(parts) * (n - 1) - jacobian.rank()
+
+
+def test_tuple_codims_are_jacobian_coranks():
+    # Over n <= 6, k <= 5 and every number of parts t, on a seeded partition.
+    rng = random.Random(2706)
+    for n, k in product(range(1, 7), range(1, 6)):
+        for t in range(1, k + 1):
+            parts = list(range(t)) + [rng.randrange(t) for _ in range(k - t)]
+            rng.shuffle(parts)
+            assert partition_tuple_codim(n, k, t) == _partition_diagonal_codim(n, parts, rng), (n, parts)
+        if n >= 2:
+            assert symmetric_tuple_codim(n, k) == _partition_diagonal_codim(n, [0] * k, rng), (n, k)
+
+
+def test_partition_codim_sums_the_symmetric_codims_of_its_parts():
+    # A partition-diagonal is the product of one diagonal per part, so its
+    # codimension is the sum of theirs; one part is the symmetric case.
+    for n, k in product(range(2, 7), range(1, 6)):
+        assert symmetric_tuple_codim(n, k) == partition_tuple_codim(n, k, 1)
+        for t in range(1, k + 1):
+            for cuts in combinations(range(1, k), t - 1):
+                sizes = [b - a for a, b in zip((0, *cuts), (*cuts, k))]
+                assert partition_tuple_codim(n, k, t) == sum(symmetric_tuple_codim(n, s) for s in sizes), (n, sizes)
 
 
 def test_reference_table_codims_and_degrees():

@@ -137,7 +137,7 @@ def test_single_route_names_are_exactly_those_short_of_two():
     # Two routes count as two only with different helpers.
     helper_sets = {name: {tuple(helpers) for checked, _, helpers in _routes() if checked == name} for name in EXACT}
     assert {name for name, helpers in helper_sets.items() if len(helpers) < 2} == SINGLE_ROUTE
-    assert SINGLE_ROUTE == {"macmahon_check", "partition_tuple_codim", "symmetric_tuple_codim"}
+    assert SINGLE_ROUTE == set()
 
 
 def test_route_helpers_do_not_reach_the_name_they_check():

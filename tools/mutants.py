@@ -68,10 +68,26 @@ MUTANTS = [
     Mutant(
         "macmahon-slice",
         "src/kalmandeg/genfun.py",
-        "for i in slices[sum(p) - 1]:",
-        "for i in slices[sum(p)]:",
+        "for i, c in prods[j + 1].items():",
+        "for i, c in prods[j].items():",
         ("tests/test_genfun.py::test_macmahon_small_cases",
-         "tests/test_genfun.py::test_macmahon_random_matrices"),
+         "tests/test_genfun.py::test_macmahon_random_matrices",
+         "tests/test_genfun.py::test_macmahon_sides_by_independent_routes"),
+    ),
+    Mutant(
+        "macmahon-pad-filter",
+        "src/kalmandeg/genfun.py",
+        "if i in box:",
+        "if i >= 0:",
+        ("tests/test_genfun.py::test_macmahon_walk_keeps_to_live_terms",),
+    ),
+    Mutant(
+        "macmahon-pairs-per-term",
+        "src/kalmandeg/genfun.py",
+        "pairs = (1 + m) * volume * (volume // (max(caps) + 1))",
+        "pairs = volume * (volume // (max(caps) + 1))",
+        ("tests/test_genfun.py::test_macmahon_estimate_covers_the_slice_walk",
+         "tests/test_genfun.py::test_macmahon_product_budget"),
     ),
     Mutant(
         "build-H-y-sign",
@@ -135,6 +151,22 @@ MUTANTS = [
         "acc, f = 0, m - a + top - 1",
         ("tests/test_isotropic.py::test_against_live_oracle_grid",
          "tests/test_isotropic.py::test_horner_route_matches_the_convolved_sum"),
+    ),
+    Mutant(
+        "symmetric-codim",
+        "src/kalmandeg/isotropic.py",
+        "return (k - 1) * (n - 1)",
+        "return (k - 1) * n",
+        ("tests/test_isotropic.py::test_tuple_codims_are_jacobian_coranks",
+         "tests/test_isotropic.py::test_partition_codim_sums_the_symmetric_codims_of_its_parts"),
+    ),
+    Mutant(
+        "partition-codim-parts",
+        "src/kalmandeg/isotropic.py",
+        "return (k - t) * (n - 1)",
+        "return (k - t) * (n - 1) * t",
+        ("tests/test_isotropic.py::test_tuple_codims_are_jacobian_coranks",
+         "tests/test_isotropic.py::test_partition_codim_sums_the_symmetric_codims_of_its_parts"),
     ),
     Mutant(
         "asympt-n-exponent",
