@@ -73,26 +73,12 @@ def critical_constants(k: int, omega: int, delta: int) -> CriticalConstants:
     F_N the reduced series numerator; the test suite checks that relation
     symbolically.
     """
-    _check_regime(k, omega)
+    wk = _check_regime(k, omega)
     if delta < 0:
         raise InputError("delta must be >= 0")
     bits = _constants_bits(k, omega, delta)
     what = "normalizing and writing the critical-point constants of up to about {} bits"
     _refuse_over((bits // 64) ** 2, what, "use smaller k, omega or delta", bits)
-    return _constants(k, omega, delta)
-
-
-def _constants_bits(k: int, omega: int, delta: int) -> int:
-    """About the most bits the constants' four numerators and denominators hold before cancelling.
-
-    Normalizing them (gcds) and writing them in decimal are quadratic in their
-    words W, about W^2 word products in all.
-    """
-    return (7 * k + 2 * abs(k - delta) + 2) * (omega * k).bit_length() + (delta + 3) * omega.bit_length()
-
-
-def _constants(k: int, omega: int, delta: int) -> CriticalConstants:
-    """``critical_constants`` without its checks, for a caller that has charged their work."""
     from fractions import Fraction  # here, not at import: most callers never need it
 
     def power_product(*factors: tuple[int, int]) -> Fraction:
@@ -106,13 +92,21 @@ def _constants(k: int, omega: int, delta: int) -> CriticalConstants:
                 den *= base**-exp
         return Fraction(num, den)
 
-    wk = omega * k
     return CriticalConstants(
         c=Fraction(1, wk - 1),
         det_hessian=power_product((wk - 2, k - 1), (omega, -1), (wk, 2 - k)),
         l0=power_product((wk - 1, k - delta - 1), (omega, -delta - 1), (wk, delta + 2 - k), (wk - 2, -k)),
         minus_ck_dk=power_product((omega, 1), (wk, k - 2), (wk - 2, k), (wk - 1, 1 - 2 * k)),
     )
+
+
+def _constants_bits(k: int, omega: int, delta: int) -> int:
+    """About the most bits the constants' four numerators and denominators hold before cancelling.
+
+    Normalizing them (gcds) and writing them in decimal are quadratic in their
+    words W, about W^2 word products in all.
+    """
+    return (7 * k + 2 * abs(k - delta) + 2) * (omega * k).bit_length() + (delta + 3) * omega.bit_length()
 
 
 class CriticalPointReport(
@@ -137,7 +131,8 @@ def _check_evaluation_work(k: int, omega: int, q: int) -> None:
     them take about three times 2^k A P word products; the Fraction steps
     after them, gcds of P-word ints, about P^2.  The constants that the check
     compares against (delta = 0) are charged here too, so the path spends
-    the limit once, not once for each part.
+    the limit once, not once for each part; ``critical_constants`` then checks
+    its own share again, which cannot refuse once this sum has passed.
     """
     a_words = 1 + (k * omega).bit_length() // 64
     p_words = 1 + (k + 1) * q.bit_length() // 64
@@ -156,7 +151,7 @@ def verify_critical_point(k: int, omega: int) -> CriticalPointReport:
     # derivative e_k q^(1-|e|); over the common denominator q^k both are ints.
     q = wk - 1
     _check_evaluation_work(k, omega, q)  # the constants' work included
-    expected = _constants(k, omega, 0).minus_ck_dk
+    expected = critical_constants(k, omega, 0).minus_ck_dk
     _, h2 = split_H((omega,) * k)
     powers = [q**j for j in range(k + 2)]
     h2_at_c = Fraction(sum(a * powers[k - sum(e)] for e, a in h2.terms.items()), powers[k])

@@ -94,6 +94,8 @@ def _cmd_genfun(args: argparse.Namespace) -> None:
             "provenance": "closed-form generating polynomial and its bordered-determinant twin",
         }
         _emit(args, [record], [f"H = {h}", f"H_via_det = {h_det}"])
+        if h != h_det:  # str() is canonical, so equal strings mean equal polynomials
+            raise ArithmeticError("H and its determinant route differ")
         return
     if args.caps is None:
         raise genfun.InputError("--caps is required unless --show-h is given")

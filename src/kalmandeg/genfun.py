@@ -214,8 +214,6 @@ def split_H(omega: Sequence[int]) -> tuple[TPoly, TPoly]:
     h = build_H(omega)
     by_y_power: tuple[dict[ExponentVec, int], dict[ExponentVec, int]] = ({}, {})
     for e, c in h.terms.items():
-        if e[-1] > 1:
-            raise ArithmeticError("generating polynomial is not multilinear in y")
         by_y_power[e[-1]][e[:-1]] = -c if e[-1] else c
     x_ring = h.vars[:-1]
     return TPoly._raw(x_ring, by_y_power[1], None), TPoly._raw(x_ring, by_y_power[0], None)

@@ -136,8 +136,7 @@ class TPoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        # Each operand's terms lie within its own caps, so only tighter merged caps can drop any.
-        if caps is not None and not caps == self.caps == other.caps:
+        if caps is not None:
             out = {e: c for e, c in out.items() if all(map(le, e, caps))}
         return TPoly._raw(self.vars, out, caps)
 

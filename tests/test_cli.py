@@ -91,6 +91,16 @@ def test_genfun_show_h(capsys):
     assert out == "H = 1 - x1*y - x1*x2 - x1*x2*y\nH_via_det = 1 - x1*y - x1*x2 - x1*x2*y\n"
 
 
+def test_genfun_show_h_mismatch_exits_three(capsys, monkeypatch):
+    # The determinant route returns H of other weights: both lines still print, then exit 3.
+    build_H = cli.genfun.build_H
+    monkeypatch.setattr(cli.genfun, "build_H_via_determinant", lambda omega: build_H((2, 1)))
+    code, out, err = run(capsys, "genfun", "--omega", "1,1", "--show-h")
+    assert code == 3
+    assert out == f"H = {build_H((1, 1))}\nH_via_det = {build_H((2, 1))}\n"
+    assert err.startswith("internal assertion failed: ArithmeticError")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("genfun", "--omega", "1,1", "--caps", "100000,100000"), "lower the caps"),
     (("genfun", "--omega", ",".join(["1"] * 15), "--show-h"), "subsets of 16 variables takes about"),
@@ -210,6 +220,21 @@ def test_internal_assertion_exit_code(capsys, monkeypatch):
     assert code == 3
     assert "internal assertion" in err
     assert "verify = mismatch" in out  # the report prints before the failure exit
+
+
+def test_verify_reads_the_public_constants(capsys, monkeypatch):
+    # --verify compares against critical_constants itself, the function --constants prints.
+    real = cli.asympt.critical_constants
+
+    def off_by_one(k, omega, delta):
+        cc = real(k, omega, delta)
+        return cc._replace(minus_ck_dk=cc.minus_ck_dk + 1)
+
+    monkeypatch.setattr(cli.asympt, "critical_constants", off_by_one)
+    assert cli.asympt.verify_critical_point(3, 1).ok is False
+    code, out, err = run(capsys, "asympt", "--k", "3", "--omega", "1", "--verify")
+    assert code == 3 and "verify = mismatch" in out
+    assert err.startswith("internal assertion failed: ArithmeticError")
 
 
 def test_table_matrix_ed_csv(capsys):

@@ -283,10 +283,10 @@ def test_poly_mul_column_path_cases():
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(st.data())
 def test_add_matches_validating_constructor_property(data):
-    # TPoly.__add__ filters by the merged caps only when they are tighter than
-    # an operand's own.  Against the constructor, which checks every term: the
-    # five cap modes of the poly_mul property test, terms of one operand beyond
-    # the other's caps, and sums that cancel.
+    # TPoly.__add__ filters every sum by the merged caps; when those equal both
+    # operands' own, every term stays.  Against the constructor, which checks
+    # every term: the five cap modes of the poly_mul property test, terms of
+    # one operand beyond the other's caps, and sums that cancel.
     k = data.draw(st.integers(1, 4), label="k")
     ring = tuple(f"x{i + 1}" for i in range(k))
     exps = st.tuples(*[st.integers(0, 3)] * k)

@@ -4,11 +4,11 @@
 
 Run from anywhere.  The named tests are first run once on an unmutated copy
 and must all pass there, with pytest exiting 0.  Then, for each mutant,
-``src/`` and ``tests/`` are copied to a temporary directory, the row's old
-snippet (which must occur exactly once in its file) is replaced by the new
-one, and the row's tests run there in one pytest subprocess, stopped after
-TIMEOUT seconds.  A mutant is
-killed when every named test fails (or the run times out), partly killed
+``src/``, ``tests/`` and ``README.md`` (whose examples ``test_cli`` reads)
+are copied to a temporary directory, the row's old snippet (which must occur
+exactly once in its file) is replaced by the new one, and the row's tests
+run there in one pytest subprocess, stopped after TIMEOUT seconds.  A mutant
+is killed when every named test fails (or the run times out), partly killed
 when only some fail, and survives when none does.  A run that names no
 failing test but exits with pytest's collection or usage status (2 to 4: a
 module that no longer imports, a test id not found) is a broken run, its own
@@ -169,6 +169,36 @@ MUTANTS = [
          "tests/test_isotropic.py::test_partition_codim_sums_the_symmetric_codims_of_its_parts"),
     ),
     Mutant(
+        "constants-slope-exponent",
+        "src/kalmandeg/asympt.py",
+        "(wk, k - 2), (wk - 2, k), (wk - 1, 1 - 2 * k)",
+        "(wk, k - 2), (wk - 2, k - 1), (wk - 1, 1 - 2 * k)",
+        ("tests/test_asympt.py::test_verify_critical_point_grid",
+         "tests/test_asympt.py::test_constants_match_the_fraction_chain"),
+    ),
+    Mutant(
+        "split-H1-sign",
+        "src/kalmandeg/genfun.py",
+        "by_y_power[e[-1]][e[:-1]] = -c if e[-1] else c",
+        "by_y_power[e[-1]][e[:-1]] = c",
+        ("tests/test_genfun.py::test_split_H_roundtrip",
+         "tests/test_asympt.py::test_amplitude_consistent_with_numerator_over_slope"),
+    ),
+    Mutant(
+        "add-cap-filter",
+        "src/kalmandeg/polycore.py",
+        "if caps is not None:\n            out = {e: c for e, c in out.items() if all(map(le, e, caps))}",
+        "if False:\n            out = {e: c for e, c in out.items() if all(map(le, e, caps))}",
+        ("tests/test_polycore.py::test_add_matches_validating_constructor_property",),
+    ),
+    Mutant(
+        "show-h-comparison",
+        "src/kalmandeg/cli.py",
+        "if h != h_det:",
+        "if False:",
+        ("tests/test_cli.py::test_genfun_show_h_mismatch_exits_three",),
+    ),
+    Mutant(
         "asympt-n-exponent",
         "src/kalmandeg/asympt.py",
         "- ((k - 1) / 2 - delta) * math.log10(n)",
@@ -198,6 +228,7 @@ def _copy(folder: Path) -> None:
     for part in ("src", "tests"):
         ignore = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
         shutil.copytree(ROOT / part, folder / part, ignore=ignore)
+    shutil.copy2(ROOT / "README.md", folder)
 
 
 def _apply(mutant: Mutant, folder: Path) -> None:
