@@ -9,16 +9,16 @@ later arguments are exact flags, each a switch or followed by one value, off
 the same table.  Every other call goes to the full parser (``_parse`` lists
 them), so usage texts, help texts and argument errors are argparse's.  Results
 go to stdout (text, JSON records, or CSV for tables), diagnostics to stderr.
-Each subcommand converts every exact value to decimal once and hands its JSON
-records and its text lines, built from those strings, to the single emitter
+Each subcommand runs every check and budget first, so a refusal prints
+nothing, then hands its JSON records and its text lines to the single emitter
 ``_emit``, the one place the output format is decided.  Where there are many,
-both come as generators, so only the requested format is built.  It prints
-one line at a time; JSON records are encoded by one sorted-key encoder,
-built by the first JSON call, so text output never imports ``json``.  Exit
-codes: 0 success, 2 input refused, invalid or over a budget (exactly
-``genfun.InputError``, or argparse's usage error), 3 internal failure (any
-other exception).  All potentially large integers are emitted as exact decimal
-strings in JSON so 64-bit consumers never truncate them.
+both are generators that write each exact value in decimal as its line is
+made, so only the requested format is built and none is kept whole.  JSON
+records use one sorted-key encoder, built by the first JSON call, so text
+output never imports ``json``.  Exit codes: 0 success, 2 input refused,
+invalid or over a budget (exactly ``genfun.InputError``, or argparse's usage
+error), 3 internal failure (any other exception, even after lines were
+printed).  Large integers are exact decimal strings in JSON records.
 """
 
 from __future__ import annotations
@@ -100,14 +100,13 @@ def _cmd_genfun(args: argparse.Namespace) -> None:
     if args.caps is None:
         raise genfun.InputError("--caps is required unless --show-h is given")
     coeffs = genfun.expand_series(args.omega, args.caps, args.y_cap)  # keys in box order, which is sorted order
-    digits = list(map(str, coeffs.values()))
     header = {
         "command": "genfun",
         "inputs": {"omega": list(args.omega), "caps": list(args.caps), "y_cap": args.y_cap},
         "provenance": "capped series expansion of the reciprocal generating polynomial",
     }
-    records = ({"n": list(n_vec), "delta": delta, "coefficient": d} for (n_vec, delta), d in zip(coeffs, digits))
-    lines = (f"n={','.join(map(str, n_vec))} delta={delta} d={d}" for (n_vec, delta), d in zip(coeffs, digits))
+    records = ({"n": list(n_vec), "delta": delta, "coefficient": str(d)} for (n_vec, delta), d in coeffs.items())
+    lines = (f"n={','.join(map(str, n_vec))} delta={delta} d={d}" for (n_vec, delta), d in coeffs.items())
     _emit(args, chain([header], records), lines)
 
 
@@ -201,29 +200,29 @@ def _cmd_asympt(args: argparse.Namespace) -> None:
     _emit(args, [record], lines)
 
 
-def _table_rows(args: argparse.Namespace) -> tuple[list[str], list[list]]:
+def _table_rows(args: argparse.Namespace) -> tuple[list[str], Iterable[list]]:
     if args.kind == "matrix-ed":
         if args.max_n < 1:
             raise genfun.InputError("--max-n must be >= 1 for matrix-ed")
         # The table is one box of the generating function (omega = (1, 1), delta = 0); hypercubical-compare is not.
         coeffs = genfun.expand_series((1, 1), (args.max_n, args.max_n), 0)
         sizes = range(1, args.max_n + 1)
-        return ["n1", "n2", "degree"], [[n1, n2, str(coeffs.get(((n1, n2), 0), 0))] for n1 in sizes for n2 in sizes]
+        return ["n1", "n2", "degree"], ([n1, n2, str(coeffs.get(((n1, n2), 0), 0))] for n1 in sizes for n2 in sizes)
     if args.kind == "hypercubical-compare":
         if not 1 <= args.n_min <= args.n_max:
             raise genfun.InputError("need 1 <= --n-min <= --n-max for hypercubical-compare")
         rows = asympt.compare_exact_asymptotic(args.k, args.omega, args.delta, range(args.n_min, args.n_max + 1))
-        return ["n", "exact", "log10_estimate", "ratio"], [
+        return ["n", "exact", "log10_estimate", "ratio"], (
             [row.n, str(row.exact), repr(row.log10_estimate), repr(row.ratio)] for row in rows
-        ]
+        )
     if args.max_n < 2 or args.max_omega < 1:  # isotropic-sym, the parser's last choice
         raise genfun.InputError("need --max-n >= 2 and --max-omega >= 1 for isotropic-sym")
     isotropic._check_symmetric_work(args.max_n, args.max_omega, (args.max_n - 1) * args.max_omega)
-    return ["n", "omega", "degree"], [
+    return ["n", "omega", "degree"], (
         [n, w, str(isotropic._symmetric_degree(n, w))]
         for n in range(2, args.max_n + 1)
         for w in range(1, args.max_omega + 1)
-    ]
+    )
 
 
 def _cmd_table(args: argparse.Namespace) -> None:

@@ -5,12 +5,13 @@ import json
 import shlex
 import sys
 import time
+import tracemalloc
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kalmandeg import cli
+from kalmandeg import cli, isotropic
 from kalmandeg.degrees import CodimVec, TensorFormat, extract_degree
 from kalmandeg.genfun import InputError
 from test_genfun import REFUSAL
@@ -301,6 +302,53 @@ def test_table_isotropic_sym(capsys):
     code, out, _ = run(capsys, "table", "--kind", "isotropic-sym", "--max-n", "3", "--max-omega", "2")
     assert code == 0
     assert out.splitlines() == ["n,omega,degree", "2,1,2", "2,2,2", "3,1,2", "3,2,6"]
+
+
+@pytest.mark.parametrize("fmt, printed", [
+    ("csv", "n,omega,degree\n2,1,2\n2,2,2\n"),
+    ("json", '{"degree": "2", "n": 2, "omega": 1}\n{"degree": "2", "n": 2, "omega": 2}\n'),
+], ids=["csv", "json"])
+def test_table_failure_after_the_first_row_keeps_the_printed_rows(capsys, monkeypatch, fmt, printed):
+    # Rows print as they are made, so a failure in the third cell leaves the first two on
+    # stdout, and the exit code is still 3.
+    real, calls = isotropic._symmetric_degree, []
+
+    def third_call_fails(n, omega):
+        calls.append((n, omega))
+        if len(calls) == 3:
+            raise ArithmeticError("third cell")
+        return real(n, omega)
+
+    monkeypatch.setattr(isotropic, "_symmetric_degree", third_call_fails)
+    code, out, err = run(capsys, "table", "--kind", "isotropic-sym", "--max-n", "3", "--max-omega", "2", "--format", fmt)
+    assert code == 3 and err.startswith("internal assertion failed: ArithmeticError")
+    assert out == printed
+
+
+class _Discard:
+    """A stdout that drops every write."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_keeps_no_copy_of_its_rows(fmt):
+    # Each row is made, printed and dropped, so the traced peak does not grow with the table:
+    # 19,999 rows, kept as a list, would hold a few MB.
+    argv = ["table", "--kind", "isotropic-sym", "--max-n", "20000", "--max-omega", "1", "--format", fmt]
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Discard()):
+            code = cli.main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 500_000, peak
 
 
 @pytest.mark.parametrize("argv", [

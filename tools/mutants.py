@@ -207,6 +207,16 @@ MUTANTS = [
          "tests/test_asympt.py::test_richardson_limit_of_the_ratio_is_one[4-2-2]",
          "tests/test_asympt.py::test_richardson_limit_of_the_ratio_is_one[3-2-1]"),
     ),
+    Mutant(
+        "isotropic-sym-rows-listed",
+        "src/kalmandeg/cli.py",
+        'return ["n", "omega", "degree"], (',
+        'return ["n", "omega", "degree"], list(',
+        ("tests/test_cli.py::test_table_failure_after_the_first_row_keeps_the_printed_rows[csv]",
+         "tests/test_cli.py::test_table_failure_after_the_first_row_keeps_the_printed_rows[json]",
+         "tests/test_cli.py::test_table_keeps_no_copy_of_its_rows[csv]",
+         "tests/test_cli.py::test_table_keeps_no_copy_of_its_rows[json]"),
+    ),
 ]
 
 _OUTCOME = re.compile(r"^(FAILED|ERROR) (\S+)", re.MULTILINE)
