@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import shlex
 import sys
 import time
@@ -325,28 +326,18 @@ def test_table_failure_after_the_first_row_keeps_the_printed_rows(capsys, monkey
     assert out == printed
 
 
-class _Discard:
-    """A stdout that drops every write."""
-
-    def write(self, text):
-        return len(text)
-
-    def flush(self):
-        pass
-
-
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_table_keeps_no_copy_of_its_rows(fmt):
     # Each row is made, printed and dropped, so the traced peak does not grow with the table:
     # 19,999 rows, kept as a list, would hold a few MB.
     argv = ["table", "--kind", "isotropic-sym", "--max-n", "20000", "--max-omega", "1", "--format", fmt]
-    tracemalloc.start()
-    try:
-        with contextlib.redirect_stdout(_Discard()):
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
             code = cli.main(argv)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     assert code == 0
     assert peak < 500_000, peak
 
