@@ -18,7 +18,7 @@ records use one sorted-key encoder, built by the first JSON call, so text
 output never imports ``json``.  Exit codes: 0 success, 2 input refused,
 invalid or over a budget (exactly ``genfun.InputError``, or argparse's usage
 error), 3 internal failure (any other exception, even after lines were
-printed).  Large integers are exact decimal strings in JSON records.
+printed).  JSON carries big integers as strings, so no reader truncates them.
 """
 
 from __future__ import annotations
