@@ -14,11 +14,12 @@ nothing, then hands its JSON records and its text lines to the single emitter
 ``_emit``, the one place the output format is decided.  Where there are many,
 both are generators that write each exact value in decimal as its line is
 made, so only the requested format is built and none is kept whole.  JSON
-records use one sorted-key encoder, built by the first JSON call, so text
-output never imports ``json``.  Exit codes: 0 success, 2 input refused,
-invalid or over a budget (exactly ``genfun.InputError``, or argparse's usage
-error), 3 internal failure (any other exception, even after lines were
-printed).  JSON carries big integers as strings, so no reader truncates them.
+records go through one sorted-key line encoder, built by the first JSON call
+and reused for every later record, so text output never imports ``json``.
+Exit codes: 0 success, 2 input refused, invalid or over a budget (exactly
+``genfun.InputError``, or argparse's usage error), 3 internal failure (any
+other exception, even after lines were printed).  JSON carries big integers
+as strings, so no reader truncates them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from itertools import chain
 
 from . import asympt, degrees, genfun, isotropic
@@ -40,16 +41,31 @@ def _int_list(text: str) -> list[int]:
 
 
 @functools.cache
-def _json_encoder():
-    import json
+def _json_encoder() -> Callable[[dict], str]:
+    """A function giving ``json.dumps(record, sort_keys=True)``, from one encoder built per process.
 
-    return json.JSONEncoder(sort_keys=True)
+    ``JSONEncoder.encode`` builds a new C encoder for every record; this one is
+    built once, with the arguments ``JSONEncoder(sort_keys=True).iterencode``
+    passes, except that ``markers`` is None: every record is a fresh, acyclic
+    dict, so no cycle check is needed.  Without the C accelerator the plain
+    ``encode`` serves.
+    """
+    from json import encoder
+
+    base = encoder.JSONEncoder(sort_keys=True)
+    if encoder.c_make_encoder is None:
+        return base.encode
+    chunks = encoder.c_make_encoder(
+        None, base.default, encoder.encode_basestring_ascii, base.indent,
+        base.key_separator, base.item_separator, base.sort_keys, base.skipkeys, base.allow_nan,
+    )
+    return lambda record: "".join(chunks(record, 0))
 
 
 def _emit(args: argparse.Namespace, records: Iterable[dict], lines: Iterable[str]) -> None:
     """Print ``records`` as sorted-key JSON lines under ``--format json``, else ``lines``."""
     if args.format == "json":
-        encode = _json_encoder().encode
+        encode = _json_encoder()
         for record in records:
             print(encode(record))
     else:
@@ -85,16 +101,18 @@ def _cmd_degree(args: argparse.Namespace) -> None:
 def _cmd_genfun(args: argparse.Namespace) -> None:
     if args.show_h:
         h, h_det = genfun.build_H(args.omega), genfun.build_H_via_determinant(args.omega)  # both budgets first
-        h, h_det = str(h), str(h_det)
+        agree = h == h_det  # same variables and term maps, so one text serves both
+        h_text = str(h)
+        det_text = h_text if agree else str(h_det)
         record = {
             "command": "genfun",
             "inputs": {"omega": list(args.omega)},
-            "result": h,
-            "h_via_determinant": h_det,
+            "result": h_text,
+            "h_via_determinant": det_text,
             "provenance": "closed-form generating polynomial and its bordered-determinant twin",
         }
-        _emit(args, [record], [f"H = {h}", f"H_via_det = {h_det}"])
-        if h != h_det:  # str() is canonical, so equal strings mean equal polynomials
+        _emit(args, [record], [f"H = {h_text}", f"H_via_det = {det_text}"])
+        if not agree:
             raise ArithmeticError("H and its determinant route differ")
         return
     if args.caps is None:

@@ -7,6 +7,7 @@ import shlex
 import sys
 import time
 import tracemalloc
+from itertools import chain
 from unittest import mock
 
 import pytest
@@ -101,6 +102,66 @@ def test_genfun_show_h_mismatch_exits_three(capsys, monkeypatch):
     assert code == 3
     assert out == f"H = {build_H((1, 1))}\nH_via_det = {build_H((2, 1))}\n"
     assert err.startswith("internal assertion failed: ArithmeticError")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_genfun_show_h_writes_h_once_when_the_routes_agree(capsys, monkeypatch, fmt):
+    calls = []
+    to_text = cli.genfun.TPoly.__str__
+    monkeypatch.setattr(cli.genfun.TPoly, "__str__", lambda poly: calls.append(poly) or to_text(poly))
+    code, out, _ = run(capsys, "genfun", "--omega", "1,1,1,1,2", "--show-h", "--format", fmt)
+    assert (code, len(calls)) == (0, 1)
+    h = to_text(cli.genfun.build_H((1, 1, 1, 1, 2)))
+    assert out.count(h) == 2
+
+
+# Every record shape the CLI emits: nested inputs, null, true, finite floats,
+# digit strings past 4300 digits, int lists, and the three table kinds' rows.
+JSON_SHAPES = [
+    ("degree", "--n", "4,4", "--delta", "2,1", "--omega", "1,1", "--deg-z", "3,2"),
+    ("genfun", "--omega", "2,1,3", "--show-h"),
+    ("genfun", "--omega", "1,1", "--caps", "2,2", "--y-cap", "1"),
+    ("isotropic", "--n", "3,3", "--omega", "1,2"),
+    ("isotropic", "--n", "46", "--omega", "1" + "0" * 100),
+    ("codim", "--n", "3", "--k", "2"),
+    ("codim", "--n", "2", "--k", "3", "--parts", "2"),
+    ("asympt", "--k", "3", "--omega", "1", "--verify"),
+    ("asympt", "--k", "3", "--omega", "1", "--delta", "1", "--constants"),
+    ("asympt", "--k", "3", "--omega", "1", "--n", "10", "--compare"),
+    ("asympt", "--k", "3", "--omega", "1", "--n", "1000"),
+    ("table", "--kind", "matrix-ed", "--max-n", "2"),
+    ("table", "--kind", "hypercubical-compare", "--n-max", "3"),
+    ("table", "--kind", "isotropic-sym", "--max-n", "3", "--max-omega", "2"),
+]
+
+
+@pytest.fixture(params=["c", "python"])
+def json_path(request, monkeypatch):
+    """The encoder on the C accelerator, or on the plain fallback where it is absent."""
+    if request.param == "python":
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    build = cli._json_encoder
+    build.cache_clear()
+    yield request.param
+    build.cache_clear()  # later tests build the default encoder again
+
+
+def test_json_lines_equal_sorted_dumps(capsys, monkeypatch, json_path):
+    encode = cli._json_encoder()
+    assert (encode.__name__ == "encode") == (json_path == "python")
+    records = []
+    monkeypatch.setattr(cli, "_json_encoder", lambda: lambda record: records.append(record) or encode(record))
+    for argv in JSON_SHAPES:
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, ""), argv
+    lines = out.splitlines()  # the last table's rows
+    assert len(lines) == 4 and records[-4:] == [json.loads(line) for line in lines]
+    records.append({"inputs": {"n": [3, 2], "deg_z": None, "verify": True}, "x": -1.5e-300, "s": "7" * 5000, "t": False})
+    seen = {type(v) for record in records for v in chain(record.values(), record.get("inputs", {}).values())}
+    assert {dict, list, int, str, float, bool, type(None)} <= seen
+    assert max(len(v) for record in records for v in record.values() if isinstance(v, str)) > 4300
+    for record in records:
+        assert encode(record) == json.dumps(record, sort_keys=True)
 
 
 @pytest.mark.parametrize("argv, message", [

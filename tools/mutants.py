@@ -194,9 +194,24 @@ MUTANTS = [
     Mutant(
         "show-h-comparison",
         "src/kalmandeg/cli.py",
-        "if h != h_det:",
-        "if False:",
+        "agree = h == h_det",
+        "agree = True",
         ("tests/test_cli.py::test_genfun_show_h_mismatch_exits_three",),
+    ),
+    Mutant(
+        "show-h-text-always-reused",
+        "src/kalmandeg/cli.py",
+        "det_text = h_text if agree else str(h_det)",
+        "det_text = h_text",
+        ("tests/test_cli.py::test_genfun_show_h_mismatch_exits_three",),
+    ),
+    Mutant(
+        "json-encoder-sort-keys",
+        "src/kalmandeg/cli.py",
+        "base.sort_keys, base.skipkeys",
+        "not base.sort_keys, base.skipkeys",
+        ("tests/test_cli.py::test_json_lines_equal_sorted_dumps[c]",
+         "tests/test_cli.py::test_golden_stdout"),
     ),
     Mutant(
         "asympt-n-exponent",
