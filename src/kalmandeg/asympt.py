@@ -15,8 +15,10 @@ blow up).  The constant comes from a smooth strictly minimal critical point
 c = (1/(omega*k-1), ..., 1/(omega*k-1)) of the reduced series denominator
 F_D(x) = H2(x) * prod_i (1 - x_i); this module evaluates F_D and its partial
 derivative at c with exact rational arithmetic to confirm the two identities
-feeding the constant.  No polynomial product is formed: on the diagonal each
-monomial x^e of H2's term map is c^|e|, which gives H2(c) and dH2/dx_k (c),
+feeding the constant.  Neither H2's 2^k terms nor any polynomial product is
+formed: on the diagonal every monomial x^S with |S| = j has coefficient
+1 - j*omega and value c^j, so H2(c) and dH2/dx_k (c) are sums over the k + 1
+weight classes j, in integers over the common denominator (omega*k - 1)^k,
 and the product rule with the factors 1 - c gives F_D(c) and dF_D/dx_k (c):
 
     F_D(c) = 0,
@@ -41,7 +43,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .degrees import CodimVec, TensorFormat, _check_extraction_work, _ring_work, extract_degree
-from .genfun import InputError, _check_subsets, _num, _refuse_over, split_H
+from .genfun import InputError, _num, _refuse_over
 
 _FLOAT_LOG10_MAX = math.log10(sys.float_info.max)
 _LOG10_2 = math.log10(2)
@@ -124,50 +126,61 @@ class CriticalPointReport(
 def _check_evaluation_work(k: int, omega: int, q: int) -> None:
     """Refuse an exact evaluation at c = 1/q that would multiply too many 64-bit words.
 
-    H2 has up to 2^k terms, with coefficients 1 - |S| omega of A words; each
-    term multiplies its coefficient by a power q^j, j <= k + 1, of at most
-    P words, once for the value and again for the slope.  Measured on CPython
-    3.11 (shared 2-core Linux machine), those products and the sums around
-    them take about three times 2^k A P word products; the Fraction steps
-    after them, gcds of P-word ints, about P^2.  The constants that the check
-    compares against (delta = 0) are charged here too, so the path spends
-    the limit once, not once for each part; ``critical_constants`` then checks
-    its own share again, which cannot refuse once this sum has passed.
+    Each of H2's k + 1 weight classes takes one Horner step for the value and
+    one for the slope: an accumulator of up to P words, P those of q^(k+1),
+    times q's Q words, plus a binomial of up to k bits times 1 - j omega, of
+    A words.  The powers of q and q - 1 and the two Fractions' gcds then work
+    on ints of up to 2P words, quadratic: 8 P^2.  Measured on CPython 3.11
+    (shared 2-core Linux machine), each of these word products takes about
+    2 ns, as the constants' do.  The constants that the check compares
+    against (delta = 0) are charged here too, so the path spends the limit
+    once, not once for each part; ``critical_constants`` then checks its own
+    share again, which cannot refuse once this sum has passed.
     """
     a_words = 1 + (k * omega).bit_length() // 64
+    binom_words = 1 + k // 64
+    q_words = 1 + q.bit_length() // 64
     p_words = 1 + (k + 1) * q.bit_length() // 64
-    work = 3 * (a_words * p_words << k) + p_words * p_words + (_constants_bits(k, omega, 0) // 64) ** 2
-    what = "evaluating H2's {} terms at the critical point and normalizing the constants"
-    _refuse_over(work, what, "use smaller k or omega", 1 << k)
+    steps = 2 * (k + 1) * (p_words * q_words + binom_words * a_words)
+    work = steps + 8 * p_words * p_words + (_constants_bits(k, omega, 0) // 64) ** 2
+    what = "evaluating H2's {} weight classes at the critical point and normalizing the constants"
+    _refuse_over(work, what, "use smaller k or omega", k + 1)
 
 
 def verify_critical_point(k: int, omega: int) -> CriticalPointReport:
-    """Evaluate F_D and its x_k-slope at c from H2's term map; confirm both identities."""
+    """Evaluate F_D and its x_k-slope at c from H2's weight classes; confirm both identities."""
     from fractions import Fraction
 
     wk = _check_regime(k, omega)
-    _check_subsets(k + 1)  # before (omega,) * k exists
-    # At the diagonal point c = 1/q a monomial x^e is q^-|e|, and its x_k
-    # derivative e_k q^(1-|e|); over the common denominator q^k both are ints.
     q = wk - 1
     _check_evaluation_work(k, omega, q)  # the constants' work included
     expected = critical_constants(k, omega, 0).minus_ck_dk
-    _, h2 = split_H((omega,) * k)
-    powers = [q**j for j in range(k + 2)]
-    h2_at_c = Fraction(sum(a * powers[k - sum(e)] for e, a in h2.terms.items()), powers[k])
-    dh2_at_c = Fraction(sum(a * e[-1] * powers[k + 1 - sum(e)] for e, a in h2.terms.items()), powers[k])
+    # At the diagonal point c = 1/q each of the C(k, j) monomials x^S with |S| = j
+    # has coefficient 1 - j omega and value q^-j, and C(k-1, j-1) = C(k, j) j / k
+    # of them contain x_k, whose derivative there is q^(1-j).  Horner's rule in q
+    # sums the classes over the common denominator q^k: h = q^k H2(c) and
+    # d = q^k dH2/dx_k (c).
+    h = d = 0
+    binom = 1  # C(k, j)
+    for j in range(k + 1):
+        coeff = 1 - j * omega
+        h = h * q + binom * coeff
+        d = d * q + binom * j // k * coeff
+        binom = binom * (k - j) // (j + 1)
+    d *= q
 
-    # Product rule on F_D = H2 * prod_i (1 - x_i), whose factors all equal 1 - c at c.
-    c = Fraction(1, q)
-    value = h2_at_c * (1 - c) ** k
-    slope = -c * (dh2_at_c * (1 - c) ** k - h2_at_c * (1 - c) ** (k - 1))
+    # Product rule on F_D = H2 * prod_i (1 - x_i), whose factors all equal 1 - c = p/q at c.
+    p = q - 1
+    p_k1, q_2k = p ** (k - 1), q ** (2 * k)
+    value = Fraction(h * p_k1 * p, q_2k)
+    slope = Fraction(-p_k1 * (d * p - h * q), q_2k * q)
     return CriticalPointReport(
         k=k,
         omega=omega,
         f_d_at_c=value,
         slope_product=slope,
         expected_slope_product=expected,
-        ok=(value == 0 and slope == expected),
+        ok=(h == 0 and slope == expected),
     )
 
 

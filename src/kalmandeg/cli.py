@@ -16,7 +16,8 @@ both are generators that write each exact value in decimal as its line is
 made, so only the requested format is built and none is kept whole.  JSON
 records go through one sorted-key line encoder, built by the first JSON call
 and reused for every later record, so text output never imports ``json``.
-Exit codes: 0 success, 2 input refused, invalid or over a budget (exactly
+Exit codes: 0 success, 1 stdout closed by its reader (``| head``; nothing
+is written to stderr), 2 input refused, invalid or over a budget (exactly
 ``genfun.InputError``, or argparse's usage error), 3 internal failure (any
 other exception, even after lines were printed).  JSON carries big integers
 as strings, so no reader truncates them.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from collections.abc import Callable, Iterable, Sequence
 from itertools import chain
@@ -393,6 +395,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = _parse(argv)
         args.func(args)
         return 0
+    except BrokenPipeError:
+        # The reader of stdout went away, as ``| head`` does: not a failure of the
+        # command.  No SIGPIPE handler, since tests and benchmarks call main in
+        # process; where stdout is a real file, its descriptor now points at
+        # os.devnull, so the interpreter's last flush at exit cannot raise again.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):  # no descriptor under it, or closed
+            return 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 1
     except genfun.InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -116,6 +116,7 @@ ROUTES = {
     "verify_critical_point": (
         ("test_asympt::test_f_d_vanishes_at_critical_point", "test_polycore.evaluate", "test_polycore.partial"),
         ("test_asympt::test_verify_critical_point_against_sympy", "test_asympt._sympy_f_d"),
+        ("test_asympt::test_verify_critical_point_matches_the_term_map", "test_asympt._term_map_report"),
     ),
     "compare_exact_asymptotic": (
         ("test_asympt::test_compare_rows_carry_exact_degrees", "test_degrees.closed_form_degree"),

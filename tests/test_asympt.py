@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from kalmandeg.asympt import (
     AsymptoticEstimate,
+    CriticalPointReport,
     _check_evaluation_work,
     _log10_bigint,
     asymptotic_degree,
@@ -95,7 +97,7 @@ def test_verify_rejects_degenerate_regime():
 
 def test_f_d_vanishes_at_critical_point():
     # F_D built as a product of polynomials and differentiated term by term:
-    # the report, read off H2's term map, must give the same exact values.
+    # the report, summed over H2's weight classes, must give the same exact values.
     for k, w in VALID_GRID:
         _, h2 = split_H((w,) * k)
         ring = h2.vars
@@ -120,13 +122,53 @@ def _sympy_f_d(k, w):
 
 
 def test_verify_critical_point_against_sympy():
-    # The report reads F_D and its slope off H2's term map; sympy multiplies out and differentiates.
+    # The report sums F_D and its slope over H2's weight classes; sympy multiplies out and differentiates.
     for k, w in VALID_GRID:
         f_d, xs, c = _sympy_f_d(k, w)
         report = verify_critical_point(k, w)
         value, slope = f_d.eval([c] * k), -c * f_d.diff(xs[-1]).eval([c] * k)
         assert report.f_d_at_c == Fraction(int(value.p), int(value.q)), (k, w)
         assert report.slope_product == Fraction(int(slope.p), int(slope.q)), (k, w)
+
+
+def _term_map_report(k, w):
+    """The report from H2's 2^k-term map, one monomial at a time, in Fractions.
+
+    At c = 1/q a monomial x^e is q^-|e| and its x_k derivative e_k q^(1-|e|);
+    the product rule with the factors 1 - c gives F_D(c) and its slope.  The
+    expected slope is the chained closed form, not ``critical_constants``.
+    """
+    _, h2 = split_H((w,) * k)
+    q = w * k - 1
+    c = Fraction(1, q)
+    h2_at_c = sum(a * c ** sum(e) for e, a in h2.terms.items())
+    dh2_at_c = sum(a * e[-1] * c ** (sum(e) - 1) for e, a in h2.terms.items() if e[-1])
+    value = h2_at_c * (1 - c) ** k
+    slope = -c * (dh2_at_c * (1 - c) ** k - h2_at_c * (1 - c) ** (k - 1))
+    expected = _chained_constants(k, w, 0)[3]
+    return CriticalPointReport(k, w, value, slope, expected, value == 0 and slope == expected)
+
+
+_NEAR_2_200 = st.integers(-3, 3).map(lambda d: 2**200 + d)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.tuples(st.integers(2, 12), st.one_of(st.integers(1, 5), _NEAR_2_200)))
+@example((2, 1))
+@example((3, 1))
+@example((12, 5))
+@example((12, 2**200))
+def test_verify_critical_point_matches_the_term_map(kw):
+    # Every field of the report, summed over H2's k + 1 weight classes, equals
+    # the one read off H2's 2^k terms.
+    k, w = kw
+    if w * k < 3:
+        with pytest.raises(InputError):
+            verify_critical_point(k, w)
+        return
+    report = _term_map_report(k, w)
+    assert report.ok and report.f_d_at_c == 0
+    assert verify_critical_point(k, w) == report, (k, w)
 
 
 def _phase_v(k, w):
@@ -164,60 +206,73 @@ def test_det_hessian_matches_phase_hessian_of_f_d():
 
 
 def test_verify_critical_point_beyond_product_reach():
-    # The product route took seconds here; the closed-form slope is
+    # The product route took seconds at k = 10 and 12, and the term map is out
+    # of reach at k = 1000; the closed-form slope is
     # omega (omega k)^(k-2) (omega k - 2)^k / (omega k - 1)^(2k-1).
-    for k, w in ((10, 2), (12, 1)):
+    for k, w in ((10, 2), (12, 1), (1000, 1)):
         report = verify_critical_point(k, w)
         wk = w * k
         assert report.ok
         assert report.f_d_at_c == 0
         assert report.slope_product == Fraction(w * wk ** (k - 2) * (wk - 2) ** k, (wk - 1) ** (2 * k - 1))
+    # The term map's 2^14 terms took about 33 ms at k = 14; the k + 1 classes take microseconds.
+    start = time.perf_counter()
+    assert verify_critical_point(14, 1).ok
+    assert time.perf_counter() - start < 0.01
 
 
 def test_verify_critical_point_refuses_too_many_subsets():
-    for k in (15, 10**20):  # checked before (omega,) * k is built
-        with pytest.raises(InputError, match="subsets of .* variables takes about"):
+    # k = 15, the first k whose 2^(k+1) subsets the term map could not visit, now
+    # takes k + 1 weight classes; the classes' own budget refuses k = 14544, and
+    # k = 10^20, before any sum and before (omega,) * k could exist.
+    assert verify_critical_point(15, 1).ok
+    start = time.perf_counter()
+    for k in (14544, 10**20):
+        with pytest.raises(InputError, match=f"H2's {k + 1} weight classes .* takes about"):
             verify_critical_point(k, 1)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_verify_budget_counts_evaluation_words(monkeypatch):
-    # k = 3, omega = 2^200: 2^3 terms of 1 + 202 // 64 = 4 words times powers of
-    # q = 3 * 2^200 - 1 of 1 + 4 * 202 // 64 = 13 words, three times, plus 13^2
-    # for the gcds: 1417.  The constants hold (7 * 3 + 2 * 3 + 2) * 202 + 3 * 201
-    # = 6461 bits, 100 words, so 100^2 more: 11417.  H2's subsets, checked on
-    # their own, are charged nothing here.
-    monkeypatch.setattr(genfun, "SUBSET_WORDS", 0)
-    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 11417)
+    # k = 3, omega = 2^200: 4 weight classes, each a Horner step for the value
+    # and one for the slope, of an accumulator of up to 1 + 4 * 202 // 64 = 13
+    # words (q = 3 * 2^200 - 1 has 202 bits) times q's 1 + 202 // 64 = 4 words,
+    # plus a binomial of 1 word times 1 - j omega of 1 + 202 // 64 = 4 words:
+    # 2 * 4 * (13 * 4 + 1 * 4) = 448.  The powers and the two gcds add
+    # 8 * 13^2 = 1352.  The constants hold (7 * 3 + 2 * 3 + 2) * 202 + 3 * 201
+    # = 6461 bits, 100 words, so 100^2 more: 11800.
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 11800)
     assert verify_critical_point(3, 2**200).ok
-    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 11416)
-    with pytest.raises(InputError, match="the critical point and normalizing the constants takes about 11417 products"):
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 11799)
+    with pytest.raises(InputError, match="the critical point and normalizing the constants takes about 11800 products"):
         verify_critical_point(3, 2**200)
 
 
 def test_verify_budget_charges_evaluation_and_constants_once():
     # At k = 7 the two parts used to be checked one at a time against the same
     # limit, so a 29,760-bit omega passed both and the CLI ran 2.10 s.  Their
-    # sum now binds where 7 omega - 1 reaches 2^22974; the edge ran in 1.0 s
+    # sum now binds where 7 omega - 1 reaches 2^27894; the edge ran in 1.4 s
     # as a CLI process (CPython 3.11, shared 2-core machine).
-    edge = 2**22974 // 7
+    edge = 2**27894 // 7
     _check_evaluation_work(7, edge, 7 * edge - 1)
     start = time.perf_counter()
-    with pytest.raises(InputError, match="evaluating H2's 128 terms .* takes about 1000018916 products"):
+    with pytest.raises(InputError, match="evaluating H2's 8 weight classes .* takes about 1000016684 products"):
         verify_critical_point(7, edge + 1)
     assert time.perf_counter() - start < 0.1
-    # Alone, the constants there are still accepted: about 24410^2 of the sum.
+    # Alone, the constants there are still accepted: about 29638^2 of the sum.
     assert critical_constants(7, edge + 1, 0).c == Fraction(1, 7 * edge + 6)
 
 
 def test_verify_budget_edge():
-    # On CPython 3.11 (shared 2-core machine) (14, 10^600) ran in 1.3 s and stays
-    # accepted; (14, 10^1000) ran 3.2 s and (14, 10^2000) 8.2 s, and both are now
-    # refused before H2 is built.
-    _check_evaluation_work(14, 10**600, 14 * 10**600 - 1)
-    for omega in (10**1000, 10**2000):
+    # On CPython 3.11 (shared 2-core machine), as CLI processes, (14, 10^4371)
+    # ran in 1.55 s and (14543, 1) in 1.8-2.2 s, and both stay accepted; (14, 10^4372),
+    # (14, 10^8000) and (14544, 1) are refused before any sum.
+    _check_evaluation_work(14, 10**4371, 14 * 10**4371 - 1)
+    _check_evaluation_work(14543, 1, 14542)
+    for k, omega in ((14, 10**4372), (14, 10**8000), (14544, 1)):
         start = time.perf_counter()
-        with pytest.raises(InputError, match="evaluating H2's 16384 terms"):
-            verify_critical_point(14, omega)
+        with pytest.raises(InputError, match=f"evaluating H2's {k + 1} weight classes"):
+            verify_critical_point(k, omega)
         assert time.perf_counter() - start < 0.1
 
 

@@ -1,9 +1,11 @@
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
 import shlex
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -13,6 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import kalmandeg
 from kalmandeg import cli, isotropic
 from kalmandeg.degrees import CodimVec, TensorFormat, extract_degree
 from kalmandeg.genfun import InputError
@@ -24,6 +27,22 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class ClosedAfter:
+    """A stdout whose reader goes away after ``lines`` lines: the next write raises BrokenPipeError."""
+
+    def __init__(self, lines):
+        self.lines, self.text = lines, ""
+
+    def write(self, text):
+        if self.text.count("\n") >= self.lines:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        self.text += text
+        return len(text)
+
+    def flush(self):
+        pass
 
 
 def test_degree_text(capsys):
@@ -167,7 +186,7 @@ def test_json_lines_equal_sorted_dumps(capsys, monkeypatch, json_path):
 @pytest.mark.parametrize("argv, message", [
     (("genfun", "--omega", "1,1", "--caps", "100000,100000"), "lower the caps"),
     (("genfun", "--omega", ",".join(["1"] * 15), "--show-h"), "subsets of 16 variables takes about"),
-    (("asympt", "--k", "15", "--omega", "1", "--verify"), "subsets of 16 variables takes about"),
+    (("asympt", "--k", "14544", "--omega", "1", "--verify"), "H2's 14545 weight classes at the critical point"),
 ])
 def test_work_budgets_exit_two(capsys, argv, message):
     # refused before the work starts; the first series box would be ~10^10 cells
@@ -387,6 +406,59 @@ def test_table_failure_after_the_first_row_keeps_the_printed_rows(capsys, monkey
     assert out == printed
 
 
+@pytest.mark.parametrize("fmt, printed", [
+    ("csv", "n,omega,degree\n2,1,2\n"),
+    ("json", '{"degree": "2", "n": 2, "omega": 1}\n{"degree": "2", "n": 2, "omega": 2}\n'),
+], ids=["csv", "json"])
+def test_closed_stdout_stops_quietly_with_exit_one(capsys, monkeypatch, fmt, printed):
+    # The reader goes away after two lines: the third write fails, the command stops
+    # with exit 1 and writes nothing to stderr.  This stdout has no file descriptor,
+    # so none is redirected.
+    stdout = ClosedAfter(2)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code, _, err = run(capsys, "table", "--kind", "isotropic-sym", "--max-n", "3", "--max-omega", "2", "--format", fmt)
+    assert (code, err) == (1, "")
+    assert stdout.text == printed
+
+
+def test_closed_pipe_points_stdout_at_devnull(capsys, monkeypatch):
+    # A line-buffered stdout on a pipe whose reader is already gone: the first line
+    # fails.  Its descriptor then points at os.devnull, so that what is still
+    # buffered, flushed at exit, cannot fail a second time.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", buffering=1) as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code, _, err = run(capsys, "table", "--kind", "matrix-ed", "--max-n", "5")
+        assert (code, err) == (1, "")
+        assert os.path.samestat(os.fstat(stdout.fileno()), os.stat(os.devnull))
+        stdout.write("still buffered\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_pipe_exits_one_with_empty_stderr(unbuffered):
+    # kalmandeg table ... | head -1: the reader takes one line and closes the pipe.
+    # The table prints about 1 MB, far more than a pipe holds, so a write fails
+    # long before its end, and the interpreter's own flush at exit does not fail.
+    argv = ["table", "--kind", "isotropic-sym", "--max-n", "100000", "--max-omega", "1"]
+    src = os.path.dirname(os.path.dirname(kalmandeg.__file__))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen([sys.executable, "-m", "kalmandeg", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"n,omega,degree\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (1, b"")
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_table_keeps_no_copy_of_its_rows(fmt):
     # Each row is made, printed and dropped, so the traced peak does not grow with the table:
@@ -547,12 +619,15 @@ BUDGET_REFUSED = [
     _refused("single-factor isotropic degrees", "table", "--kind", "isotropic-sym", "--max-n", "2", "--max-omega", BIG),
     _refused("critical-point constants", "asympt", "--k", "100000000000000000000", "--omega", "1", "--constants"),
     _refused("critical-point constants", "asympt", "--k", "3", "--omega", "1", "--delta", "1" + "0" * 20, "--constants"),
-    _refused("evaluating H2's 16384 terms at the critical point", "asympt", "--k", "14", "--omega", "1" + "0" * 1000, "--verify"),
-    _refused("subsets of 100000000000000000001 variables", "asympt", "--k", "100000000000000000000", "--omega", "1", "--verify"),
+    _refused("evaluating H2's 15 weight classes at the critical point", "asympt", "--k", "14", "--omega", "1" + "0" * 5000, "--verify"),
+    _refused("H2's 100000000000000000001 weight classes", "asympt", "--k", "100000000000000000000", "--omega", "1", "--verify"),
     _refused("extracting with k = 1000", "asympt", "--k", "100000000000000000000", "--omega", "1", "--n", "5", "--compare"),
 ]
 EXIT_CODES = [
     *[(argv, 0, "") for argv, _ in GOLDEN],
+    # the reader of stdout goes away after the first line
+    (("table", "--kind", "matrix-ed", "--max-n", "6"), 1, ""),
+    (("genfun", "--omega", "1,1", "--caps", "3,3", "--format", "json"), 1, ""),
     *[(tuple(shlex.split(command)[1:]), 0, "") for command, _ in README_EXAMPLES],
     # one argv per validation message
     _refused("n and omega must have the same length", "degree", "--n", "2,2", "--delta", "0,0", "--omega", "1"),
@@ -598,13 +673,17 @@ EXIT_CODES = [
 
 
 @pytest.mark.parametrize("argv, code, message", EXIT_CODES, ids=[" ".join(argv)[:80] for argv, _, _ in EXIT_CODES])
-def test_exit_code_contract(capsys, argv, code, message):
-    # Exit 0 answers, exit 2 (InputError, and only it) refuses at once with "error:", nothing on stdout.
+def test_exit_code_contract(capsys, monkeypatch, argv, code, message):
+    # Exit 0 answers, exit 1 stops quietly once the reader of stdout has gone away after
+    # one line, exit 2 (InputError, and only it) refuses at once with "error:", nothing on stdout.
+    if code == 1:
+        monkeypatch.setattr(sys, "stdout", ClosedAfter(1))
     start = time.perf_counter()
     result = run(capsys, *argv)
     elapsed = time.perf_counter() - start
-    if code == 0:
-        assert result[0] == 0 and result[2] == "", argv
+    if code in (0, 1):
+        assert result[0] == code and result[2] == "", argv
+        assert code == 0 or sys.stdout.text.count("\n") == 1
     else:
         assert result[:2] == (2, "") and result[2].startswith("error: ") and message in result[2], result
         assert elapsed < 0.1
@@ -626,7 +705,6 @@ def test_internal_failures_exit_three(capsys, monkeypatch, exc):
 # 2 s as CLI processes (CPython 3.11 on a shared 2-core Linux machine).
 FIRST_REFUSED = [
     ("genfun", "--omega", ",".join(["1"] * 15), "--show-h"),  # subsets
-    ("asympt", "--k", "15", "--omega", "1", "--verify"),
     ("genfun", "--omega", "1,1", "--caps", "315,315"),  # series steps: series box
     ("table", "--kind", "matrix-ed", "--max-n", "315"),
     ("degree", "--n", "80001", "--delta", "0", "--omega", "3"),  # series steps: extraction
@@ -637,7 +715,8 @@ FIRST_REFUSED = [
     ("isotropic", "--n", "58023", "--omega", "3"),
     ("table", "--kind", "isotropic-sym", "--max-n", "3642"),
     ("asympt", "--k", "16063", "--omega", "1", "--constants"),
-    ("asympt", "--k", "14", "--omega", "1" + "0" * 693, "--verify"),
+    ("asympt", "--k", "14544", "--omega", "1", "--verify"),  # word products: critical-point evaluation
+    ("asympt", "--k", "14", "--omega", "1" + "0" * 4372, "--verify"),
 ]
 
 
@@ -669,7 +748,8 @@ def test_asympt_compare_at_the_largest_accepted_k(capsys):
 
 
 def test_isotropic_at_the_largest_accepted_n(capsys):
-    # n = 4659 takes its one factor by Horner's rule and must stay quick; the budget refuses n = 58023.
+    # n = 4659 takes its one factor by Horner's rule and must stay quick.  It is not
+    # the largest accepted n: that is 58022, and the budget refuses n = 58023.
     from kalmandeg.isotropic import isotropic_degree_symmetric
 
     start = time.perf_counter()

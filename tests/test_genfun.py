@@ -334,7 +334,7 @@ def test_budgets_write_huge_estimates_without_decimal_conversion():
         (extract_degree, (TensorFormat((huge,), (1,)), CodimVec((0,))), "coefficient extraction takes about ~2^"),
         (extract_degree, (TensorFormat((2,), (1,)), CodimVec((huge,))), "delta_1 = ~2^16609.6 exceeds n_1 - 1 = 1"),
         (critical_constants, (3, 1, huge), "up to about ~2^"),
-        (verify_critical_point, (huge, 1), "~2^16609.6 variables"),
+        (verify_critical_point, (huge, 1), "~2^16609.6 weight classes at the critical point"),
         (asymptotic_degree, (3, 1, huge, 2), "delta_1 = ~2^16609.6 exceeds"),
     ]
     try:

@@ -146,3 +146,15 @@ def test_route_helpers_do_not_reach_the_name_they_check():
             module, function = helper.rsplit(".", 1)
             assert function in _definitions(module), helper
             assert name not in _reach(module, function), (name, test, helper)
+
+
+def test_verify_routes_do_not_reach_the_class_sums():
+    # verify_critical_point sums H2's weight classes itself, or in asympt code it
+    # reaches; its routes may share only the report's record type with it.
+    definitions = _definitions("kalmandeg.asympt")
+    package = ({"verify_critical_point"} | _reach("kalmandeg.asympt", "verify_critical_point")) & definitions.keys()
+    assert {"_check_evaluation_work", "critical_constants"} <= package
+    for name, test, helpers in _routes():
+        if name == "verify_critical_point":
+            for helper in helpers:
+                assert _reach(*helper.rsplit(".", 1)) & package <= {"CriticalPointReport"}, (test, helper)

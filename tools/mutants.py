@@ -177,6 +177,24 @@ MUTANTS = [
          "tests/test_asympt.py::test_constants_match_the_fraction_chain"),
     ),
     Mutant(
+        "verify-class-binomial",
+        "src/kalmandeg/asympt.py",
+        "d = d * q + binom * j // k * coeff",
+        "d = d * q + binom * coeff",
+        ("tests/test_asympt.py::test_verify_critical_point_grid",
+         "tests/test_asympt.py::test_verify_critical_point_against_sympy",
+         "tests/test_asympt.py::test_verify_critical_point_matches_the_term_map"),
+    ),
+    Mutant(
+        "verify-slope-one-minus-c",
+        "src/kalmandeg/asympt.py",
+        "(d * p - h * q)",
+        "(d - h * q)",
+        ("tests/test_asympt.py::test_verify_critical_point_grid",
+         "tests/test_asympt.py::test_verify_critical_point_against_sympy",
+         "tests/test_asympt.py::test_verify_critical_point_matches_the_term_map"),
+    ),
+    Mutant(
         "split-H1-sign",
         "src/kalmandeg/genfun.py",
         "by_y_power[e[-1]][e[:-1]] = -c if e[-1] else c",
@@ -212,6 +230,23 @@ MUTANTS = [
         "not base.sort_keys, base.skipkeys",
         ("tests/test_cli.py::test_json_lines_equal_sorted_dumps[c]",
          "tests/test_cli.py::test_golden_stdout"),
+    ),
+    Mutant(
+        "closed-stdout-handler",
+        "src/kalmandeg/cli.py",
+        "except BrokenPipeError:",
+        "except NotImplementedError:",
+        ("tests/test_cli.py::test_closed_stdout_stops_quietly_with_exit_one[csv]",
+         "tests/test_cli.py::test_closed_stdout_stops_quietly_with_exit_one[json]",
+         "tests/test_cli.py::test_closed_pipe_points_stdout_at_devnull",
+         "tests/test_cli.py::test_closed_pipe_exits_one_with_empty_stderr"),
+    ),
+    Mutant(
+        "closed-stdout-devnull",
+        "src/kalmandeg/cli.py",
+        "os.dup2(devnull, fd)",
+        "pass",
+        ("tests/test_cli.py::test_closed_pipe_points_stdout_at_devnull",),
     ),
     Mutant(
         "asympt-n-exponent",
