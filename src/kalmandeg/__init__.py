@@ -33,7 +33,6 @@ from .genfun import (
     build_H_via_determinant,
     expand_series,
     macmahon_check,
-    split_H,
 )
 from .isotropic import (
     IsotropicResult,
@@ -69,7 +68,6 @@ __all__ = [
     "macmahon_check",
     "partition_tuple_codim",
     "ratio_to_exact",
-    "split_H",
     "symmetric_degree",
     "symmetric_tuple_codim",
     "verify_critical_point",

@@ -205,20 +205,6 @@ def build_H_via_determinant(omega: Sequence[int]) -> TPoly:
     return TPoly._raw(_xy_ring(len(omega)), _det_identity_minus_ta(_bordered_a(omega)), None)
 
 
-def split_H(omega: Sequence[int]) -> tuple[TPoly, TPoly]:
-    """Write H = -y*H1 + H2 and return (H1, H2) over the x-ring only.
-
-    H is multilinear in y, so the split is exact; H1 carries no weight
-    dependence while H2 is the y = 0 restriction.
-    """
-    h = build_H(omega)
-    by_y_power: tuple[dict[ExponentVec, int], dict[ExponentVec, int]] = ({}, {})
-    for e, c in h.terms.items():
-        by_y_power[e[-1]][e[:-1]] = -c if e[-1] else c
-    x_ring = h.vars[:-1]
-    return TPoly._raw(x_ring, by_y_power[1], None), TPoly._raw(x_ring, by_y_power[0], None)
-
-
 class RationalSeries(namedtuple("RationalSeries", "numerator denominator caps")):
     """numerator/denominator pair expandable as an exact power series within caps.
 

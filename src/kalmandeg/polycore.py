@@ -1,8 +1,8 @@
 """Exact sparse multivariate polynomials with per-variable degree caps.
 
 Degree extraction reduces to sums, products and coefficient lookups of
-polynomials with arbitrary-precision integer coefficients; the generating
-function and the critical-point check read the term maps directly.  A
+polynomials with arbitrary-precision integer coefficients; the series
+expansion and ``genfun --show-h`` read H's term maps directly.  A
 polynomial is a term map from exponent tuples to nonzero ints over a fixed,
 ordered tuple of variable names; coefficients never touch floating point.
 

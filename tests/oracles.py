@@ -1,11 +1,13 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here deliberately avoids the package's own polynomial engine:
-degree factors go through sympy expansion, the isotropic degree through a
-naive full-box summation with Fractions and, from a second derivation,
-through the class formula in the Chow ring, and the binary format through
-the multinomial theorem.  Values frozen into the tests were produced by these
-oracles.
+Everything here but ``split_h`` deliberately avoids the package's own
+polynomial engine: degree factors go through sympy expansion, the isotropic
+degree through a naive full-box summation with Fractions and, from a second
+derivation, through the class formula in the Chow ring, and the binary format
+through the multinomial theorem.  ``split_h`` multiplies H's two y-halves out
+of the closed form's linear factors with ``poly_mul``, which ``build_H``'s
+subset expansion never calls.  Values frozen into the tests were produced by
+these oracles.
 """
 
 from fractions import Fraction
@@ -13,6 +15,8 @@ from itertools import product
 from math import comb, factorial
 
 import sympy
+
+from kalmandeg.polycore import TPoly, poly_mul
 
 
 def oracle_extract(n, delta, omega):
@@ -121,3 +125,27 @@ def oracle_binary(delta, omega):
         if di == 0:
             weight *= wi
     return factorial(k) // factorial(sum(delta)) * weight
+
+
+def split_h(omega):
+    """(H1, H2) over the ring (x_1..x_k), with H = -y H1 + H2, multiplied out from the closed form.
+
+    H1 = x_1 prod_{i>=2} (1 + x_i) and
+    H2 = prod_i (1 + x_i) - sum_j omega_j x_j prod_{i != j} (1 + x_i),
+    each product taken one linear factor at a time.
+    """
+    ring = tuple(f"x{i + 1}" for i in range(len(omega)))
+    one = TPoly.one(ring)
+    xs = [TPoly.variable(ring, name) for name in ring]
+
+    def times_the_factors_but(poly, j):
+        for i, x in enumerate(xs):
+            if i != j:
+                poly = poly_mul(poly, one + x)
+        return poly
+
+    h1 = times_the_factors_but(xs[0], 0)
+    h2 = times_the_factors_but(one, None)
+    for j, w in enumerate(omega):
+        h2 = h2 + times_the_factors_but(poly_mul(TPoly(ring, {(0,) * len(ring): -w}), xs[j]), j)
+    return h1, h2

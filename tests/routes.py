@@ -32,7 +32,6 @@ EXACT = frozenset({
     "kalman_degree",
     "macmahon_check",
     "partition_tuple_codim",
-    "split_H",
     "symmetric_degree",
     "symmetric_tuple_codim",
     "verify_critical_point",
@@ -58,6 +57,7 @@ ROUTES = {
         ("test_degrees::test_extraction_routes_agree_property", "test_degrees.closed_form_degree"),
         ("test_degrees::test_binary_degree_values_and_oracle", "oracles.oracle_binary"),
         ("test_genfun::test_series_matches_extraction_property", "kalmandeg.genfun.expand_series"),
+        ("test_degrees::test_extraction_at_the_largest_accepted_n_is_a_geometric_sum", "test_degrees.geometric_factor"),
     ),
     "kalman_degree": (
         ("test_degrees::test_kalman_degree_against_oracles", "oracles.oracle_extract"),
@@ -79,14 +79,11 @@ ROUTES = {
     "build_H": (
         ("test_genfun::test_H_equals_determinant_route", "kalmandeg.genfun.build_H_via_determinant"),
         ("test_genfun::test_equal_weight_symmetric_rewrite", "test_genfun.elementary_symmetric"),
+        ("test_genfun::test_split_H_roundtrip", "oracles.split_h"),
     ),
     "build_H_via_determinant": (
         ("test_genfun::test_H_equals_determinant_route", "kalmandeg.genfun.build_H"),
         ("test_genfun::test_H_equals_determinant_route", "test_genfun._cofactor_H"),
-    ),
-    "split_H": (
-        ("test_genfun::test_split_H_roundtrip", "kalmandeg.genfun.build_H"),
-        ("test_genfun::test_equal_weight_symmetric_rewrite", "test_genfun.elementary_symmetric"),
     ),
     "macmahon_check": (
         ("test_genfun::test_macmahon_sides_by_independent_routes", "test_genfun._macmahon_product_side"),

@@ -21,9 +21,9 @@ from kalmandeg.asympt import (
 )
 from kalmandeg import genfun
 from kalmandeg.degrees import CodimVec, TensorFormat
-from kalmandeg.genfun import InputError, split_H
+from kalmandeg.genfun import InputError
 from kalmandeg.polycore import TPoly, poly_mul
-from oracles import oracle_extract
+from oracles import oracle_extract, split_h
 from test_degrees import closed_form_degree
 from test_polycore import evaluate, partial
 
@@ -69,7 +69,7 @@ def test_constants_match_the_fraction_chain():
 def test_amplitude_consistent_with_numerator_over_slope():
     # l0 must equal F_N(c) / slope^(delta+1) with F_N evaluated symbolically
     for k, w in VALID_GRID:
-        h1, _ = split_H((w,) * k)
+        h1, _ = split_h((w,) * k)
         ring = h1.vars
         c = Fraction(1, w * k - 1)
         point = {name: c for name in ring}
@@ -99,7 +99,7 @@ def test_f_d_vanishes_at_critical_point():
     # F_D built as a product of polynomials and differentiated term by term:
     # the report, summed over H2's weight classes, must give the same exact values.
     for k, w in VALID_GRID:
-        _, h2 = split_H((w,) * k)
+        _, h2 = split_h((w,) * k)
         ring = h2.vars
         f_d = h2
         zero = (0,) * len(ring)
@@ -114,8 +114,8 @@ def test_f_d_vanishes_at_critical_point():
 
 
 def _sympy_f_d(k, w):
-    """F_D = H2 prod_i (1 - x_i) as a sympy polynomial from split_H's H2, its variables and c = 1/(wk - 1)."""
-    _, h2 = split_H((w,) * k)
+    """F_D = H2 prod_i (1 - x_i) as a sympy polynomial from split_h's H2, its variables and c = 1/(wk - 1)."""
+    _, h2 = split_h((w,) * k)
     xs = sympy.symbols(f"x1:{k + 1}")
     f_d = sympy.Poly.from_dict(h2.terms, *xs) * sympy.prod([sympy.Poly(1 - x, *xs) for x in xs])
     return f_d, xs, sympy.Rational(1, w * k - 1)
@@ -138,7 +138,7 @@ def _term_map_report(k, w):
     the product rule with the factors 1 - c gives F_D(c) and its slope.  The
     expected slope is the chained closed form, not ``critical_constants``.
     """
-    _, h2 = split_H((w,) * k)
+    _, h2 = split_h((w,) * k)
     q = w * k - 1
     c = Fraction(1, q)
     h2_at_c = sum(a * c ** sum(e) for e, a in h2.terms.items())
@@ -172,7 +172,7 @@ def test_verify_critical_point_matches_the_term_map(kw):
 
 
 def _phase_v(k, w):
-    """lam = c dF_D/dx_k (c) and V_ij = c^2 d^2F_D/dx_i dx_j (c) / lam, by sympy from split_H's H2."""
+    """lam = c dF_D/dx_k (c) and V_ij = c^2 d^2F_D/dx_i dx_j (c) / lam, by sympy from split_h's H2."""
     f_d, xs, c = _sympy_f_d(k, w)
     point = [c] * k
     lam = c * f_d.diff(xs[-1]).eval(point)

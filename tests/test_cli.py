@@ -1,9 +1,11 @@
 import argparse
 import contextlib
 import errno
+import fractions
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -319,6 +321,32 @@ def test_verify_reads_the_public_constants(capsys, monkeypatch):
     assert err.startswith("internal assertion failed: ArithmeticError")
 
 
+def test_verify_mismatch_prints_the_expected_value(capsys, monkeypatch):
+    # The off-by-one expected slope of the test above prints as its own text, then exit 3.
+    real = cli.asympt.critical_constants
+
+    def off_by_one(k, omega, delta):
+        cc = real(k, omega, delta)
+        return cc._replace(minus_ck_dk=cc.minus_ck_dk + 1)
+
+    monkeypatch.setattr(cli.asympt, "critical_constants", off_by_one)
+    slope = real(3, 1, 0).minus_ck_dk
+    code, out, _ = run(capsys, "asympt", "--k", "3", "--omega", "1", "--verify")
+    assert code == 3
+    assert f"-c_k*dF_D(c) = {slope} (expected {slope + 1})\n" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_writes_the_slope_once_when_it_matches(capsys, monkeypatch, fmt):
+    # Three fractions print, and the expected slope reuses the slope's text: only F_D(c) and the slope are written.
+    calls = []
+    to_text = fractions.Fraction.__str__
+    monkeypatch.setattr(fractions.Fraction, "__str__", lambda value: calls.append(value) or to_text(value))
+    code, out, _ = run(capsys, "asympt", "--k", "5", "--omega", "2", "--verify", "--format", fmt)
+    assert (code, len(calls)) == (0, 2)
+    assert out.count(to_text(cli.asympt.critical_constants(5, 2, 0).minus_ck_dk)) == 2
+
+
 def test_table_matrix_ed_csv(capsys):
     code, out, _ = run(capsys, "table", "--kind", "matrix-ed", "--max-n", "3")
     assert code == 0
@@ -601,6 +629,12 @@ def test_golden_stdout(capsys, argv, expected):
     assert out == expected
 
 
+def _argv_id(argv):
+    """A case's test id: its argv joined by spaces, with each run of more than 60 digits cut to
+    its first 60 and its length, so ids stay short and distinct and keep their leading characters."""
+    return re.sub(r"\d{61,}", lambda run: f"{run[0][:60]}...<{len(run[0])} digits>", " ".join(argv))
+
+
 def _refused(message, *argv):
     return argv, 2, message
 
@@ -672,7 +706,7 @@ EXIT_CODES = [
 ]
 
 
-@pytest.mark.parametrize("argv, code, message", EXIT_CODES, ids=[" ".join(argv)[:80] for argv, _, _ in EXIT_CODES])
+@pytest.mark.parametrize("argv, code, message", EXIT_CODES, ids=[_argv_id(argv) for argv, _, _ in EXIT_CODES])
 def test_exit_code_contract(capsys, monkeypatch, argv, code, message):
     # Exit 0 answers, exit 1 stops quietly once the reader of stdout has gone away after
     # one line, exit 2 (InputError, and only it) refuses at once with "error:", nothing on stdout.
@@ -720,7 +754,7 @@ FIRST_REFUSED = [
 ]
 
 
-@pytest.mark.parametrize("argv", FIRST_REFUSED, ids=[" ".join(argv)[:80] for argv in FIRST_REFUSED])
+@pytest.mark.parametrize("argv", FIRST_REFUSED, ids=list(map(_argv_id, FIRST_REFUSED)))
 def test_first_refused_inputs_exit_two_at_once(capsys, argv):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
@@ -731,12 +765,19 @@ def test_first_refused_inputs_exit_two_at_once(capsys, argv):
 BUDGET_ARGVS = list(dict.fromkeys(FIRST_REFUSED + [argv for argv, _, _ in BUDGET_REFUSED]))
 
 
-@pytest.mark.parametrize("argv", BUDGET_ARGVS, ids=[" ".join(argv)[:80] for argv in BUDGET_ARGVS])
+@pytest.mark.parametrize("argv", BUDGET_ARGVS, ids=list(map(_argv_id, BUDGET_ARGVS)))
 def test_budget_refusals_share_one_shape(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "") and err.startswith("error: ") and err.endswith("\n")
     refusal = REFUSAL.fullmatch(err[len("error: ") : -1])
     assert refusal and refusal[3] == "1000000000", err
+
+
+def test_argv_ids_are_distinct():
+    # Two cases with one id would be told apart only by list position.
+    for argvs in ([argv for argv, _, _ in EXIT_CODES], FIRST_REFUSED, BUDGET_ARGVS):
+        ids = list(map(_argv_id, argvs))
+        assert len(set(ids)) == len(ids), [i for i in ids if ids.count(i) > 1]
 
 
 def test_asympt_compare_at_the_largest_accepted_k(capsys):

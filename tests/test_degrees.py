@@ -278,6 +278,22 @@ def test_below_threshold_probe_is_honest():
     assert values == [2, 3, 3, 3]
 
 
+def geometric_factor(n, omega):
+    """The one-factor degree at delta = 0, sum_{j<n} (omega - 1)^j, as a geometric series in closed form."""
+    r = omega - 1
+    return n if r == 1 else (r**n - 1) // (r - 1)
+
+
+def test_extraction_at_the_largest_accepted_n_is_a_geometric_sum():
+    # degree --n 80000 --delta 0 --omega 3 is the slowest accepted extraction (n = 80001 is refused).
+    # With k = 1 and delta = 0 the factor is sum_{j<n} (omega - 1)^j, here 2^n - 1.
+    assert geometric_factor(80000, 3) == 2**80000 - 1
+    assert extract_degree(TensorFormat((80000,), (3,)), CodimVec((0,))) == geometric_factor(80000, 3)
+    for n in range(1, 60):
+        for w in (1, 2, 3, 5):
+            assert extract_degree(TensorFormat((n,), (w,)), CodimVec((0,))) == geometric_factor(n, w), (n, w)
+
+
 def test_extraction_equals_full_product_on_random_formats():
     rng = random.Random(2024)
     for _ in range(2000):

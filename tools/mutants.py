@@ -95,7 +95,8 @@ MUTANTS = [
         "terms[s + (1,)] = -1",
         "terms[s + (1,)] = 1",
         ("tests/test_genfun.py::test_build_H_two_factor_example",
-         "tests/test_genfun.py::test_H_equals_determinant_route"),
+         "tests/test_genfun.py::test_H_equals_determinant_route",
+         "tests/test_genfun.py::test_split_H_roundtrip"),
     ),
     Mutant(
         "refuse-over-strict",
@@ -195,12 +196,12 @@ MUTANTS = [
          "tests/test_asympt.py::test_verify_critical_point_matches_the_term_map"),
     ),
     Mutant(
-        "split-H1-sign",
+        "split-H1-support",
         "src/kalmandeg/genfun.py",
-        "by_y_power[e[-1]][e[:-1]] = -c if e[-1] else c",
-        "by_y_power[e[-1]][e[:-1]] = c",
+        "if s[0]:",
+        "if s[-1]:",
         ("tests/test_genfun.py::test_split_H_roundtrip",
-         "tests/test_asympt.py::test_amplitude_consistent_with_numerator_over_slope"),
+         "tests/test_genfun.py::test_H_equals_determinant_route"),
     ),
     Mutant(
         "add-cap-filter",
@@ -222,6 +223,13 @@ MUTANTS = [
         "det_text = h_text if agree else str(h_det)",
         "det_text = h_text",
         ("tests/test_cli.py::test_genfun_show_h_mismatch_exits_three",),
+    ),
+    Mutant(
+        "verify-expected-text-reused",
+        "src/kalmandeg/cli.py",
+        "expected = slope if agree else str(report.expected_slope_product)",
+        "expected = slope",
+        ("tests/test_cli.py::test_verify_mismatch_prints_the_expected_value",),
     ),
     Mutant(
         "json-encoder-sort-keys",
