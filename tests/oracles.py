@@ -147,5 +147,5 @@ def split_h(omega):
     h1 = times_the_factors_but(xs[0], 0)
     h2 = times_the_factors_but(one, None)
     for j, w in enumerate(omega):
-        h2 = h2 + times_the_factors_but(poly_mul(TPoly(ring, {(0,) * len(ring): -w}), xs[j]), j)
+        h2 = h2 + times_the_factors_but(TPoly(ring, {e: -w for e in xs[j].terms}), j)  # -w x_j
     return h1, h2

@@ -754,7 +754,7 @@ FIRST_REFUSED = [
 ]
 
 
-@pytest.mark.parametrize("argv", FIRST_REFUSED, ids=list(map(_argv_id, FIRST_REFUSED)))
+@pytest.mark.parametrize("argv", FIRST_REFUSED, ids=_argv_id)
 def test_first_refused_inputs_exit_two_at_once(capsys, argv):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
@@ -765,7 +765,7 @@ def test_first_refused_inputs_exit_two_at_once(capsys, argv):
 BUDGET_ARGVS = list(dict.fromkeys(FIRST_REFUSED + [argv for argv, _, _ in BUDGET_REFUSED]))
 
 
-@pytest.mark.parametrize("argv", BUDGET_ARGVS, ids=list(map(_argv_id, BUDGET_ARGVS)))
+@pytest.mark.parametrize("argv", BUDGET_ARGVS, ids=_argv_id)
 def test_budget_refusals_share_one_shape(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "") and err.startswith("error: ") and err.endswith("\n")
