@@ -39,9 +39,13 @@ from ones already computed, in integer arithmetic only.  The pass runs in
 scatter form: once s_e is final, it adds -D_d s_e to cell e + d for each
 tail term d, so a zero cell, which is most of the box when the weights are
 1, costs one truth test.  The cells sit on a flat list indexed in mixed
-radix, with zero pads after each axis, so e + d is one int addition.  The
-degree-factor series is N/H with N = x_1...x_k, which needs only H's at most
-2^(k+1) terms; dividing that by each 1 - x_i is a running sum along axis i.
+radix, with zero pads after each axis, so e + d is one int addition; a byte
+mask over the list marks the box's cells, and their indices are read off it.
+The degree-factor series is N/H with N = x_1...x_k, which needs only H's at
+most 2^(k+1) terms.  Since N is one monomial, the coefficient at n is that of
+1/H at n - 1, and 0 when some n_i is 0: the division expands 1/H on the box
+of caps m_i - 1, prod m_i cells in place of prod (m_i + 1), and dividing by
+each 1 - x_i is a running sum along axis i there.
 
 The MacMahon check compares 1/det(I - TA) within a cap box against products
 of the linear forms sum_l a_jl z_l.  Its product side uses the division's
@@ -231,7 +235,7 @@ class RationalSeries(namedtuple("RationalSeries", "numerator denominator caps"))
 
         Keys appear in lexicographic order of their exponent vectors.
         """
-        coeffs, cells, _ = _divide(self.numerator.terms, self.denominator.terms, self.caps)
+        coeffs, _, cells, _ = _divide(self.numerator.terms, self.denominator.terms, self.caps)
         return {e: coeffs[i] for e, i in zip(_box(self.caps), cells) if coeffs[i]}
 
 
@@ -242,12 +246,13 @@ def _box(caps: tuple[int, ...]):
 
 def _divide(
     numerator: dict[ExponentVec, int], denominator: dict[ExponentVec, int], caps: tuple[int, ...]
-) -> tuple[list[int], list[int], list[int]]:
+) -> tuple[list[int], bytes, list[int], list[int]]:
     """The series of N/D within ``caps`` on a padded flat array; D has constant term 1.
 
-    Returns the array, the flat index of each cell of the cap box in
-    lexicographic order, and the stride of each axis.  The division runs in
-    scatter form: once cell e is final, a nonzero s_e adds -D_d s_e to cell
+    Returns the array, a mask over it (byte 1 on each cell of the cap box, 0
+    on each pad cell), the flat index of each box cell in lexicographic
+    order, read off the mask, and the stride of each axis.  The division runs
+    in scatter form: once cell e is final, a nonzero s_e adds -D_d s_e to cell
     e + d for every tail term d, so a zero cell costs one truth test.  Axis i
     has a trailing pad of zeros as wide as the largest exponent on it among
     D's other terms, and at least 1.  So e + d is one int addition that stays
@@ -276,9 +281,10 @@ def _divide(
     # Every cell is charged the largest coefficient, about three times the true decimal cost along one axis.
     what = "writing the series' coefficients of up to about {} bits in decimal"
     _refuse_over(prod(m + 1 for m in caps) * words * words, what, "lower the caps", bits)
-    cells = [0]
-    for m, stride in zip(caps, strides):
-        cells = [i + j * stride for i in cells for j in range(m + 1)]
+    inbox = b"\x01"
+    for p, m in zip(reversed(pads), reversed(caps)):  # each axis repeats the block after it, then pads
+        inbox = inbox * (m + 1) + bytes(len(inbox) * p)
+    cells = list(compress(range(size), inbox))
     coeffs = [0] * size
     for e, c in numerator.items():
         if all(x <= m for x, m in zip(e, caps)):
@@ -289,7 +295,7 @@ def _divide(
         if s:
             for o, c in offsets:
                 coeffs[i + o] += c * s
-    return coeffs, cells, strides
+    return coeffs, inbox, cells, strides
 
 
 def expand_series(
@@ -307,11 +313,16 @@ def expand_series(
         raise InputError("caps length does not match the number of factors")
     if any(c < 0 for c in caps) or y_cap < 0:
         raise InputError("caps must be nonnegative")
-    coeffs, cells, strides = _divide({(1,) * k + (0,): 1}, build_H(omega).terms, caps + (y_cap,))
+    h = build_H(omega).terms
+    if not all(caps):  # x_1...x_k divides the series, so it has no term with some n_i = 0
+        return {}
+    # Cell e of 1/H within the caps m_i - 1 holds the coefficient of x^(e + 1) in N/H.
+    coeffs, _, cells, strides = _divide({(0,) * (k + 1): 1}, h, tuple(m - 1 for m in caps) + (y_cap,))
     for stride in strides[:k]:  # dividing by 1 - x_i is a running sum along axis i
         for i in cells:
             coeffs[i + stride] += coeffs[i]
-    return {key: coeffs[i] for key, i in zip(iter_product(_box(caps), range(y_cap + 1)), cells) if coeffs[i]}
+    keys = iter_product(iter_product(*(range(1, m + 1) for m in caps)), range(y_cap + 1))
+    return {key: coeffs[i] for key, i in zip(keys, cells) if coeffs[i]}
 
 
 def macmahon_check(a: Sequence[Sequence[int]], cap: Sequence[int] | int) -> bool:
@@ -335,7 +346,7 @@ def macmahon_check(a: Sequence[Sequence[int]], cap: Sequence[int] | int) -> bool
     volume = prod(c + 1 for c in caps)
     pairs = (1 + m) * volume * (volume // (max(caps) + 1))
     _refuse_over(STEP_WORDS * pairs, "visiting the MacMahon product side's up to {} term pairs", "lower the cap", pairs)
-    coeffs, cells, strides = _divide({(0,) * m: 1}, det_terms, caps)
+    coeffs, inbox, cells, strides = _divide({(0,) * m: 1}, det_terms, caps)
 
     # prods[i] = prod_{l < i} (form l)^(p_l) for the current p, as a map from
     # the division's flat indices to coefficients (see the module docstring).
@@ -344,14 +355,13 @@ def macmahon_check(a: Sequence[Sequence[int]], cap: Sequence[int] | int) -> bool
     # past its cap sits on a pad cell and goes no further, so each map holds
     # the live terms of one degree slice and a few pad terms.
     forms = [[(strides[l], x) for l, x in enumerate(row) if x] for row in a]
-    box = set(cells)
     prods = [{0: 1}] * (m + 1)
     for p, cell in zip(_box(caps), cells):
         if any(p):
             j = max(i for i, x in enumerate(p) if x)
             out: dict[int, int] = {}
             for i, c in prods[j + 1].items():
-                if i in box:
+                if inbox[i]:
                     for o, x in forms[j]:
                         out[i + o] = out.get(i + o, 0) + c * x
             prods[j + 1 :] = [out] * (m - j)

@@ -71,6 +71,8 @@ ROUTES = {
         ("test_genfun::test_series_matches_extraction_property", "kalmandeg.degrees.extract_degree"),
         ("test_genfun::test_expand_series_matches_leading_pad_oracle", "test_genfun._leading_pad_series"),
         ("test_genfun::test_expand_series_matches_substitution_route", "test_genfun._substitution_series"),
+        ("test_degrees::test_series_at_the_largest_accepted_weight_is_a_geometric_sum", "test_degrees.geometric_factor"),
+        ("test_genfun::test_matrix_ed_box_at_the_largest_accepted_max_n_is_eckart_young", "test_genfun.eckart_young_degree"),
     ),
     "RationalSeries": (
         ("test_genfun::test_scatter_division_matches_leading_pad_oracle", "test_genfun._leading_pad_division"),

@@ -230,6 +230,19 @@ def test_isotropic_over_budget_exits_two_at_once(capsys):
     assert (code, out) == (2, "") and "over the limit of 1000000000" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_genfun_box_with_a_zero_cap_prints_only_the_header(capsys, fmt):
+    # No coefficient has some n_i = 0, so the box holds none; text output has no header line.
+    code, out, err = run(capsys, "genfun", "--omega", "1,1", "--caps", "0,1000000", "--format", fmt)
+    assert (code, err) == (0, "")
+    header = {
+        "command": "genfun",
+        "inputs": {"omega": [1, 1], "caps": [0, 1000000], "y_cap": 0},
+        "provenance": "capped series expansion of the reciprocal generating polynomial",
+    }
+    assert out.splitlines() == ([] if fmt == "text" else [json.dumps(header, sort_keys=True)])
+
+
 def test_genfun_decimal_budget_exits_two_at_once(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "genfun", "--omega", "1" + "0" * 10000, "--caps", "18", "--y-cap", "0")
@@ -243,7 +256,7 @@ def test_genfun_decimal_budget_exits_two_at_once(capsys):
     ("asympt", "--k", "2", "--omega", "2", "--n", "3000", "--compare"),
     ("asympt", "--k", "2", "--omega", "2", "--n", "1000000000000", "--compare"),
     ("table", "--kind", "hypercubical-compare", "--k", "3", "--n-max", "80"),
-    ("table", "--kind", "matrix-ed", "--max-n", "315"),
+    ("table", "--kind", "matrix-ed", "--max-n", "316"),
 ])
 def test_extraction_over_budget_exits_two_at_once(capsys, argv):
     # Without the budget the extractions ran from 4.7 s to minutes; the hypercubical table sums
@@ -739,12 +752,12 @@ def test_internal_failures_exit_three(capsys, monkeypatch, exc):
 # 2 s as CLI processes (CPython 3.11 on a shared 2-core Linux machine).
 FIRST_REFUSED = [
     ("genfun", "--omega", ",".join(["1"] * 15), "--show-h"),  # subsets
-    ("genfun", "--omega", "1,1", "--caps", "315,315"),  # series steps: series box
-    ("table", "--kind", "matrix-ed", "--max-n", "315"),
+    ("genfun", "--omega", "1,1", "--caps", "316,316"),  # series steps: series box
+    ("table", "--kind", "matrix-ed", "--max-n", "316"),
     ("degree", "--n", "80001", "--delta", "0", "--omega", "3"),  # series steps: extraction
     ("table", "--kind", "hypercubical-compare", "--k", "3", "--n-max", "18"),
     ("asympt", "--k", "295", "--omega", "1", "--n", "1", "--compare"),
-    ("genfun", "--omega", "1" + "0" * 7766, "--caps", "18"),  # word products: decimal series
+    ("genfun", "--omega", "1" + "0" * 8448, "--caps", "18"),  # word products: decimal series
     ("genfun", "--omega", ",".join(["1" + "0" * 1321] * 8), "--show-h"),  # principal minors
     ("isotropic", "--n", "58023", "--omega", "3"),
     ("table", "--kind", "isotropic-sym", "--max-n", "3642"),

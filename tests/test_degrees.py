@@ -294,6 +294,15 @@ def test_extraction_at_the_largest_accepted_n_is_a_geometric_sum():
             assert extract_degree(TensorFormat((n,), (w,)), CodimVec((0,))) == geometric_factor(n, w), (n, w)
 
 
+def test_series_at_the_largest_accepted_weight_is_a_geometric_sum():
+    # genfun --omega <10^8447> --caps 18 is the largest accepted weight at that
+    # cap (10^8448 is refused).  With k = 1 and delta = 0 the coefficient at n is
+    # sum_{j<n} (omega - 1)^j, compared as ints, with no decimal conversion.
+    omega = 10**8447
+    series = genfun.expand_series((omega,), (18,), 0)
+    assert series == {((n,), 0): geometric_factor(n, omega) for n in range(1, 19)}
+
+
 def test_extraction_equals_full_product_on_random_formats():
     rng = random.Random(2024)
     for _ in range(2000):

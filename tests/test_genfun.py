@@ -250,28 +250,30 @@ def test_principal_minors_budget_counts_entry_words(monkeypatch):
 
 
 def test_series_budget_counts_padded_cells_times_terms(monkeypatch):
-    # H = 1 - x1*y for omega = (1,); each axis gets one pad cell, so the box
-    # (3 + 2) * (1 + 2) = 15 cells times 2 terms is 30 series steps, at 2500
-    # word products each.  H's subsets, checked on their own, are charged nothing here.
+    # H = 1 - x1*y for omega = (1,); 1/H is expanded within the caps (3 - 1, 1),
+    # and each axis gets one pad cell, so the box (2 + 2) * (1 + 2) = 12 cells
+    # times 2 terms is 24 series steps, at 2500 word products each.  H's
+    # subsets, checked on their own, are charged nothing here.
     monkeypatch.setattr(genfun, "SUBSET_WORDS", 0)
-    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 2500 * 30)
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 2500 * 24)
     assert expand_series((1,), (3,), 1) == {((1,), 0): 1, ((2,), 0): 1, ((2,), 1): 1, ((3,), 0): 1, ((3,), 1): 1}
-    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 2500 * 30 - 1)
-    with pytest.raises(ValueError, match="15 cells with padding by 2 denominator terms .* takes about 75000 products"):
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 2500 * 24 - 1)
+    with pytest.raises(ValueError, match="12 cells with padding by 2 denominator terms .* takes about 60000 products"):
         expand_series((1,), (3,), 1)
 
 
 def test_series_budget_counts_coefficient_bits(monkeypatch):
     # omega = 10^30: the tail of H = 1 + (1 - omega) x1 - x1*y sums to omega in
-    # absolute value, 100 bits per unit of degree; degree 3 + 1 bounds the
-    # coefficients by 1 + 400 bits, 6 words, so 15 cells cost 15 * (3 + 6) series steps.
+    # absolute value, 100 bits per unit of degree; 1/H's box within (3 - 1, 1)
+    # has degree up to 2 + 1, which bounds the coefficients by 1 + 300 bits,
+    # 4 words, so its 12 cells cost 12 * (3 + 4) series steps.
     omega = 10**30
     monkeypatch.setattr(genfun, "SUBSET_WORDS", 0)
-    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 2500 * 135)
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 2500 * 84)
     series = expand_series((omega,), (3,), 1)
-    assert max(abs(c).bit_length() for c in series.values()) <= 401
-    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 2500 * 135 - 1)
-    with pytest.raises(ValueError, match="15 cells .* 3 denominator terms .* 6 words of coefficients of up to about 401 bits"):
+    assert max(abs(c).bit_length() for c in series.values()) <= 301
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 2500 * 84 - 1)
+    with pytest.raises(ValueError, match="12 cells .* 3 denominator terms .* 4 words of coefficients of up to about 301 bits"):
         expand_series((omega,), (3,), 1)
     monkeypatch.undo()
     with pytest.raises(ValueError, match="lower the caps"):  # accepted by cells and terms alone
@@ -279,25 +281,50 @@ def test_series_budget_counts_coefficient_bits(monkeypatch):
 
 
 def test_series_budget_counts_decimal_conversion(monkeypatch):
-    # The omega = 10^30 box above: 4 * 2 cells, each charged 6 words squared.
+    # The omega = 10^30 box above: 3 * 2 cells, each charged 4 words squared.
     # The subsets and the series steps, checked on their own, are charged nothing here.
     monkeypatch.setattr(genfun, "SUBSET_WORDS", 0)
     monkeypatch.setattr(genfun, "STEP_WORDS", 0)
-    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 288)
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 96)
     expand_series((10**30,), (3,), 1)
-    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 287)
-    with pytest.raises(ValueError, match="about 401 bits in decimal takes about 288 products of 64-bit words, over the limit of 287"):
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 95)
+    with pytest.raises(ValueError, match="about 301 bits in decimal takes about 96 products of 64-bit words, over the limit of 95"):
         expand_series((10**30,), (3,), 1)
     monkeypatch.undo()
     # Passes the series work with coefficients of up to 170,000 digits, whose
     # decimal form took seconds; refused before any arithmetic.
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="in decimal takes about 1658541331 products"):
+    with pytest.raises(ValueError, match="in decimal takes about 1401533568 products"):
         expand_series((10**10000,), (18,), 0)
     assert time.perf_counter() - start < 0.1
-    # The largest boxes of weight 10^1000 along either axis stay accepted.
-    assert len(expand_series((10**1000,), (61,), 0)) == 61
-    assert expand_series((10**1000,), (1,), 49) == {((1,), 0): 1}
+    # The largest boxes of weight 10^1000 along either axis are accepted.  At cap 1
+    # on x, 1/H's box has no x and so no tail term: only its cells are charged.
+    assert len(expand_series((10**1000,), (62,), 0)) == 62
+    assert expand_series((10**1000,), (1,), 199_998) == {((1,), 0): 1}
+    for args in (((10**1000,), (63,), 0), ((10**1000,), (1,), 199_999)):
+        with pytest.raises(ValueError, match="lower the caps"):
+            expand_series(*args)
+
+
+def test_series_box_with_a_zero_cap_is_empty_at_once():
+    # x_1...x_k divides the series, so a box with some cap 0 holds no term and
+    # nothing is expanded; a 2 x 10^6 cell box was refused by the series budget.
+    start = time.perf_counter()
+    assert expand_series((1, 1), (0, 10**6), 0) == {}
+    assert time.perf_counter() - start < 0.1
+
+
+def eckart_young_degree(n1, n2):
+    """The ED degree of a general n1 x n2 matrix, min(n1, n2) (Eckart-Young)."""
+    return min(n1, n2)
+
+
+def test_matrix_ed_box_at_the_largest_accepted_max_n_is_eckart_young():
+    # table --kind matrix-ed --max-n 315, the largest accepted (316 is refused),
+    # prints the cells of this box, and every one is min(n1, n2).
+    series = expand_series((1, 1), (315, 315), 0)
+    sizes = range(1, 316)
+    assert series == {((n1, n2), 0): eckart_young_degree(n1, n2) for n1 in sizes for n2 in sizes}
 
 
 def test_series_budget_refuses_huge_boxes():
@@ -693,9 +720,9 @@ def test_macmahon_walk_compares_every_p(monkeypatch):
         for n, p in enumerate(product(*(range(c + 1) for c in caps))):
 
             def off_by_one(*args, n=n):
-                coeffs, cells, strides = divide(*args)
+                coeffs, inbox, cells, strides = divide(*args)
                 coeffs[cells[n]] += 1
-                return coeffs, cells, strides
+                return coeffs, inbox, cells, strides
 
             monkeypatch.setattr(genfun, "_divide", off_by_one)
             assert not macmahon_check(a, caps), (a, caps, p)
@@ -780,11 +807,11 @@ def test_macmahon_sides_by_independent_routes(monkeypatch):
         for off in (0, 1):
 
             def fed(*args, off=off):
-                coeffs, cells, strides = divide(*args)
+                coeffs, inbox, cells, strides = divide(*args)
                 coeffs = [0] * len(coeffs)
                 for p, i in zip(product(*(range(c + 1) for c in caps)), cells):
                     coeffs[i] = series[p] + off * (p == wrong)
-                return coeffs, cells, strides
+                return coeffs, inbox, cells, strides
 
             monkeypatch.setattr(genfun, "_divide", fed)
             assert macmahon_check(a, caps) is (off == 0), (trial, a, caps, wrong)

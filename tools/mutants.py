@@ -66,6 +66,30 @@ MUTANTS = [
          "tests/test_genfun.py::test_expand_series_matches_substitution_route"),
     ),
     Mutant(
+        "series-key-shift",
+        "src/kalmandeg/genfun.py",
+        "range(1, m + 1) for m in caps",
+        "range(m) for m in caps",
+        ("tests/test_genfun.py::test_expand_series_matches_leading_pad_oracle",
+         "tests/test_degrees.py::test_series_at_the_largest_accepted_weight_is_a_geometric_sum"),
+    ),
+    Mutant(
+        "series-shrunk-caps",
+        "src/kalmandeg/genfun.py",
+        "tuple(m - 1 for m in caps)",
+        "tuple(m for m in caps)",
+        ("tests/test_genfun.py::test_expand_series_matches_leading_pad_oracle",
+         "tests/test_genfun.py::test_matrix_ed_box_at_the_largest_accepted_max_n_is_eckart_young"),
+    ),
+    Mutant(
+        "mask-pad-bytes",
+        "src/kalmandeg/genfun.py",
+        "inbox = inbox * (m + 1) + bytes(len(inbox) * p)",
+        "inbox = inbox * (m + 1 + p)",
+        ("tests/test_genfun.py::test_scatter_division_matches_leading_pad_oracle",
+         "tests/test_genfun.py::test_macmahon_small_cases"),
+    ),
+    Mutant(
         "macmahon-slice",
         "src/kalmandeg/genfun.py",
         "for i, c in prods[j + 1].items():",
@@ -77,7 +101,7 @@ MUTANTS = [
     Mutant(
         "macmahon-pad-filter",
         "src/kalmandeg/genfun.py",
-        "if i in box:",
+        "if inbox[i]:",
         "if i >= 0:",
         ("tests/test_genfun.py::test_macmahon_walk_keeps_to_live_terms",),
     ),
