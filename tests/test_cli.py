@@ -749,7 +749,7 @@ def test_internal_failures_exit_three(capsys, monkeypatch, exc):
 
 
 # The first input each budget refuses, one family per line; the inputs one below run for up to
-# 2 s as CLI processes (CPython 3.11 on a shared 2-core Linux machine).
+# about 2.3 s as CLI processes (CPython 3.11 on a shared 2-core Linux machine).
 FIRST_REFUSED = [
     ("genfun", "--omega", ",".join(["1"] * 15), "--show-h"),  # subsets
     ("genfun", "--omega", "1,1", "--caps", "316,316"),  # series steps: series box
