@@ -73,12 +73,15 @@ def critical_constants(k: int, omega: int, delta: int) -> CriticalConstants:
 
     The leading amplitude satisfies l0 = F_N(c) / minus_ck_dk^(delta+1) with
     F_N the reduced series numerator; the test suite checks that relation
-    symbolically.
+    symbolically.  Its budget check is also ``verify_critical_point``'s.
     """
     wk = _check_regime(k, omega)
     if delta < 0:
         raise InputError("delta must be >= 0")
-    bits = _constants_bits(k, omega, delta)
+    # About the most bits the four numerators and denominators hold before
+    # cancelling.  Normalizing them (gcds) and writing them in decimal are
+    # quadratic in their words W, about W^2 word products in all.
+    bits = (7 * k + 2 * abs(k - delta) + 2) * wk.bit_length() + (delta + 3) * omega.bit_length()
     what = "normalizing and writing the critical-point constants of up to about {} bits"
     _refuse_over((bits // 64) ** 2, what, "use smaller k, omega or delta", bits)
     from fractions import Fraction  # here, not at import: most callers never need it
@@ -102,15 +105,6 @@ def critical_constants(k: int, omega: int, delta: int) -> CriticalConstants:
     )
 
 
-def _constants_bits(k: int, omega: int, delta: int) -> int:
-    """About the most bits the constants' four numerators and denominators hold before cancelling.
-
-    Normalizing them (gcds) and writing them in decimal are quadratic in their
-    words W, about W^2 word products in all.
-    """
-    return (7 * k + 2 * abs(k - delta) + 2) * (omega * k).bit_length() + (delta + 3) * omega.bit_length()
-
-
 class CriticalPointReport(
     namedtuple("CriticalPointReport", "k omega f_d_at_c slope_product expected_slope_product ok")
 ):
@@ -123,38 +117,16 @@ class CriticalPointReport(
     __slots__ = ()
 
 
-def _check_evaluation_work(k: int, omega: int, q: int) -> None:
-    """Refuse an exact evaluation at c = 1/q that would multiply too many 64-bit words.
-
-    Each of H2's k + 1 weight classes takes one Horner step for the value and
-    one for the slope: an accumulator of up to P words, P those of q^(k+1),
-    times q's Q words, plus a binomial of up to k bits times 1 - j omega, of
-    A words.  The powers of q and q - 1 and the two Fractions' gcds then work
-    on ints of up to 2P words, quadratic: 8 P^2.  Measured on CPython 3.11
-    (shared 2-core Linux machine), each of these word products takes about
-    2 ns, as the constants' do.  The constants that the check compares
-    against (delta = 0) are charged here too, so the path spends the limit
-    once, not once for each part; ``critical_constants`` then checks its own
-    share again, which cannot refuse once this sum has passed.
-    """
-    a_words = 1 + (k * omega).bit_length() // 64
-    binom_words = 1 + k // 64
-    q_words = 1 + q.bit_length() // 64
-    p_words = 1 + (k + 1) * q.bit_length() // 64
-    steps = 2 * (k + 1) * (p_words * q_words + binom_words * a_words)
-    work = steps + 8 * p_words * p_words + (_constants_bits(k, omega, 0) // 64) ** 2
-    what = "evaluating H2's {} weight classes at the critical point and normalizing the constants"
-    _refuse_over(work, what, "use smaller k or omega", k + 1)
-
-
 def verify_critical_point(k: int, omega: int) -> CriticalPointReport:
     """Evaluate F_D and its x_k-slope at c from H2's weight classes; confirm both identities."""
     from fractions import Fraction
 
-    wk = _check_regime(k, omega)
-    q = wk - 1
-    _check_evaluation_work(k, omega, q)  # the constants' work included
+    # The constants' budget check is this path's only one, and it runs before any
+    # sum.  With b = bitlen(omega k) it charges about 81 k^2 b^2 / 64^2 word
+    # products; the class sums, the powers of p and q and the two gcds below work
+    # on ints of up to 2k b bits and add about 10 k^2 b^2 / 64^2, an eighth as much.
     expected = critical_constants(k, omega, 0).minus_ck_dk
+    q = omega * k - 1
     # At the diagonal point c = 1/q each of the C(k, j) monomials x^S with |S| = j
     # has coefficient 1 - j omega and value q^-j, and C(k-1, j-1) = C(k, j) j / k
     # of them contain x_k, whose derivative there is q^(1-j).  Horner's rule in q

@@ -95,10 +95,12 @@ ROUTES = {
         ("test_isotropic::test_against_live_oracle_property", "oracles.oracle_isotropic"),
         ("test_isotropic::test_against_class_formula_property", "oracles.oracle_isotropic_chow"),
         ("test_isotropic::test_horner_route_matches_the_convolved_sum", "test_isotropic._convolved_degree"),
+        ("test_isotropic::test_single_factor_at_the_largest_accepted_n_is_the_closed_form", "kalmandeg.isotropic.isotropic_degree_symmetric"),
     ),
     "isotropic_degree_symmetric": (
         ("test_isotropic::test_single_factor_specializes_to_closed_form", "kalmandeg.isotropic.isotropic_degree"),
         ("test_isotropic::test_symmetric_closed_form_matches_the_sum", "test_isotropic._symmetric_sum"),
+        ("test_isotropic::test_single_factor_at_the_largest_accepted_n_is_the_closed_form", "kalmandeg.isotropic.isotropic_degree"),
     ),
     "symmetric_tuple_codim": (
         ("test_isotropic::test_tuple_codims_are_jacobian_coranks", "test_isotropic._partition_diagonal_codim"),
@@ -111,6 +113,7 @@ ROUTES = {
     "critical_constants": (
         ("test_asympt::test_constants_match_the_fraction_chain", "test_asympt._chained_constants"),
         ("test_asympt::test_det_hessian_matches_phase_hessian_of_f_d", "test_asympt._phase_v", "test_asympt._phase_hessian_det"),
+        ("test_asympt::test_constants_at_the_largest_accepted_k_match_their_closed_forms_mod_p", "test_asympt._residue_fraction"),
     ),
     "verify_critical_point": (
         ("test_asympt::test_f_d_vanishes_at_critical_point", "test_polycore.evaluate", "test_polycore.partial"),

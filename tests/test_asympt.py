@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 from kalmandeg.asympt import (
     AsymptoticEstimate,
     CriticalPointReport,
-    _check_evaluation_work,
     _log10_bigint,
     asymptotic_degree,
     compare_exact_asymptotic,
@@ -19,7 +18,7 @@ from kalmandeg.asympt import (
     ratio_to_exact,
     verify_critical_point,
 )
-from kalmandeg import genfun
+from kalmandeg import asympt, genfun
 from kalmandeg.degrees import CodimVec, TensorFormat
 from kalmandeg.genfun import InputError
 from kalmandeg.polycore import TPoly, poly_mul
@@ -223,57 +222,101 @@ def test_verify_critical_point_beyond_product_reach():
 
 def test_verify_critical_point_refuses_too_many_subsets():
     # k = 15, the first k whose 2^(k+1) subsets the term map could not visit, now
-    # takes k + 1 weight classes; the classes' own budget refuses k = 14544, and
+    # takes k + 1 weight classes; the constants' budget refuses k = 16063, and
     # k = 10^20, before any sum and before (omega,) * k could exist.
     assert verify_critical_point(15, 1).ok
     start = time.perf_counter()
-    for k in (14544, 10**20):
-        with pytest.raises(InputError, match=f"H2's {k + 1} weight classes .* takes about"):
+    for k, bits in ((16063, 2023969), (10**20, 60300000000000000000137)):
+        with pytest.raises(InputError, match=f"constants of up to about {bits} bits takes about"):
             verify_critical_point(k, 1)
     assert time.perf_counter() - start < 0.1
 
 
+class _Accepted(Exception):
+    """Raised in place of the work once a budget check has passed."""
+
+
+def _stop_after_the_budget(monkeypatch):
+    """Make asympt's budget check raise _Accepted where it would let the work start."""
+    check = asympt._refuse_over
+
+    def check_then_stop(*args):
+        check(*args)
+        raise _Accepted
+
+    monkeypatch.setattr(asympt, "_refuse_over", check_then_stop)
+
+
 def test_verify_budget_counts_evaluation_words(monkeypatch):
-    # k = 3, omega = 2^200: 4 weight classes, each a Horner step for the value
-    # and one for the slope, of an accumulator of up to 1 + 4 * 202 // 64 = 13
-    # words (q = 3 * 2^200 - 1 has 202 bits) times q's 1 + 202 // 64 = 4 words,
-    # plus a binomial of 1 word times 1 - j omega of 1 + 202 // 64 = 4 words:
-    # 2 * 4 * (13 * 4 + 1 * 4) = 448.  The powers and the two gcds add
-    # 8 * 13^2 = 1352.  The constants hold (7 * 3 + 2 * 3 + 2) * 202 + 3 * 201
-    # = 6461 bits, 100 words, so 100^2 more: 11800.
-    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 11800)
+    # The evaluation is charged as the constants it compares against (delta = 0).
+    # k = 3, omega = 2^200: they hold (7 * 3 + 2 * 3 + 2) * 202 + 3 * 201 = 6461
+    # bits (omega k = 3 * 2^200 has 202 bits), 100 words, so 100^2 = 10000.
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 10000)
     assert verify_critical_point(3, 2**200).ok
-    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 11799)
-    with pytest.raises(InputError, match="the critical point and normalizing the constants takes about 11800 products"):
+    monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 9999)
+    with pytest.raises(InputError, match="constants of up to about 6461 bits takes about 10000 products"):
         verify_critical_point(3, 2**200)
 
 
-def test_verify_budget_charges_evaluation_and_constants_once():
-    # At k = 7 the two parts used to be checked one at a time against the same
-    # limit, so a 29,760-bit omega passed both and the CLI ran 2.10 s.  Their
-    # sum now binds where 7 omega - 1 reaches 2^27894; the edge ran in 1.4 s
-    # as a CLI process (CPython 3.11, shared 2-core machine).
-    edge = 2**27894 // 7
-    _check_evaluation_work(7, edge, 7 * edge - 1)
+def test_verify_budget_charges_evaluation_and_constants_once(monkeypatch):
+    # One check charges the whole path, so verify and the constants refuse at the same
+    # omega.  At k = 7, omega = 2^29759 is accepted and ran in 1.0-1.3 s as a CLI
+    # process (CPython 3.11, shared 2-core machine); 2^29760 is refused before any sum.
     start = time.perf_counter()
-    with pytest.raises(InputError, match="evaluating H2's 8 weight classes .* takes about 1000016684 products"):
-        verify_critical_point(7, edge + 1)
+    for check in (verify_critical_point, lambda k, omega: critical_constants(k, omega, 0)):
+        with pytest.raises(InputError, match="constants of up to about 2023878 bits takes about 1000014129 products"):
+            check(7, 2**29760)
     assert time.perf_counter() - start < 0.1
-    # Alone, the constants there are still accepted: about 29638^2 of the sum.
-    assert critical_constants(7, edge + 1, 0).c == Fraction(1, 7 * edge + 6)
+    _stop_after_the_budget(monkeypatch)
+    with pytest.raises(_Accepted):
+        verify_critical_point(7, 2**29759)
 
 
-def test_verify_budget_edge():
-    # On CPython 3.11 (shared 2-core machine), as CLI processes, (14, 10^4371)
-    # ran in 1.55 s and (14543, 1) in 1.8-2.2 s, and both stay accepted; (14, 10^4372),
-    # (14, 10^8000) and (14544, 1) are refused before any sum.
-    _check_evaluation_work(14, 10**4371, 14 * 10**4371 - 1)
-    _check_evaluation_work(14543, 1, 14542)
-    for k, omega in ((14, 10**4372), (14, 10**8000), (14544, 1)):
+def test_verify_budget_edge(monkeypatch):
+    # On CPython 3.11 (shared 2-core machine), as CLI processes, (14, 10^4649)
+    # ran in 1.1-1.3 s and (16062, 1) in 1.5-2.1 s, and both stay accepted; (14, 10^4650),
+    # (14, 10^8000) and (16063, 1) are refused before any sum.
+    for k, omega in ((14, 10**4650), (14, 10**8000), (16063, 1)):
         start = time.perf_counter()
-        with pytest.raises(InputError, match=f"evaluating H2's {k + 1} weight classes"):
+        with pytest.raises(InputError, match="critical-point constants of up to about"):
             verify_critical_point(k, omega)
         assert time.perf_counter() - start < 0.1
+    _stop_after_the_budget(monkeypatch)
+    for k, omega in ((14, 10**4649), (16062, 1)):
+        with pytest.raises(_Accepted):
+            verify_critical_point(k, omega)
+
+
+def _residue_fraction(factors, p):
+    """The product of base^exp modulo p, as (N, D) with the negative exponents in D."""
+    num = den = 1
+    for base, exp in factors:
+        if exp >= 0:
+            num = num * pow(base, exp, p) % p
+        else:
+            den = den * pow(base, -exp, p) % p
+    return num, den
+
+
+def test_constants_at_the_largest_accepted_k_match_their_closed_forms_mod_p():
+    # asympt --k 16062 --omega 1 --constants, the last k its budget accepts, modulo
+    # two primes: each normalized fraction num/den must satisfy num D = N den for its
+    # closed form N/D, with omega k = 16062.  From the module docstring, c = 1/(omega k - 1),
+    # -c_k dF_D/dx_k = omega (omega k)^(k-2) (omega k - 2)^k / (omega k - 1)^(2k-1), and
+    # C = l0 / sqrt((2 pi)^(k-1) det_hessian) splits into
+    # det_hessian = (omega k - 2)^(k-1) / [omega (omega k)^(k-2)] and
+    # l0 = (omega k - 1)^(k-1) / [omega (omega k)^(k-2) (omega k - 2)^k] at delta = 0.
+    cc = critical_constants(16062, 1, 0)
+    closed = [
+        (cc.c, [(16061, -1)]),
+        (cc.minus_ck_dk, [(16062, 16060), (16060, 16062), (16061, -32123)]),
+        (cc.det_hessian, [(16060, 16061), (16062, -16060)]),
+        (cc.l0, [(16061, 16061), (16062, -16060), (16060, -16062)]),
+    ]
+    for p in (2**61 - 1, 10**9 + 7):
+        for value, factors in closed:
+            n, d = _residue_fraction(factors, p)
+            assert value.numerator * d % p == n * value.denominator % p, (p, factors)
 
 
 def test_constants_budget_counts_bits_before_any_fraction(monkeypatch):
@@ -369,16 +412,24 @@ def test_ratio_beyond_int_str_digit_limit():
             sys.set_int_max_str_digits(limit)
 
 
-def test_log10_bigint_matches_leading_digits():
+def test_log10_bigint_matches_leading_digits(monkeypatch):
     # Reference: log10 of the leading 17 decimal digits plus the count of the
     # rest, read off str(v).  The digit-count route must agree bit for bit.
     rng = random.Random(5)
     values = [v for d in range(1, 400) for v in (10 ** (d - 1), 10**d - 1, rng.randrange(10 ** (d - 1), 10**d))]
     # The bit length suggests 17 digits here; an 18-digit head rounds differently.
     values.append(114182759323492347)
-    for v in values:
-        s = str(v)
-        assert _log10_bigint(v) == math.log10(int(s[:17])) + max(len(s) - 17, 0), v
+    expected = [math.log10(int(str(v)[:17])) + max(len(str(v)) - 17, 0) for v in values]
+    assert [_log10_bigint(v) for v in values] == expected
+    # A log10(2) a little off puts the digit estimate one above or below the true
+    # count for many of these values (within one up to 1329 bits); each correction
+    # must bring it back.
+    for scale in (1 + 1e-3, 1 - 1e-3):
+        monkeypatch.setattr(asympt, "_LOG10_2", math.log10(2) * scale)
+        assert [_log10_bigint(v) for v in values] == expected, scale
+    for v in (0, -1, -(10**400)):
+        with pytest.raises(ValueError, match="need a positive integer"):
+            _log10_bigint(v)
 
 
 def test_ratio_trend_primary_regime():

@@ -188,7 +188,7 @@ def test_json_lines_equal_sorted_dumps(capsys, monkeypatch, json_path):
 @pytest.mark.parametrize("argv, message", [
     (("genfun", "--omega", "1,1", "--caps", "100000,100000"), "lower the caps"),
     (("genfun", "--omega", ",".join(["1"] * 15), "--show-h"), "subsets of 16 variables takes about"),
-    (("asympt", "--k", "14544", "--omega", "1", "--verify"), "H2's 14545 weight classes at the critical point"),
+    (("asympt", "--k", "16063", "--omega", "1", "--verify"), "critical-point constants of up to about 2023969 bits"),
 ])
 def test_work_budgets_exit_two(capsys, argv, message):
     # refused before the work starts; the first series box would be ~10^10 cells
@@ -666,8 +666,8 @@ BUDGET_REFUSED = [
     _refused("single-factor isotropic degrees", "table", "--kind", "isotropic-sym", "--max-n", "2", "--max-omega", BIG),
     _refused("critical-point constants", "asympt", "--k", "100000000000000000000", "--omega", "1", "--constants"),
     _refused("critical-point constants", "asympt", "--k", "3", "--omega", "1", "--delta", "1" + "0" * 20, "--constants"),
-    _refused("evaluating H2's 15 weight classes at the critical point", "asympt", "--k", "14", "--omega", "1" + "0" * 5000, "--verify"),
-    _refused("H2's 100000000000000000001 weight classes", "asympt", "--k", "100000000000000000000", "--omega", "1", "--verify"),
+    _refused("critical-point constants of up to about 2176422 bits", "asympt", "--k", "14", "--omega", "1" + "0" * 5000, "--verify"),
+    _refused("constants of up to about 60300000000000000000137 bits", "asympt", "--k", "100000000000000000000", "--omega", "1", "--verify"),
     _refused("extracting with k = 1000", "asympt", "--k", "100000000000000000000", "--omega", "1", "--n", "5", "--compare"),
 ]
 EXIT_CODES = [
@@ -761,9 +761,9 @@ FIRST_REFUSED = [
     ("genfun", "--omega", ",".join(["1" + "0" * 1321] * 8), "--show-h"),  # principal minors
     ("isotropic", "--n", "58023", "--omega", "3"),
     ("table", "--kind", "isotropic-sym", "--max-n", "3642"),
-    ("asympt", "--k", "16063", "--omega", "1", "--constants"),
-    ("asympt", "--k", "14544", "--omega", "1", "--verify"),  # word products: critical-point evaluation
-    ("asympt", "--k", "14", "--omega", "1" + "0" * 4372, "--verify"),
+    ("asympt", "--k", "16063", "--omega", "1", "--constants"),  # word products: critical-point constants
+    ("asympt", "--k", "16063", "--omega", "1", "--verify"),
+    ("asympt", "--k", "14", "--omega", "1" + "0" * 4650, "--verify"),
 ]
 
 
@@ -802,8 +802,9 @@ def test_asympt_compare_at_the_largest_accepted_k(capsys):
 
 
 def test_isotropic_at_the_largest_accepted_n(capsys):
-    # n = 4659 takes its one factor by Horner's rule and must stay quick.  It is not
-    # the largest accepted n: that is 58022, and the budget refuses n = 58023.
+    # n = 4659, the largest n an earlier budget accepted, takes its one factor by Horner's
+    # rule and must stay quick as a CLI call.  The largest accepted n is now 58022 (58023 is
+    # refused); test_isotropic checks that one in process against the closed form.
     from kalmandeg.isotropic import isotropic_degree_symmetric
 
     start = time.perf_counter()

@@ -244,6 +244,12 @@ def test_single_factor_specializes_to_closed_form():
             assert res.components == (2 if n == 2 else 1)
 
 
+def test_single_factor_at_the_largest_accepted_n_is_the_closed_form():
+    # isotropic --n 58022 --omega 3, the last n the polar-class budget accepts (58023 is
+    # refused), by the polar-class sum's Horner route and by the single-factor closed form.
+    assert isotropic_degree(TensorFormat((58022,), (3,))).degree == isotropic_degree_symmetric(58022, 3)
+
+
 def test_all_binary_component_count():
     for k in range(1, 5):
         res = isotropic_degree(TensorFormat((2,) * k, (1,) * k))

@@ -14,8 +14,12 @@ from kalmandeg import (
     compare_exact_asymptotic,
     critical_constants,
     isotropic_degree,
+    isotropic_degree_symmetric,
+    macmahon_check,
+    symmetric_degree,
     verify_critical_point,
 )
+from kalmandeg.genfun import InputError
 
 RING = ("z",)
 
@@ -60,6 +64,16 @@ def test_keyword_construction_hash_and_properties():
     assert AsymptoticEstimate(log10_value=1.0, value_if_representable=10.0).value_if_representable == 10.0
 
 
+# Checks of the public functions' own arguments, which raise InputError (the CLI's exit 2).
+INPUT_CHECKS = [
+    (lambda: asymptotic_degree(3, 1, -1, 5), "delta must be >= 0"),
+    (lambda: symmetric_degree(0, 0, 2), "n must be >= 1"),
+    (lambda: symmetric_degree(3, 0, 0), "omega must be >= 1"),
+    (lambda: isotropic_degree_symmetric(3, 0), "omega must be >= 1"),
+    (lambda: macmahon_check([[1, 0], [0, 1]], (2,)), "cap length does not match matrix size"),
+]
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: TensorFormat((0,), (1, 1)), "n and omega must have the same length"),  # checked first
     (lambda: TensorFormat((), ()), "at least one factor is required"),
@@ -73,7 +87,9 @@ def test_keyword_construction_hash_and_properties():
     (lambda: RationalSeries(TPoly.one(RING), TPoly(RING), (1,)), "denominator must have constant term 1"),
     (lambda: AsymptoticEstimate(float("inf"), None), "log10_value must be finite"),
     (lambda: AsymptoticEstimate(log10_value=float("nan"), value_if_representable=None), "log10_value must be finite"),
+    *INPUT_CHECKS,
 ])
 def test_validation_messages(build, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as raised:
         build()
+    assert isinstance(raised.value, InputError) or (build, message) not in INPUT_CHECKS

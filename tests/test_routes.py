@@ -152,7 +152,7 @@ def test_verify_routes_do_not_reach_the_class_sums():
     # reaches; its routes may share only the report's record type with it.
     definitions = _definitions("kalmandeg.asympt")
     package = ({"verify_critical_point"} | _reach("kalmandeg.asympt", "verify_critical_point")) & definitions.keys()
-    assert {"_check_evaluation_work", "critical_constants"} <= package
+    assert "critical_constants" in package
     for name, test, helpers in _routes():
         if name == "verify_critical_point":
             for helper in helpers:

@@ -175,7 +175,8 @@ MUTANTS = [
         "acc, f = 0, m - a + top",
         "acc, f = 0, m - a + top - 1",
         ("tests/test_isotropic.py::test_against_live_oracle_grid",
-         "tests/test_isotropic.py::test_horner_route_matches_the_convolved_sum"),
+         "tests/test_isotropic.py::test_horner_route_matches_the_convolved_sum",
+         "tests/test_isotropic.py::test_single_factor_at_the_largest_accepted_n_is_the_closed_form"),
     ),
     Mutant(
         "symmetric-codim",
@@ -199,7 +200,8 @@ MUTANTS = [
         "(wk, k - 2), (wk - 2, k), (wk - 1, 1 - 2 * k)",
         "(wk, k - 2), (wk - 2, k - 1), (wk - 1, 1 - 2 * k)",
         ("tests/test_asympt.py::test_verify_critical_point_grid",
-         "tests/test_asympt.py::test_constants_match_the_fraction_chain"),
+         "tests/test_asympt.py::test_constants_match_the_fraction_chain",
+         "tests/test_asympt.py::test_constants_at_the_largest_accepted_k_match_their_closed_forms_mod_p"),
     ),
     Mutant(
         "verify-class-binomial",
@@ -288,6 +290,13 @@ MUTANTS = [
         ("tests/test_asympt.py::test_richardson_limit_of_the_ratio_is_one[3-1-1]",
          "tests/test_asympt.py::test_richardson_limit_of_the_ratio_is_one[4-2-2]",
          "tests/test_asympt.py::test_richardson_limit_of_the_ratio_is_one[3-2-1]"),
+    ),
+    Mutant(
+        "log10-digits-down",
+        "src/kalmandeg/asympt.py",
+        "digits -= 1",
+        "digits -= 0",
+        ("tests/test_asympt.py::test_log10_bigint_matches_leading_digits",),
     ),
     Mutant(
         "isotropic-sym-rows-listed",
