@@ -269,18 +269,17 @@ def _divide(
     strides.reverse()
     # Each cell costs one step per denominator term and one per 64 bits of its
     # coefficient, which has at most about the numerator's bits plus, per unit
-    # of degree, the bits of the sum of the tail's absolute coefficients.
+    # of degree, the bits of the sum of the tail's absolute coefficients.  Writing
+    # a box cell in decimal is charged the largest coefficient's words squared.
     growth = (max(1, sum(abs(c) for _, c in tail)) - 1).bit_length()
     bits = max([0] + [abs(c).bit_length() for c in numerator.values()]) + sum(caps) * growth
-    terms, words = len(tail) + 1, bits // 64
+    terms, words, box = len(tail) + 1, bits // 64, prod(m + 1 for m in caps)
     what = (
         "expanding a series box of {} cells with padding by {} denominator terms within the caps"
-        " and {} words of coefficients of up to about {} bits"
+        " and {} words of coefficients of up to about {} bits, then writing its {} cells in decimal"
     )
-    _refuse_over(STEP_WORDS * size * (terms + words), what, "lower the caps", size, terms, words, bits)
-    # Every cell is charged the largest coefficient, about three times the true decimal cost along one axis.
-    what = "writing the series' coefficients of up to about {} bits in decimal"
-    _refuse_over(prod(m + 1 for m in caps) * words * words, what, "lower the caps", bits)
+    work = STEP_WORDS * size * (terms + words) + box * words * words
+    _refuse_over(work, what, "lower the caps", size, terms, words, bits, box)
     inbox = b"\x01"
     for p, m in zip(reversed(pads), reversed(caps)):  # each axis repeats the block after it, then pads
         inbox = inbox * (m + 1) + bytes(len(inbox) * p)

@@ -66,6 +66,7 @@ ROUTES = {
     "symmetric_degree": (
         ("test_degrees::test_symmetric_equals_extraction", "kalmandeg.degrees.extract_degree"),
         ("test_genfun::test_single_factor_series_matches_closed_form", "kalmandeg.genfun.expand_series"),
+        ("test_degrees::test_symmetric_degree_at_the_largest_accepted_n_matches_its_sum_mod_p", "test_degrees._binomial_sum_mod"),
     ),
     "expand_series": (
         ("test_genfun::test_series_matches_extraction_property", "kalmandeg.degrees.extract_degree"),
@@ -119,10 +120,12 @@ ROUTES = {
         ("test_asympt::test_f_d_vanishes_at_critical_point", "test_polycore.evaluate", "test_polycore.partial"),
         ("test_asympt::test_verify_critical_point_against_sympy", "test_asympt._sympy_f_d"),
         ("test_asympt::test_verify_critical_point_matches_the_term_map", "test_asympt._term_map_report"),
+        ("test_asympt::test_verify_at_the_largest_accepted_k_matches_the_product_form_mod_p", "test_asympt._product_form_slope_mod"),
     ),
     "compare_exact_asymptotic": (
         ("test_asympt::test_compare_rows_carry_exact_degrees", "test_degrees.closed_form_degree"),
         ("test_asympt::test_compare_rows_carry_exact_degrees", "oracles.oracle_extract"),
+        ("test_asympt::test_compare_at_the_largest_accepted_n_max_is_the_closed_form", "test_degrees.closed_form_degree"),
     ),
 }
 

@@ -319,6 +319,34 @@ def test_constants_at_the_largest_accepted_k_match_their_closed_forms_mod_p():
             assert value.numerator * d % p == n * value.denominator % p, (p, factors)
 
 
+def _product_form_slope_mod(k, omega, p):
+    """-c dF_D/dx_k (c) modulo p, from H2 on the diagonal in product form.
+
+    H2 = prod_i (1 + x_i) - omega sum_j x_j prod_{i != j} (1 + x_i) is
+    (1 + c)^k - k omega c (1 + c)^(k-1) at x = c, and its x_k-derivative is
+    (1 + c)^(k-1) - omega (1 + c)^(k-1) - (k - 1) omega c (1 + c)^(k-2).
+    Where H2(c) = 0, dF_D/dx_k (c) = dH2/dx_k (c) (1 - c)^k.  Returns that
+    slope and H2(c), both mod p.
+    """
+    c = pow(omega * k - 1, -1, p)
+    a = (1 + c) % p
+    h2 = (pow(a, k, p) - k * omega * c * pow(a, k - 1, p)) % p
+    dh2 = ((1 - omega) * pow(a, k - 1, p) - (k - 1) * omega * c * pow(a, k - 2, p)) % p
+    return -c * dh2 * pow(1 - c, k, p) % p, h2
+
+
+def test_verify_at_the_largest_accepted_k_matches_the_product_form_mod_p():
+    # asympt --k 16062 --omega 1 --verify, the last k its budget accepts: F_D vanishes at c,
+    # and the slope product is the product form's, modulo two primes.  The term-map sum
+    # would have 2^16062 terms.
+    report = verify_critical_point(16062, 1)
+    assert report.f_d_at_c == 0
+    slope = report.slope_product
+    for p in (2**61 - 1, 10**9 + 7):
+        expected, h2 = _product_form_slope_mod(16062, 1, p)
+        assert h2 == 0 and slope.numerator % p == expected * slope.denominator % p, p
+
+
 def test_constants_budget_counts_bits_before_any_fraction(monkeypatch):
     # k = 100, omega = 1: (7 * 100 + 2 * 100 + 2) * bitlen(100) + 3 * bitlen(1) = 6317 bits, 98 words.
     monkeypatch.setattr(genfun, "MAX_WORD_PRODUCTS", 98 * 98)
@@ -469,6 +497,14 @@ def test_compare_rows_carry_exact_degrees():
         cv = CodimVec((delta,) + (0,) * (k - 1))
         assert exact == [closed_form_degree(TensorFormat((n,) * k, (omega,) * k), cv) for n in ns], (k, omega, delta)
         assert exact == [oracle_extract((n,) * k, cv.delta, (omega,) * k) for n in ns], (k, omega, delta)
+
+
+def test_compare_at_the_largest_accepted_n_max_is_the_closed_form():
+    # table --kind hypercubical-compare --k 3 --n-max 17 (18 is refused) prints these
+    # rows, n = 2..17 at omega = 1, delta = 0; the exact column is the closed form's.
+    cv = CodimVec((0, 0, 0))
+    rows = compare_exact_asymptotic(3, 1, 0, range(2, 18))
+    assert [row.exact for row in rows] == [closed_form_degree(TensorFormat((n,) * 3, (1,) * 3), cv) for n in range(2, 18)]
 
 
 def test_compare_table_shape():

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import kalmandeg
-from kalmandeg import cli, isotropic
+from kalmandeg import asympt, cli, genfun, isotropic
 from kalmandeg.degrees import CodimVec, TensorFormat, extract_degree
 from kalmandeg.genfun import InputError
 from test_genfun import REFUSAL
@@ -748,34 +748,80 @@ def test_internal_failures_exit_three(capsys, monkeypatch, exc):
     assert issubclass(InputError, ValueError) and not isinstance(exc, InputError)
 
 
-# The first input each budget refuses, one family per line; the inputs one below run for up to
-# about 2.3 s as CLI processes (CPython 3.11 on a shared 2-core Linux machine).
+# The first input each budget refuses, the last one it accepts and the fixed words of that
+# budget's message, its family.  The accepted inputs run for up to about 2.1 s as CLI
+# processes (CPython 3.11 on a shared 2-core Linux machine).
 FIRST_REFUSED = [
-    ("genfun", "--omega", ",".join(["1"] * 15), "--show-h"),  # subsets
-    ("genfun", "--omega", "1,1", "--caps", "316,316"),  # series steps: series box
-    ("table", "--kind", "matrix-ed", "--max-n", "316"),
-    ("degree", "--n", "80001", "--delta", "0", "--omega", "3"),  # series steps: extraction
-    ("table", "--kind", "hypercubical-compare", "--k", "3", "--n-max", "18"),
-    ("asympt", "--k", "295", "--omega", "1", "--n", "1", "--compare"),
-    ("genfun", "--omega", "1" + "0" * 8448, "--caps", "18"),  # word products: decimal series
-    ("genfun", "--omega", ",".join(["1" + "0" * 1321] * 8), "--show-h"),  # principal minors
-    ("isotropic", "--n", "58023", "--omega", "3"),
-    ("table", "--kind", "isotropic-sym", "--max-n", "3642"),
-    ("asympt", "--k", "16063", "--omega", "1", "--constants"),  # word products: critical-point constants
-    ("asympt", "--k", "16063", "--omega", "1", "--verify"),
-    ("asympt", "--k", "14", "--omega", "1" + "0" * 4650, "--verify"),
+    (("genfun", "--omega", ",".join(["1"] * 15), "--show-h"),
+     ("genfun", "--omega", ",".join(["1"] * 14), "--show-h"), "subsets of"),
+    (("genfun", "--omega", "1,1", "--caps", "316,316"),
+     ("genfun", "--omega", "1,1", "--caps", "315,315"), "series box"),
+    (("table", "--kind", "matrix-ed", "--max-n", "316"),
+     ("table", "--kind", "matrix-ed", "--max-n", "315"), "series box"),
+    (("degree", "--n", "80001", "--delta", "0", "--omega", "3"),
+     ("degree", "--n", "80000", "--delta", "0", "--omega", "3"), "coefficient extraction"),
+    (("table", "--kind", "hypercubical-compare", "--k", "3", "--n-max", "18"),
+     ("table", "--kind", "hypercubical-compare", "--k", "3", "--n-max", "17"), "coefficient extraction"),
+    (("asympt", "--k", "295", "--omega", "1", "--n", "1", "--compare"),
+     ("asympt", "--k", "294", "--omega", "1", "--n", "1", "--compare"), "extracting with k ="),
+    (("genfun", "--omega", "1" + "0" * 5971, "--caps", "18"),
+     ("genfun", "--omega", "1" + "0" * 5970, "--caps", "18"), "series box"),
+    (("genfun", "--omega", ",".join(["1" + "0" * 1321] * 8), "--show-h"),
+     ("genfun", "--omega", ",".join(["1" + "0" * 1320] * 8), "--show-h"), "principal minors"),
+    (("isotropic", "--n", "58023", "--omega", "3"),
+     ("isotropic", "--n", "58022", "--omega", "3"), "polar-class sum"),
+    (("table", "--kind", "isotropic-sym", "--max-n", "3642"),
+     ("table", "--kind", "isotropic-sym", "--max-n", "3641"), "single-factor isotropic degrees"),
+    (("asympt", "--k", "16063", "--omega", "1", "--constants"),
+     ("asympt", "--k", "16062", "--omega", "1", "--constants"), "critical-point constants"),
+    (("asympt", "--k", "16063", "--omega", "1", "--verify"),
+     ("asympt", "--k", "16062", "--omega", "1", "--verify"), "critical-point constants"),
+    (("asympt", "--k", "14", "--omega", "1" + "0" * 4650, "--verify"),
+     ("asympt", "--k", "14", "--omega", "1" + "0" * 4649, "--verify"), "critical-point constants"),
 ]
+FIRST_REFUSED_ARGVS = [refused for refused, _, _ in FIRST_REFUSED]
+# The table's extraction check runs once per cell, on the running sum, so its first pass
+# proves nothing; its last accepted input runs whole (about 0.05 s).
+RUN_WHOLE = {"hypercubical-compare"}
 
 
-@pytest.mark.parametrize("argv", FIRST_REFUSED, ids=_argv_id)
-def test_first_refused_inputs_exit_two_at_once(capsys, argv):
+@pytest.mark.parametrize("argv, family", [pytest.param(r, f, id=_argv_id(r)) for r, _, f in FIRST_REFUSED])
+def test_first_refused_inputs_exit_two_at_once(capsys, argv, family):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 0.2
-    assert (code, out) == (2, "") and "over the limit" in err
+    assert (code, out) == (2, "") and "over the limit" in err and family in err
 
 
-BUDGET_ARGVS = list(dict.fromkeys(FIRST_REFUSED + [argv for argv, _, _ in BUDGET_REFUSED]))
+class _Accepted(BaseException):
+    """Raised in place of the work once a budget check has passed.  cli.main reports any
+    Exception as an internal failure, so this one derives from BaseException."""
+
+
+@pytest.mark.parametrize("refused, accepted, family", [pytest.param(*row, id=_argv_id(row[1])) for row in FIRST_REFUSED])
+def test_last_accepted_inputs_pass_their_budget(capsys, monkeypatch, refused, accepted, family):
+    # One argument apart from the first refused input, it reaches its family's check and
+    # passes it; there the call stops, so no edge's work runs.
+    assert len(accepted) == len(refused) and sum(map(str.__ne__, accepted, refused)) == 1
+    check, passed = genfun._refuse_over, []
+
+    def check_then_stop(work, what, *args):
+        check(work, what, *args)
+        passed.append(what)
+        if family in what and not RUN_WHOLE.intersection(accepted):
+            raise _Accepted
+
+    for module in (genfun, asympt):
+        monkeypatch.setattr(module, "_refuse_over", check_then_stop)
+    try:
+        code = cli.main(list(accepted))
+    except _Accepted:
+        code = 0
+    assert code == 0, capsys.readouterr().err
+    assert any(family in what for what in passed)
+
+
+BUDGET_ARGVS = list(dict.fromkeys(FIRST_REFUSED_ARGVS + [argv for argv, _, _ in BUDGET_REFUSED]))
 
 
 @pytest.mark.parametrize("argv", BUDGET_ARGVS, ids=_argv_id)
@@ -788,7 +834,7 @@ def test_budget_refusals_share_one_shape(capsys, argv):
 
 def test_argv_ids_are_distinct():
     # Two cases with one id would be told apart only by list position.
-    for argvs in ([argv for argv, _, _ in EXIT_CODES], FIRST_REFUSED, BUDGET_ARGVS):
+    for argvs in ([argv for argv, _, _ in EXIT_CODES], FIRST_REFUSED_ARGVS, BUDGET_ARGVS):
         ids = list(map(_argv_id, argvs))
         assert len(set(ids)) == len(ids), [i for i in ids if ids.count(i) > 1]
 
@@ -872,7 +918,7 @@ def _seeded_with(argvs):
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_cli_argv())
-@_seeded_with(FIRST_REFUSED)
+@_seeded_with(FIRST_REFUSED_ARGVS)
 def test_exit_codes_fuzz(argv):
     # Any argv is answered (0) or refused (2, argparse's SystemExit(2) included), never an internal failure (3).
     out, err = io.StringIO(), io.StringIO()

@@ -170,6 +170,32 @@ def test_symmetric_degree_budget():
     assert symmetric_degree(big, big - 3, 2) == 1 + (big - 2) + (big - 2) * (big - 1) // 2
 
 
+def _binomial_sum_mod(n, delta, omega, p):
+    """sum_{j < n - delta} C(delta + j, j) (omega - 1)^j modulo the prime p > n, each
+    binomial read off tables of factorials and inverse factorials mod p."""
+    fact = [1] * n
+    for i in range(1, n):
+        fact[i] = fact[i - 1] * i % p
+    inv = [1] * n
+    inv[-1] = pow(fact[-1], p - 2, p)
+    for i in range(n - 1, 0, -1):
+        inv[i - 1] = inv[i] * i % p
+    total, power = 0, 1
+    for j in range(n - delta):
+        total += fact[delta + j] * inv[delta] % p * inv[j] % p * power
+        power = power * (omega - 1) % p
+    return total % p
+
+
+def test_symmetric_degree_at_the_largest_accepted_n_matches_its_sum_mod_p():
+    # (92232, 46116, 3) is the last input of the family (n, n // 2, 3) that the budget
+    # accepts (92233 is refused): its value, of 138,338 bits, against the sum as defined,
+    # modulo two primes, with no term-to-term division.
+    value = symmetric_degree(92232, 46116, 3)
+    for p in (2**61 - 1, 10**9 + 7):
+        assert value % p == _binomial_sum_mod(92232, 46116, 3, p), p
+
+
 def test_matrix_ed_degrees_are_min():
     for n1 in range(1, 7):
         for n2 in range(1, 7):
@@ -295,10 +321,10 @@ def test_extraction_at_the_largest_accepted_n_is_a_geometric_sum():
 
 
 def test_series_at_the_largest_accepted_weight_is_a_geometric_sum():
-    # genfun --omega <10^8447> --caps 18 is the largest accepted weight at that
-    # cap (10^8448 is refused).  With k = 1 and delta = 0 the coefficient at n is
+    # genfun --omega <10^5970> --caps 18 is the largest accepted weight at that
+    # cap (10^5971 is refused).  With k = 1 and delta = 0 the coefficient at n is
     # sum_{j<n} (omega - 1)^j, compared as ints, with no decimal conversion.
-    omega = 10**8447
+    omega = 10**5970
     series = genfun.expand_series((omega,), (18,), 0)
     assert series == {((n,), 0): geometric_factor(n, omega) for n in range(1, 19)}
 

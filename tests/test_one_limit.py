@@ -1,8 +1,10 @@
 """Every work budget goes through one limit and one helper: only
-``genfun._refuse_over`` reads ``genfun.MAX_WORD_PRODUCTS``, and no module of
-the package defines another ``MAX_*`` limit."""
+``genfun._refuse_over`` reads ``genfun.MAX_WORD_PRODUCTS``, no module of
+the package defines another ``MAX_*`` limit, and no function calls the
+helper from more than one place, so none checks two parts of one charge apart."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import kalmandeg
@@ -11,9 +13,10 @@ SOURCES = sorted(Path(kalmandeg.__file__).parent.glob("*.py"))
 LIMIT = "MAX_WORD_PRODUCTS"
 
 
-def _uses(path: Path) -> tuple[set[str], set[str]]:
-    """The functions of ``path`` that read or import the limit ("<module>" outside any) and its MAX_* names."""
-    readers, defined = set(), set()
+def _uses(path: Path) -> tuple[set[str], set[str], Counter]:
+    """The functions of ``path`` that read or import the limit ("<module>" outside any), its MAX_* names,
+    and the number of ``_refuse_over`` call sites in each function."""
+    readers, defined, sites = set(), set(), Counter()
 
     def visit(node: ast.AST, function: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -27,11 +30,13 @@ def _uses(path: Path) -> tuple[set[str], set[str]]:
             readers.add(function)
         elif isinstance(node, ast.ImportFrom) and any(alias.name == LIMIT for alias in node.names):
             readers.add(function)
+        elif isinstance(node, ast.Call) and "_refuse_over" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            sites[function] += 1
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
     visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
-    return readers, defined
+    return readers, defined, sites
 
 
 def test_only_the_refusal_helper_reads_the_limit():
@@ -43,3 +48,9 @@ def test_only_the_refusal_helper_reads_the_limit():
 def test_no_module_defines_another_limit():
     defined = {(path.name, name) for path in SOURCES for name in _uses(path)[1]}
     assert defined == {("genfun.py", LIMIT)}
+
+
+def test_each_function_checks_the_limit_at_one_site():
+    sites = {(path.name, function): n for path in SOURCES for function, n in _uses(path)[2].items()}
+    assert sites, "no budget checks found"
+    assert {site: n for site, n in sites.items() if n > 1} == {}

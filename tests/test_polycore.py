@@ -178,6 +178,7 @@ def test_text_serialization_is_deterministic():
     ring = ("x1", "x2", "y")
     p = TPoly(ring, {(0, 0, 0): -3, (2, 0, 1): 5, (0, 1, 0): -1})
     assert str(p) == "-3 - x2 + 5*x1^2*y"
+    assert repr(p) == "TPoly('-3 - x2 + 5*x1^2*y')"
     assert str(TPoly(ring)) == "0"
     assert str(p) == str(TPoly(ring, dict(reversed(list(p.terms.items())))))
 
@@ -204,6 +205,12 @@ def test_constructor_invariants():
         TPoly(("x",), {(1, 2): 1})
     with pytest.raises(ValueError, match="unknown variable 'y'"):
         TPoly.variable(("x",), "y")
+    with pytest.raises(ValueError, match="caps length does not match variable count"):
+        TPoly(("x", "y"), caps=(2,))
+    with pytest.raises(ValueError, match="caps must be nonnegative"):
+        TPoly(("x",), caps=(-1,))
+    # a non-TPoly is left to the other operand, so a polynomial never equals a number
+    assert TPoly.one(("x",)).__eq__(1) is NotImplemented and TPoly.one(("x",)) != 1
     # zero coefficients and over-cap monomials are dropped, not stored
     p = TPoly(("x",), {(0,): 0, (5,): 3, (1,): 2}, caps=(2,))
     assert p.terms == {(1,): 2}

@@ -132,6 +132,24 @@ MUTANTS = [
          "tests/test_isotropic.py::test_work_budget_counts_word_products"),
     ),
     Mutant(
+        "series-decimal-term-dropped",
+        "src/kalmandeg/genfun.py",
+        "work = STEP_WORDS * size * (terms + words) + box * words * words",
+        "work = STEP_WORDS * size * (terms + words)",
+        ("tests/test_genfun.py::test_series_budget_counts_decimal_conversion",
+         "tests/test_genfun.py::test_series_budget_counts_coefficient_bits",
+         "tests/test_cli.py::test_first_refused_inputs_exit_two_at_once"),
+    ),
+    Mutant(
+        "series-decimal-term-doubled",
+        "src/kalmandeg/genfun.py",
+        "+ box * words * words",
+        "+ 2 * box * words * words",
+        ("tests/test_genfun.py::test_series_budget_counts_decimal_conversion",
+         "tests/test_cli.py::test_last_accepted_inputs_pass_their_budget",
+         "tests/test_degrees.py::test_series_at_the_largest_accepted_weight_is_a_geometric_sum"),
+    ),
+    Mutant(
         "shift-cap-filter",
         "src/kalmandeg/degrees.py",
         "for e, c in terms.items() if e[i] < cap}",
