@@ -293,8 +293,8 @@ def test_series_budget_counts_decimal_conversion(monkeypatch):
         expand_series((10**30,), (3,), 1)
     monkeypatch.undo()
     # Coefficients of up to 143,600 digits: the series steps (708,225,000) and the
-    # decimal output (999,849,762) each fit the limit, but not their sum, and
-    # the call took 2.1-2.2 s as a CLI process when each was checked on its own.
+    # decimal output (999,849,762) each fit the limit, but not their sum; as a
+    # CLI process the call would take about 2.0-2.2 s, past the aim of the limit.
     start = time.perf_counter()
     with pytest.raises(ValueError, match="in decimal takes about 1708074762 products"):
         expand_series((10**8447,), (18,), 0)
