@@ -22,6 +22,7 @@ from kalmandeg import asympt, genfun
 from kalmandeg.degrees import CodimVec, TensorFormat
 from kalmandeg.genfun import InputError
 from kalmandeg.polycore import TPoly, poly_mul
+from edges import EDGE, flag
 from oracles import oracle_extract, split_h
 from test_degrees import closed_form_degree
 from test_polycore import evaluate, partial
@@ -222,11 +223,11 @@ def test_verify_critical_point_beyond_product_reach():
 
 def test_verify_critical_point_refuses_too_many_subsets():
     # k = 15, the first k whose 2^(k+1) subsets the term map could not visit, now
-    # takes k + 1 weight classes; the constants' budget refuses k = 16063, and
-    # k = 10^20, before any sum and before (omega,) * k could exist.
+    # takes k + 1 weight classes; the constants' budget refuses the verify-k row's k,
+    # and k = 10^20, before any sum and before (omega,) * k could exist.
     assert verify_critical_point(15, 1).ok
     start = time.perf_counter()
-    for k, bits in ((16063, 2023969), (10**20, 60300000000000000000137)):
+    for k, bits in ((flag(EDGE["verify-k"].refused, "--k"), 2023969), (10**20, 60300000000000000000137)):
         with pytest.raises(InputError, match=f"constants of up to about {bits} bits takes about"):
             verify_critical_point(k, 1)
     assert time.perf_counter() - start < 0.1
@@ -260,31 +261,34 @@ def test_verify_budget_counts_evaluation_words(monkeypatch):
 
 def test_verify_budget_charges_evaluation_and_constants_once(monkeypatch):
     # One check charges the whole path, so verify and the constants refuse at the same
-    # omega.  At k = 7, omega = 2^29759 is accepted and ran in 1.0-1.3 s as a CLI
-    # process (CPython 3.11, shared 2-core machine); 2^29760 is refused before any sum.
+    # omega.  At k = 7, the constants-k7-weight row's accepted omega ran in 1.0-1.3 s as a
+    # CLI process with --verify (CPython 3.11, shared 2-core machine); the refused one is
+    # refused before any sum.
+    edge = EDGE["constants-k7-weight"]
     start = time.perf_counter()
     for check in (verify_critical_point, lambda k, omega: critical_constants(k, omega, 0)):
         with pytest.raises(InputError, match="constants of up to about 2023878 bits takes about 1000014129 products"):
-            check(7, 2**29760)
+            check(*edge.refused.args[:2])
     assert time.perf_counter() - start < 0.1
     _stop_after_the_budget(monkeypatch)
     with pytest.raises(_Accepted):
-        verify_critical_point(7, 2**29759)
+        verify_critical_point(*edge.accepted.args[:2])
 
 
 def test_verify_budget_edge(monkeypatch):
-    # On CPython 3.11 (shared 2-core machine), as CLI processes, (14, 10^4649)
-    # ran in 1.1-1.3 s and (16062, 1) in 1.5-2.1 s, and both stay accepted; (14, 10^4650),
-    # (14, 10^8000) and (16063, 1) are refused before any sum.
-    for k, omega in ((14, 10**4650), (14, 10**8000), (16063, 1)):
+    # On CPython 3.11 (shared 2-core machine), as CLI processes, the verify-weight row's
+    # accepted input ran in 1.1-1.3 s and the verify-k row's in 1.5-2.1 s; their refused
+    # inputs and (14, 10^8000) are refused before any sum.
+    edges = [EDGE["verify-weight"], EDGE["verify-k"]]
+    for k, omega in [(flag(e.refused, "--k"), flag(e.refused, "--omega")) for e in edges] + [(14, 10**8000)]:
         start = time.perf_counter()
         with pytest.raises(InputError, match="critical-point constants of up to about"):
             verify_critical_point(k, omega)
         assert time.perf_counter() - start < 0.1
     _stop_after_the_budget(monkeypatch)
-    for k, omega in ((14, 10**4649), (16062, 1)):
+    for edge in edges:
         with pytest.raises(_Accepted):
-            verify_critical_point(k, omega)
+            verify_critical_point(flag(edge.accepted, "--k"), flag(edge.accepted, "--omega"))
 
 
 def _residue_fraction(factors, p):
@@ -299,19 +303,22 @@ def _residue_fraction(factors, p):
 
 
 def test_constants_at_the_largest_accepted_k_match_their_closed_forms_mod_p():
-    # asympt --k 16062 --omega 1 --constants, the last k its budget accepts, modulo
-    # two primes: each normalized fraction num/den must satisfy num D = N den for its
-    # closed form N/D, with omega k = 16062.  From the module docstring, c = 1/(omega k - 1),
+    # The constants-k row's accepted input, the last k its budget accepts at omega = 1,
+    # modulo two primes: each normalized fraction num/den must satisfy num D = N den for
+    # its closed form N/D.  From the module docstring, c = 1/(omega k - 1),
     # -c_k dF_D/dx_k = omega (omega k)^(k-2) (omega k - 2)^k / (omega k - 1)^(2k-1), and
     # C = l0 / sqrt((2 pi)^(k-1) det_hessian) splits into
     # det_hessian = (omega k - 2)^(k-1) / [omega (omega k)^(k-2)] and
     # l0 = (omega k - 1)^(k-1) / [omega (omega k)^(k-2) (omega k - 2)^k] at delta = 0.
-    cc = critical_constants(16062, 1, 0)
+    argv = EDGE["constants-k"].accepted
+    k = flag(argv, "--k")
+    assert flag(argv, "--omega") == 1  # so omega k = k, and omega drops out of the products
+    cc = critical_constants(k, 1, 0)
     closed = [
-        (cc.c, [(16061, -1)]),
-        (cc.minus_ck_dk, [(16062, 16060), (16060, 16062), (16061, -32123)]),
-        (cc.det_hessian, [(16060, 16061), (16062, -16060)]),
-        (cc.l0, [(16061, 16061), (16062, -16060), (16060, -16062)]),
+        (cc.c, [(k - 1, -1)]),
+        (cc.minus_ck_dk, [(k, k - 2), (k - 2, k), (k - 1, 1 - 2 * k)]),
+        (cc.det_hessian, [(k - 2, k - 1), (k, 2 - k)]),
+        (cc.l0, [(k - 1, k - 1), (k, 2 - k), (k - 2, -k)]),
     ]
     for p in (2**61 - 1, 10**9 + 7):
         for value, factors in closed:
@@ -336,14 +343,16 @@ def _product_form_slope_mod(k, omega, p):
 
 
 def test_verify_at_the_largest_accepted_k_matches_the_product_form_mod_p():
-    # asympt --k 16062 --omega 1 --verify, the last k its budget accepts: F_D vanishes at c,
+    # The verify-k row's accepted input, the last k its budget accepts: F_D vanishes at c,
     # and the slope product is the product form's, modulo two primes.  The term-map sum
-    # would have 2^16062 terms.
-    report = verify_critical_point(16062, 1)
+    # would have 2^k terms.
+    argv = EDGE["verify-k"].accepted
+    k, omega = flag(argv, "--k"), flag(argv, "--omega")
+    report = verify_critical_point(k, omega)
     assert report.f_d_at_c == 0
     slope = report.slope_product
     for p in (2**61 - 1, 10**9 + 7):
-        expected, h2 = _product_form_slope_mod(16062, 1, p)
+        expected, h2 = _product_form_slope_mod(k, omega, p)
         assert h2 == 0 and slope.numerator % p == expected * slope.denominator % p, p
 
 
@@ -500,11 +509,14 @@ def test_compare_rows_carry_exact_degrees():
 
 
 def test_compare_at_the_largest_accepted_n_max_is_the_closed_form():
-    # table --kind hypercubical-compare --k 3 --n-max 17 (18 is refused) prints these
-    # rows, n = 2..17 at omega = 1, delta = 0; the exact column is the closed form's.
-    cv = CodimVec((0, 0, 0))
-    rows = compare_exact_asymptotic(3, 1, 0, range(2, 18))
-    assert [row.exact for row in rows] == [closed_form_degree(TensorFormat((n,) * 3, (1,) * 3), cv) for n in range(2, 18)]
+    # The largest accepted table --kind hypercubical-compare (the edge table's
+    # hypercubical-n-max row) prints these rows, n = 2 and up at omega = 1, delta = 0, its
+    # defaults; the exact column is the closed form's.
+    argv = EDGE["hypercubical-n-max"].accepted
+    k, sizes = flag(argv, "--k"), range(2, flag(argv, "--n-max") + 1)
+    cv = CodimVec((0,) * k)
+    rows = compare_exact_asymptotic(k, 1, 0, sizes)
+    assert [row.exact for row in rows] == [closed_form_degree(TensorFormat((n,) * k, (1,) * k), cv) for n in sizes]
 
 
 def test_compare_table_shape():

@@ -21,6 +21,7 @@ import kalmandeg
 from kalmandeg import asympt, cli, genfun, isotropic
 from kalmandeg.degrees import CodimVec, TensorFormat, extract_degree
 from kalmandeg.genfun import InputError
+from edges import CLI_EDGES, EDGE, flag
 from test_genfun import REFUSAL
 from test_readme import EXAMPLES as README_EXAMPLES
 
@@ -188,7 +189,7 @@ def test_json_lines_equal_sorted_dumps(capsys, monkeypatch, json_path):
 @pytest.mark.parametrize("argv, message", [
     (("genfun", "--omega", "1,1", "--caps", "100000,100000"), "lower the caps"),
     (("genfun", "--omega", ",".join(["1"] * 15), "--show-h"), "subsets of 16 variables takes about"),
-    (("asympt", "--k", "16063", "--omega", "1", "--verify"), "critical-point constants of up to about 2023969 bits"),
+    (EDGE["verify-k"].refused, "critical-point constants of up to about 2023969 bits"),
 ])
 def test_work_budgets_exit_two(capsys, argv, message):
     # refused before the work starts; the first series box would be ~10^10 cells
@@ -256,7 +257,7 @@ def test_genfun_decimal_budget_exits_two_at_once(capsys):
     ("asympt", "--k", "2", "--omega", "2", "--n", "3000", "--compare"),
     ("asympt", "--k", "2", "--omega", "2", "--n", "1000000000000", "--compare"),
     ("table", "--kind", "hypercubical-compare", "--k", "3", "--n-max", "80"),
-    ("table", "--kind", "matrix-ed", "--max-n", "316"),
+    EDGE["matrix-ed-max-n"].refused,
 ])
 def test_extraction_over_budget_exits_two_at_once(capsys, argv):
     # Without the budget the extractions ran from 4.7 s to minutes; the hypercubical table sums
@@ -660,7 +661,7 @@ BUDGET_REFUSED = [
     _refused("in decimal takes about", "genfun", "--omega", "1" + "0" * 10000, "--caps", "18"),
     _refused("the polar-class sum takes about", "isotropic", "--n", "200000", "--omega", "3"),
     _refused("coefficient extraction takes about", "degree", "--n", "3000,3000", "--delta", "0,0", "--omega", "1,1"),
-    _refused("extracting with k = 295 factors", "asympt", "--k", "295", "--omega", "1", "--n", "1", "--compare"),
+    _refused(f"extracting with k = {flag(EDGE['compare-k'].refused, '--k')} factors", *EDGE["compare-k"].refused),
     _refused("principal minors of a 9 x 9 matrix", "genfun", "--omega", ",".join(["1" + "0" * 3000] * 8), "--show-h"),
     _refused("single-factor isotropic degrees", "table", "--kind", "isotropic-sym", "--max-n", "1000000"),
     _refused("single-factor isotropic degrees", "table", "--kind", "isotropic-sym", "--max-n", "2", "--max-omega", BIG),
@@ -707,7 +708,7 @@ EXIT_CODES = [
     _refused("need 1 <= --n-min <= --n-max", "table", "--kind", "hypercubical-compare", "--n-min", "0"),
     _refused("need --max-n >= 2 and --max-omega >= 1", "table", "--kind", "isotropic-sym", "--max-n", "1"),
     # invalid input is refused before the budgeted work: an extraction of about 1 s, or one over the limit
-    _refused("all deg_z entries must be >= 1", "degree", "--n", "80000", "--delta", "0", "--omega", "3", "--deg-z", "0"),
+    _refused("all deg_z entries must be >= 1", *EDGE["degree-n"].accepted, "--deg-z", "0"),
     _refused("need k >= 3, or k = 2 with omega >= 2", "table", "--kind", "hypercubical-compare", "--k", "2",
              "--omega", "1", "--n-min", "250", "--n-max", "250"),
     _refused("need k >= 2 and omega >= 1", "table", "--kind", "hypercubical-compare", "--k", "1",
@@ -749,36 +750,8 @@ def test_internal_failures_exit_three(capsys, monkeypatch, exc):
 
 
 # The first input each budget refuses, the last one it accepts and the fixed words of that
-# budget's message, its family.  The accepted inputs run for up to about 2.1 s as CLI
-# processes (CPython 3.11 on a shared 2-core Linux machine).
-FIRST_REFUSED = [
-    (("genfun", "--omega", ",".join(["1"] * 15), "--show-h"),
-     ("genfun", "--omega", ",".join(["1"] * 14), "--show-h"), "subsets of"),
-    (("genfun", "--omega", "1,1", "--caps", "316,316"),
-     ("genfun", "--omega", "1,1", "--caps", "315,315"), "series box"),
-    (("table", "--kind", "matrix-ed", "--max-n", "316"),
-     ("table", "--kind", "matrix-ed", "--max-n", "315"), "series box"),
-    (("degree", "--n", "80001", "--delta", "0", "--omega", "3"),
-     ("degree", "--n", "80000", "--delta", "0", "--omega", "3"), "coefficient extraction"),
-    (("table", "--kind", "hypercubical-compare", "--k", "3", "--n-max", "18"),
-     ("table", "--kind", "hypercubical-compare", "--k", "3", "--n-max", "17"), "coefficient extraction"),
-    (("asympt", "--k", "295", "--omega", "1", "--n", "1", "--compare"),
-     ("asympt", "--k", "294", "--omega", "1", "--n", "1", "--compare"), "extracting with k ="),
-    (("genfun", "--omega", "1" + "0" * 5971, "--caps", "18"),
-     ("genfun", "--omega", "1" + "0" * 5970, "--caps", "18"), "series box"),
-    (("genfun", "--omega", ",".join(["1" + "0" * 1321] * 8), "--show-h"),
-     ("genfun", "--omega", ",".join(["1" + "0" * 1320] * 8), "--show-h"), "principal minors"),
-    (("isotropic", "--n", "58023", "--omega", "3"),
-     ("isotropic", "--n", "58022", "--omega", "3"), "polar-class sum"),
-    (("table", "--kind", "isotropic-sym", "--max-n", "3642"),
-     ("table", "--kind", "isotropic-sym", "--max-n", "3641"), "single-factor isotropic degrees"),
-    (("asympt", "--k", "16063", "--omega", "1", "--constants"),
-     ("asympt", "--k", "16062", "--omega", "1", "--constants"), "critical-point constants"),
-    (("asympt", "--k", "16063", "--omega", "1", "--verify"),
-     ("asympt", "--k", "16062", "--omega", "1", "--verify"), "critical-point constants"),
-    (("asympt", "--k", "14", "--omega", "1" + "0" * 4650, "--verify"),
-     ("asympt", "--k", "14", "--omega", "1" + "0" * 4649, "--verify"), "critical-point constants"),
-]
+# budget's message, its family, for every CLI row of the edge table.
+FIRST_REFUSED = [(edge.refused, edge.accepted, edge.family) for edge in CLI_EDGES]
 FIRST_REFUSED_ARGVS = [refused for refused, _, _ in FIRST_REFUSED]
 # The table's extraction check runs once per cell, on the running sum, so its first pass
 # proves nothing; its last accepted input runs whole (about 0.05 s).
@@ -800,9 +773,8 @@ class _Accepted(BaseException):
 
 @pytest.mark.parametrize("refused, accepted, family", [pytest.param(*row, id=_argv_id(row[1])) for row in FIRST_REFUSED])
 def test_last_accepted_inputs_pass_their_budget(capsys, monkeypatch, refused, accepted, family):
-    # One argument apart from the first refused input, it reaches its family's check and
-    # passes it; there the call stops, so no edge's work runs.
-    assert len(accepted) == len(refused) and sum(map(str.__ne__, accepted, refused)) == 1
+    # One argument apart from the first refused input (test_edges), it reaches its family's
+    # check and passes it; there the call stops, so no edge's work runs.
     check, passed = genfun._refuse_over, []
 
     def check_then_stop(work, what, *args):
@@ -840,17 +812,17 @@ def test_argv_ids_are_distinct():
 
 
 def test_asympt_compare_at_the_largest_accepted_k(capsys):
-    # k = 295 is refused; k = 294 builds 2k bases over 295 variables and must stay quick.
+    # The last k the budget accepts builds 2k bases over k + 1 variables and must stay quick.
     start = time.perf_counter()
-    code, out, err = run(capsys, "asympt", "--k", "294", "--omega", "1", "--n", "1", "--compare")
+    code, out, err = run(capsys, *EDGE["compare-k"].accepted)
     assert time.perf_counter() - start < 1.0
     assert (code, err) == (0, "") and "\nexact = 1\n" in out
 
 
 def test_isotropic_at_the_largest_accepted_n(capsys):
     # n = 4659, the largest n an earlier budget accepted, takes its one factor by Horner's
-    # rule and must stay quick as a CLI call.  The largest accepted n is now 58022 (58023 is
-    # refused); test_isotropic checks that one in process against the closed form.
+    # rule and must stay quick as a CLI call.  test_isotropic checks the largest accepted n
+    # (the edge table's isotropic-n row) in process against the closed form.
     from kalmandeg.isotropic import isotropic_degree_symmetric
 
     start = time.perf_counter()

@@ -19,6 +19,7 @@ from kalmandeg.degrees import (
     symmetric_degree,
 )
 from kalmandeg.polycore import TPoly, poly_mul
+from edges import EDGE, flag
 from oracles import oracle_binary, oracle_extract
 from test_genfun import estimate
 
@@ -153,14 +154,14 @@ def test_symmetric_degree_budget():
         for w in (1, 2, 3, 7, 10**25):
             for d in range(n):
                 assert symmetric_degree(n, d, w) == sum(comb(d + j, j) * (w - 1) ** j for j in range(n - d))
-    # The first refused input of the family (n, n // 2, 3) goes at once; the one below is accepted.
+    # Inputs far past the limit go at once.  The edge of the family (n, n // 2, 3) is the
+    # symmetric-degree-n row of tests/edges.py, which test_edges checks.
     start = time.perf_counter()
     refusal = "the single-factor closed form takes about .* over the limit of 1000000000"
-    for n, d, w in ((92233, 46116, 3), (10**100, 0, 3), (20000, 0, 10**1000)):
+    for n, d, w in ((10**100, 0, 3), (20000, 0, 10**1000)):
         with pytest.raises(genfun.InputError, match=refusal):
             symmetric_degree(n, d, w)
     assert time.perf_counter() - start < 0.2
-    assert estimate(symmetric_degree, 92232, 46116, 3) <= genfun.MAX_WORD_PRODUCTS
     # Every input of the tests, the README and the benchmark is accepted, and (8000, 4000, 3)
     # with room to spare; few or zero terms stay cheap at any n.
     assert max(estimate(symmetric_degree, 40, d, 10) for d in range(40)) < 10**6  # the estimate grows with n and omega
@@ -188,12 +189,12 @@ def _binomial_sum_mod(n, delta, omega, p):
 
 
 def test_symmetric_degree_at_the_largest_accepted_n_matches_its_sum_mod_p():
-    # (92232, 46116, 3) is the last input of the family (n, n // 2, 3) that the budget
-    # accepts (92233 is refused): its value, of 138,338 bits, against the sum as defined,
-    # modulo two primes, with no term-to-term division.
-    value = symmetric_degree(92232, 46116, 3)
+    # The last input of the family (n, n // 2, 3) that the budget accepts: its value, of
+    # 138,338 bits, against the sum as defined, modulo two primes, with no term-to-term division.
+    args = EDGE["symmetric-degree-n"].accepted.args
+    value = symmetric_degree(*args)
     for p in (2**61 - 1, 10**9 + 7):
-        assert value % p == _binomial_sum_mod(92232, 46116, 3, p), p
+        assert value % p == _binomial_sum_mod(*args, p), p
 
 
 def test_matrix_ed_degrees_are_min():
@@ -311,22 +312,25 @@ def geometric_factor(n, omega):
 
 
 def test_extraction_at_the_largest_accepted_n_is_a_geometric_sum():
-    # degree --n 80000 --delta 0 --omega 3 is the slowest accepted extraction (n = 80001 is refused).
-    # With k = 1 and delta = 0 the factor is sum_{j<n} (omega - 1)^j, here 2^n - 1.
-    assert geometric_factor(80000, 3) == 2**80000 - 1
-    assert extract_degree(TensorFormat((80000,), (3,)), CodimVec((0,))) == geometric_factor(80000, 3)
+    # The slowest accepted extraction, the edge table's degree-n row.  With k = 1 and
+    # delta = 0 the factor is sum_{j<n} (omega - 1)^j, here 2^n - 1.
+    argv = EDGE["degree-n"].accepted
+    n, omega = flag(argv, "--n"), flag(argv, "--omega")
+    assert (flag(argv, "--delta"), omega) == (0, 3) and geometric_factor(n, omega) == 2**n - 1
+    assert extract_degree(TensorFormat((n,), (omega,)), CodimVec((0,))) == geometric_factor(n, omega)
     for n in range(1, 60):
         for w in (1, 2, 3, 5):
             assert extract_degree(TensorFormat((n,), (w,)), CodimVec((0,))) == geometric_factor(n, w), (n, w)
 
 
 def test_series_at_the_largest_accepted_weight_is_a_geometric_sum():
-    # genfun --omega <10^5970> --caps 18 is the largest accepted weight at that
-    # cap (10^5971 is refused).  With k = 1 and delta = 0 the coefficient at n is
-    # sum_{j<n} (omega - 1)^j, compared as ints, with no decimal conversion.
-    omega = 10**5970
-    series = genfun.expand_series((omega,), (18,), 0)
-    assert series == {((n,), 0): geometric_factor(n, omega) for n in range(1, 19)}
+    # The largest accepted weight at its cap, the edge table's genfun-weight row.  With
+    # k = 1 and delta = 0 the coefficient at n is sum_{j<n} (omega - 1)^j, compared as
+    # ints, with no decimal conversion.
+    argv = EDGE["genfun-weight"].accepted
+    omega, cap = flag(argv, "--omega"), flag(argv, "--caps")
+    series = genfun.expand_series((omega,), (cap,), 0)
+    assert series == {((n,), 0): geometric_factor(n, omega) for n in range(1, cap + 1)}
 
 
 def test_extraction_equals_full_product_on_random_formats():

@@ -26,6 +26,7 @@ from kalmandeg.genfun import (
 )
 from kalmandeg.isotropic import isotropic_degree, isotropic_degree_symmetric
 from kalmandeg.polycore import TPoly, det, poly_mul
+from edges import EDGE, flag
 from oracles import split_h
 
 
@@ -299,13 +300,11 @@ def test_series_budget_counts_decimal_conversion(monkeypatch):
     with pytest.raises(ValueError, match="in decimal takes about 1708074762 products"):
         expand_series((10**8447,), (18,), 0)
     assert time.perf_counter() - start < 0.1
-    # The largest boxes of weight 10^1000 along either axis are accepted.  At cap 1
-    # on x, 1/H's box has no x and so no tail term: only its cells are charged.
-    assert len(expand_series((10**1000,), (50,), 0)) == 50
-    assert expand_series((10**1000,), (1,), 199_998) == {((1,), 0): 1}
-    for args in (((10**1000,), (51,), 0), ((10**1000,), (1,), 199_999)):
-        with pytest.raises(ValueError, match="lower the caps"):
-            expand_series(*args)
+    # The largest boxes of weight 10^1000 along either axis run whole; test_edges checks
+    # that one cap more is refused.
+    along_x, along_y = EDGE["series-weight-cap"].accepted.args, EDGE["series-y-cap"].accepted.args
+    assert len(expand_series(*along_x)) == along_x[1][0]
+    assert expand_series(*along_y) == {((1,), 0): 1}
 
 
 def test_series_box_with_a_zero_cap_is_empty_at_once():
@@ -322,10 +321,11 @@ def eckart_young_degree(n1, n2):
 
 
 def test_matrix_ed_box_at_the_largest_accepted_max_n_is_eckart_young():
-    # table --kind matrix-ed --max-n 315, the largest accepted (316 is refused),
+    # The largest accepted table --kind matrix-ed (the edge table's matrix-ed-max-n row)
     # prints the cells of this box, and every one is min(n1, n2).
-    series = expand_series((1, 1), (315, 315), 0)
-    sizes = range(1, 316)
+    max_n = flag(EDGE["matrix-ed-max-n"].accepted, "--max-n")
+    series = expand_series((1, 1), (max_n, max_n), 0)
+    sizes = range(1, max_n + 1)
     assert series == {((n1, n2), 0): eckart_young_degree(n1, n2) for n1 in sizes for n2 in sizes}
 
 
@@ -677,14 +677,14 @@ def test_macmahon_product_budget(monkeypatch):
     with pytest.raises(ValueError, match=f"up to {pairs} term pairs takes about {work} products .*; lower the cap"):
         macmahon_check([[1, 2], [3, 4]], caps)
     monkeypatch.undo()
-    assert macmahon_check([[1, 1], [1, 1]], 50)  # 2500 * 3 * 51^2 * 51 <= 10^9
+    # An all-ones 2 x 2 box is charged 2500 (1 + 2) (cap + 1)^3 at most, and its last
+    # accepted cap runs whole.  test_edges checks that one cap more is refused.
+    a, cap = EDGE["macmahon-2x2-cap"].accepted.args
+    assert 2500 * 3 * (cap + 1) ** 3 <= genfun.MAX_WORD_PRODUCTS
+    assert macmahon_check(a, cap)
     # A 1 x 1 box's slices hold one cell, so its walk is charged 2 (cap + 1) pairs, exactly
-    # the limit at cap 199,999; there the series division's own budget refuses first.
-    for a, cap, refusal in (([[1, 1], [1, 1]], 51, "MacMahon product side"), ([[1]], 199_999, "expanding a series box")):
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match=f"{refusal}.*; lower the cap"):
-            macmahon_check(a, cap)
-        assert time.perf_counter() - start < 0.1
+    # the limit at its refused cap; there the series division's own budget refuses first.
+    assert 2 * (EDGE["macmahon-1x1-cap"].refused.args[1] + 1) * 2500 == genfun.MAX_WORD_PRODUCTS
     assert macmahon_check([[1, 1], [1, 1]], 4) and macmahon_check([[1, 1, 1]] * 3, 2)  # the benchmark's sizes
 
 

@@ -16,6 +16,7 @@ from kalmandeg.isotropic import (
     partition_tuple_codim,
     symmetric_tuple_codim,
 )
+from edges import EDGE, flag
 from oracles import oracle_isotropic, oracle_isotropic_chow
 from test_genfun import estimate
 
@@ -196,7 +197,8 @@ def test_work_budget_refuses_before_work():
         with pytest.raises(ValueError, match="over the limit of 1000000000"):
             isotropic_degree(TensorFormat(n, omega))
     assert time.perf_counter() - start < 0.1
-    # the largest inputs of the README, the tests and the benchmark stay accepted
+    # Large inputs of the benchmark's query pool and of test_cli stay accepted.  The budget's
+    # edges take about 1 s each, so test_cli checks them against the budget alone.
     for n, omega in (((450,), (10**10,)), ((46,), (10**100,)), ((200,), (1000,)), ((20, 18), (2, 3))):
         assert isotropic_degree(TensorFormat(n, omega)).degree > 0
 
@@ -245,9 +247,11 @@ def test_single_factor_specializes_to_closed_form():
 
 
 def test_single_factor_at_the_largest_accepted_n_is_the_closed_form():
-    # isotropic --n 58022 --omega 3, the last n the polar-class budget accepts (58023 is
-    # refused), by the polar-class sum's Horner route and by the single-factor closed form.
-    assert isotropic_degree(TensorFormat((58022,), (3,))).degree == isotropic_degree_symmetric(58022, 3)
+    # The last n the polar-class budget accepts at omega = 3 (the edge table's isotropic-n
+    # row), by the polar-class sum's Horner route and by the single-factor closed form.
+    argv = EDGE["isotropic-n"].accepted
+    n, omega = flag(argv, "--n"), flag(argv, "--omega")
+    assert isotropic_degree(TensorFormat((n,), (omega,))).degree == isotropic_degree_symmetric(n, omega)
 
 
 def test_all_binary_component_count():

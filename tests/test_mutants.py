@@ -40,3 +40,22 @@ def test_each_named_test_exists():
             path, function = node.split("::")
             assert path.startswith("tests/test_"), (m.id, node)
             assert function.split("[")[0] in _test_functions(ROOT / path), (m.id, node)
+
+
+def test_failed_ids_are_read_whole():
+    # A -rfE line ends its id at " - " and the message, or at the line's end when the id
+    # alone fills the terminal; an id may hold spaces, and a message may hold " - ".
+    case = "tests/test_cli.py::test_first_refused_inputs_exit_two_at_once[isotropic --n 5,40 --omega 3,7]"
+    report = "\n".join([
+        "F.E                                                                      [100%]",
+        "=========================== short test summary info ============================",
+        f"FAILED {case} - assert (0, 'degree = 1\\n') == (2, '')",
+        "ERROR tests/test_genfun.py::test_macmahon_small_cases",
+        "FAILED tests/test_asympt.py::test_log10_bigint_matches_leading_digits - ValueError: a - b",
+        "1 passed, 2 failed, 1 error in 0.52s",
+    ])
+    assert mutants._failed(report) == {
+        case,
+        "tests/test_genfun.py::test_macmahon_small_cases",
+        "tests/test_asympt.py::test_log10_bigint_matches_leading_digits",
+    }

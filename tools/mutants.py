@@ -32,6 +32,8 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT = 600  # seconds per pytest run; the whole suite takes about 20
 
 Mutant = namedtuple("Mutant", "id file old new tests")
+# The head that a test_cli case id keeps of a run of more than 60 digits (test_cli._argv_id).
+TEN_59 = "1" + "0" * 59
 
 MUTANTS = [
     Mutant(
@@ -138,7 +140,7 @@ MUTANTS = [
         "work = STEP_WORDS * size * (terms + words)",
         ("tests/test_genfun.py::test_series_budget_counts_decimal_conversion",
          "tests/test_genfun.py::test_series_budget_counts_coefficient_bits",
-         "tests/test_cli.py::test_first_refused_inputs_exit_two_at_once"),
+         f"tests/test_cli.py::test_first_refused_inputs_exit_two_at_once[genfun --omega {TEN_59}...<5972 digits> --caps 18]"),
     ),
     Mutant(
         "series-decimal-term-doubled",
@@ -146,7 +148,7 @@ MUTANTS = [
         "+ box * words * words",
         "+ 2 * box * words * words",
         ("tests/test_genfun.py::test_series_budget_counts_decimal_conversion",
-         "tests/test_cli.py::test_last_accepted_inputs_pass_their_budget",
+         f"tests/test_cli.py::test_last_accepted_inputs_pass_their_budget[genfun --omega {TEN_59}...<5971 digits> --caps 18]",
          "tests/test_degrees.py::test_series_at_the_largest_accepted_weight_is_a_geometric_sum"),
     ),
     Mutant(
@@ -195,6 +197,13 @@ MUTANTS = [
         ("tests/test_isotropic.py::test_against_live_oracle_grid",
          "tests/test_isotropic.py::test_horner_route_matches_the_convolved_sum",
          "tests/test_isotropic.py::test_single_factor_at_the_largest_accepted_n_is_the_closed_form"),
+    ),
+    Mutant(
+        "isotropic-build-term-halved",
+        "src/kalmandeg/isotropic.py",
+        "work += 2 * build + ",
+        "work += 1 * build + ",
+        (f"tests/test_cli.py::test_first_refused_inputs_exit_two_at_once[isotropic --n 4111,40 --omega 3,{TEN_59}...<201 digits>]",),
     ),
     Mutant(
         "symmetric-codim",
@@ -328,7 +337,14 @@ MUTANTS = [
     ),
 ]
 
-_OUTCOME = re.compile(r"^(FAILED|ERROR) (\S+)", re.MULTILINE)
+# A -rfE summary line: the outcome, the test id (which may hold spaces) and, unless the id
+# alone fills the terminal's width, " - " and the first line of the message.
+_OUTCOME = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", re.MULTILINE)
+
+
+def _failed(stdout: str) -> set[str]:
+    """The ids of the tests that failed or errored, read off pytest's -rfE summary."""
+    return set(_OUTCOME.findall(stdout))
 
 
 def _pytest(folder: Path, tests: list[str]) -> tuple[int | None, set[str]]:
@@ -339,7 +355,7 @@ def _pytest(folder: Path, tests: list[str]) -> tuple[int | None, set[str]]:
         run = subprocess.run(argv, cwd=folder, env=env, capture_output=True, text=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return None, set(tests)
-    failed = {node for _, node in _OUTCOME.findall(run.stdout)}
+    failed = _failed(run.stdout)
     return run.returncode, {t for t in tests if any(node == t or node.startswith(t + "[") for node in failed)}
 
 
